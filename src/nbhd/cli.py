@@ -305,6 +305,10 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        print(f"resource limit: {args.command} exceeded the Python recursion limit",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except ConsistencyError as exc:
         print(f"fatal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+def _face_limit_error(count, cap):
+    return ResourceLimitError(
+        f"face enumeration exceeds the limit of {cap} faces", count=count, limit=cap)
+
+
 def sorted_labels(labels):
     """Deterministic label order: natural when comparable, else type/repr."""
     labels = list(labels)
@@ -117,8 +122,8 @@ class SimplicialComplex:
     def faces(self, limit=None):
         """All nonempty faces by dimension, ``{d: sorted index tuples}``.
         Raises :class:`ResourceLimitError` past the face-count guard."""
+        cap = DEFAULT_FACE_LIMIT if limit is None else limit
         if self._faces is None:
-            cap = DEFAULT_FACE_LIMIT if limit is None else limit
             seen = set()
             for facet in self.facets:
                 for k in range(1, len(facet) + 1):
@@ -126,15 +131,15 @@ class SimplicialComplex:
                         if sub not in seen:
                             seen.add(sub)
                             if len(seen) > cap:
-                                raise ResourceLimitError(
-                                    f"face enumeration exceeds the limit of {cap} faces",
-                                    count=len(seen),
-                                    limit=cap,
-                                )
+                                raise _face_limit_error(len(seen), cap)
             by_dim = {}
             for f in seen:
                 by_dim.setdefault(len(f) - 1, []).append(f)
             self._faces = {d: sorted(v) for d, v in sorted(by_dim.items())}
+        else:
+            count = sum(map(len, self._faces.values()))
+            if count > cap:
+                raise _face_limit_error(count, cap)
         return self._faces
 
     def face_counts(self, limit=None):

@@ -1,52 +1,44 @@
-"""Bit-packed GF(2) linear algebra on numpy uint64 words."""
+"""Sparse GF(2) column reduction.
+
+Each column is one Python int whose bit ``i`` is row ``i``.  Reduced columns
+are kept in a pivot table keyed by their highest set bit, as in the standard
+reduction of persistence software (Chen & Kerber 2011; Bauer 2021).
+"""
 
 from __future__ import annotations
 
-import numpy as np
 
-
-def pack(n_rows, n_cols, ones):
-    """Row-major bit matrix from (row, col) positions of the 1 entries."""
-    words = max(1, (n_cols + 63) >> 6)
-    m = np.zeros((n_rows, words), dtype=np.uint64)
-    one = np.uint64(1)
+def _columns(n_cols, ones):
+    cols = [0] * n_cols
     for r, c in ones:
-        m[r, c >> 6] |= one << np.uint64(c & 63)
-    return m
+        cols[c] |= 1 << r
+    return cols
 
 
-def rank(m, n_cols):
-    """GF(2) rank by in-place row elimination of a packed matrix."""
-    m = m.copy()
-    rows = m.shape[0]
-    r = 0
-    one = np.uint64(1)
-    for c in range(n_cols):
-        if r == rows:
+def _reduce(pivots, v):
+    """Reduce ``v`` against ``pivots`` and insert what is left; return it
+    (zero exactly when ``v`` lies in the span of the table)."""
+    while v:
+        top = v.bit_length()
+        p = pivots.get(top)
+        if p is None:
+            pivots[top] = v
             break
-        w = c >> 6
-        mask = one << np.uint64(c & 63)
-        hits = np.nonzero(m[r:, w] & mask)[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        rest = np.nonzero(m[r + 1:, w] & mask)[0]
-        if rest.size:
-            m[rest + r + 1] ^= m[r]
-        r += 1
-    return r
+        v ^= p
+    return v
 
 
 def rank_sparse(n_rows, n_cols, ones):
-    return rank(pack(n_rows, n_cols, ones), n_cols)
+    """GF(2) rank of the matrix whose 1 entries are the ``(row, col)`` pairs
+    in ``ones``."""
+    pivots = {}
+    return sum(1 for col in _columns(n_cols, ones) if _reduce(pivots, col))
 
 
 def in_column_space(n_rows, n_cols, ones, rhs):
     """Is the 0/1 vector ``rhs`` (length n_rows) a GF(2) combination of the
     columns of the sparse matrix given by ``ones``?"""
-    ones = list(ones)
-    base = rank_sparse(n_rows, n_cols, ones)
-    aug = ones + [(i, n_cols) for i, b in enumerate(rhs) if b & 1]
-    return rank_sparse(n_rows, n_cols + 1, aug) == base
+    pivots = {}
+    for col in _columns(n_cols, ones):
+        _reduce(pivots, col)
+    return not _reduce(pivots, sum(1 << i for i, b in enumerate(rhs) if b & 1))

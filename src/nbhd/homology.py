@@ -62,10 +62,10 @@ def boundary_matrices(K, limit=None):
 def smith_normal_form(matrix, shape=None):
     """Invariant factors and rank of an integer matrix.
 
-    Accepts a dense row list (or numpy array), or a sparse ``{(i, j): value}``
-    dict together with an explicit ``(rows, cols)`` shape.  Returns
-    ``(factors, rank)`` where the factors are the nonzero diagonal entries,
-    positive and divisibility-chained, so ``rank == len(factors)``.
+    Accepts a dense matrix as any sequence of rows, or a sparse
+    ``{(i, j): value}`` dict with an explicit ``(rows, cols)`` shape.
+    Returns ``(factors, rank)``: the factors are the nonzero diagonal
+    entries, positive and divisibility-chained, so ``rank == len(factors)``.
     """
     entries, _ = _as_sparse(matrix, shape)
     factors = _snf_factors(entries)

@@ -450,17 +450,13 @@ def height_bounds(G, r, *, odd_cycle_scan=15, budget=10_000_000):
             if hom_search(G, make_cycle(m), budget).found:
                 rules.append(HeightBound("upper", 1, f"maps-to-odd-cycle-C{m}"))
                 break
-    lower = upper = None
-    for b in rules:
-        if b.kind in ("lower", "exact"):
-            lower = b.value if lower is None else max(lower, b.value)
-        if b.kind in ("upper", "exact"):
-            upper = b.value if upper is None else min(upper, b.value)
+    lower, _ = _best_bound(rules, "lower")
+    upper, _ = _best_bound(rules, "upper")
     return HeightBounds(lower, upper, tuple(rules))
 
 
-def _best_bound(bounds, kind):
-    vals = [(b.value, b.rule) for b in bounds.rules if b.kind in (kind, "exact")]
+def _best_bound(rules, kind):
+    vals = [(b.value, b.rule) for b in rules if b.kind in (kind, "exact")]
     if not vals:
         return None, None
     if kind == "lower":
@@ -506,8 +502,8 @@ def obstruction_check(
     """
     lb = height_bounds(G, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
     ub = height_bounds(H, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
-    lower, lrule = _best_bound(lb, "lower")
-    upper, urule = _best_bound(ub, "upper")
+    lower, lrule = _best_bound(lb.rules, "lower")
+    upper, urule = _best_bound(ub.rules, "upper")
     # a cheap rule may only bound the height; exact mode replaces anything
     # short of an exact rule by the true cup-power height
     if exact and not any(b.kind == "exact" for b in lb.rules):

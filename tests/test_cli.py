@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nbhd
 from nbhd import make_cycle, make_kneser, save_graph
 from nbhd.cli import main
 
@@ -214,3 +218,20 @@ class TestHomSearch:
         )
         assert code == 0
         assert report["result"]["status"] == "budget-exceeded"
+
+    def test_too_deep_for_recursive_search(self, tmp_path, capsys):
+        c1200 = tmp_path / "c1200.json"
+        c4 = tmp_path / "c4.json"
+        save_graph(make_cycle(1200), c1200)
+        save_graph(make_cycle(4), c4)
+        assert main(["hom-search", str(c1200), str(c4)]) == 3
+        assert "hom-search" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(nbhd.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nbhd.cli; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -72,6 +72,13 @@ class TestSimplicialComplex:
         with pytest.raises(ResourceLimitError):
             K.faces(limit=10)
 
+    def test_face_limit_holds_on_cached_faces(self):
+        K = neighborhood_complex(make_cycle(9), 3)
+        assert sum(map(len, K.faces().values())) == 72
+        with pytest.raises(ResourceLimitError) as err:
+            K.faces(limit=10)
+        assert (err.value.count, err.value.limit) == (72, 10)
+
     def test_euler_characteristic(self):
         assert simplex_boundary(3).euler_characteristic() == 2  # a 2-sphere
         assert simplex_boundary(4).euler_characteristic() == 0  # a 3-sphere

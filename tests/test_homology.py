@@ -147,6 +147,45 @@ class TestSmithNormalForm:
                 assert g == 0
 
 
+@st.composite
+def gf2_systems(draw, max_side=12):
+    """Shape, ``(row, col)`` ones and a 0/1 right-hand side of a random
+    matrix; either side may be zero, and half the right-hand sides are
+    column combinations."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    bits = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    ones = [(i, j) for i in range(m) for j in range(n) if bits[i * n + j]]
+    if draw(st.booleans()):
+        picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rhs = [sum(bits[i * n + j] & picked[j] for j in range(n)) % 2 for i in range(m)]
+    else:
+        rhs = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return m, n, ones, rhs
+
+
+def snf_rank2(n_rows, n_cols, ones):
+    """Oracle: GF(2) rank as the number of odd invariant factors over Z."""
+    factors, _ = smith_normal_form({e: 1 for e in ones}, shape=(n_rows, n_cols))
+    return sum(f % 2 for f in factors)
+
+
+class TestGF2:
+    @given(gf2_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_odd_invariant_factors(self, system):
+        m, n, ones, _ = system
+        assert gf2.rank_sparse(m, n, ones) == snf_rank2(m, n, ones)
+
+    @given(gf2_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_column_space_matches_augmented_rank(self, system):
+        m, n, ones, rhs = system
+        aug = ones + [(i, n) for i, b in enumerate(rhs) if b]
+        expected = snf_rank2(m, n + 1, aug) == snf_rank2(m, n, ones)
+        assert gf2.in_column_space(m, n, ones, rhs) == expected
+
+
 class TestBoundaryMatrices:
     def test_single_edge_column(self):
         K = SimplicialComplex.from_faces([("a", "b")])

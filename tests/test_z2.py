@@ -286,6 +286,9 @@ class TestObstruction:
         g = make_cycle(5)
         rep = obstruction_check(g, g, 3)
         assert rep.verdict == "INCONCLUSIVE"
+        # ties at 3 break by rule name: max for the lower bound, min for the upper
+        assert rep.lhs == {"bound": 3, "rule": "girth-sphere"}
+        assert rep.rhs == {"bound": 3, "rule": "cycle-sphere"}
 
     def test_pentagon_to_kneser_inconclusive_and_map_exists(self):
         rep = obstruction_check(make_cycle(5), make_kneser(5, 2), 3)
