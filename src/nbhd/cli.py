@@ -309,6 +309,9 @@ def main(argv=None):
         print(f"resource limit: {args.command} exceeded the Python recursion limit",
               file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print(f"resource limit: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except ConsistencyError as exc:
         print(f"fatal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -59,9 +59,9 @@ class SimplicialComplex:
     __slots__ = ("vertices", "facets", "_index", "_faces", "_facet_sets")
 
     def __init__(self, vertices, facets):
-        self.vertices = tuple(vertices)
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
+        vertices = tuple(vertices)
+        n = len(vertices)
+        if len(set(vertices)) != n:
             raise ValueError("vertex labels must be pairwise distinct")
         fs = []
         for f in facets:
@@ -71,7 +71,11 @@ class SimplicialComplex:
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValueError("facet indices must be strictly increasing")
             fs.append(f)
-        self.facets = tuple(sorted(fs))
+        self._setup(vertices, fs)
+
+    def _setup(self, vertices, facets):
+        self.vertices = tuple(vertices)
+        self.facets = tuple(sorted(facets))
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._faces = None
         self._facet_sets = tuple(frozenset(f) for f in self.facets)
@@ -95,11 +99,7 @@ class SimplicialComplex:
     def _from_indexed(cls, vertices, facets):
         # trusted path for builders whose facets are known maximal and valid
         obj = cls.__new__(cls)
-        obj.vertices = tuple(vertices)
-        obj.facets = tuple(sorted(tuple(f) for f in facets))
-        obj._index = {v: i for i, v in enumerate(obj.vertices)}
-        obj._faces = None
-        obj._facet_sets = tuple(frozenset(f) for f in obj.facets)
+        obj._setup(vertices, (tuple(f) for f in facets))
         return obj
 
     @property

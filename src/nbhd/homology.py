@@ -2,13 +2,14 @@
 connectivity, and edge-path group presentations with abelianization.
 
 The Smith reduction runs on arbitrary-precision integers: a sparse pass
-eliminates unit pivots chosen for minimum fill, and whatever survives is
-finished by the textbook dense algorithm.  No modular shortcuts anywhere on
-this path, so torsion coefficients are exact.
+eliminates unit pivots in minimum-fill order from a queue refreshed only for
+the columns each elimination touches, and the textbook dense algorithm
+finishes the rest.  No modular shortcuts, so torsion coefficients are exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -97,12 +98,18 @@ def _snf_factors(entries):
     for (i, j), v in entries.items():
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, set()).add(i)
+    # minimum-fill queue: best[j] is the live heap item of column j, its
+    # cheapest unit entry; items that no longer match best are stale
+    best, heap = {}, []
+    _queue_cheapest(rows, cols, best, heap, cols)
     unit_count = 0
-    while True:
-        piv = _pick_unit_pivot(rows, cols)
-        if piv is None:
-            break
-        _eliminate_unit(rows, cols, *piv)
+    while heap:
+        _, j, i = item = heapq.heappop(heap)
+        if best.get(j) != item:
+            continue
+        del best[j]
+        dirty = _eliminate_unit(rows, cols, i, j)
+        _queue_cheapest(rows, cols, best, heap, dirty)
         unit_count += 1
     dense_factors = []
     if rows:
@@ -117,24 +124,27 @@ def _snf_factors(entries):
     return [1] * unit_count + [f for f in dense_factors if f]
 
 
-def _pick_unit_pivot(rows, cols):
-    # minimum-fill (Markowitz) choice among the +-1 entries
-    best = None
-    best_cost = None
-    for j, col_rows in cols.items():
+def _queue_cheapest(rows, cols, best, heap, columns):
+    # queue each column's cheapest unit entry as (Markowitz cost, column, row)
+    for j in columns:
+        item = None
+        col_rows = cols.get(j, ())
         c1 = len(col_rows) - 1
         for i in col_rows:
-            v = rows[i][j]
-            if v == 1 or v == -1:
-                cost = (len(rows[i]) - 1) * c1
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (i, j), cost
-                    if cost == 0:
-                        return best
-    return best
+            r = rows[i]
+            if abs(r[j]) == 1:
+                cand = ((len(r) - 1) * c1, j, i)
+                if item is None or cand < item:
+                    item = cand
+        if item is None:
+            best.pop(j, None)
+        elif best.get(j) != item:
+            best[j] = item
+            heapq.heappush(heap, item)
 
 
 def _eliminate_unit(rows, cols, pi, pj):
+    # returns the columns whose cheapest unit entry may have changed
     piv_row = rows.pop(pi)
     v = piv_row.pop(pj)  # +-1
     col_rows = cols.pop(pj)
@@ -144,6 +154,7 @@ def _eliminate_unit(rows, cols, pi, pj):
         s.discard(pi)
         if not s:
             del cols[jj]
+    dirty = set(piv_row)
     for ii in col_rows:
         r = rows[ii]
         f = r.pop(pj) * v  # row_ii -= f * piv_row
@@ -160,8 +171,11 @@ def _eliminate_unit(rows, cols, pi, pj):
                 s.discard(ii)
                 if not s:
                     del cols[jj]
-        if not r:
+        if r:
+            dirty.update(r)
+        else:
             del rows[ii]
+    return dirty
 
 
 def _snf_dense(a):

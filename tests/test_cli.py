@@ -7,6 +7,7 @@ import pytest
 
 import nbhd
 from nbhd import make_cycle, make_kneser, save_graph
+from nbhd import cli
 from nbhd.cli import main
 
 
@@ -226,6 +227,16 @@ class TestHomSearch:
         save_graph(make_cycle(4), c4)
         assert main(["hom-search", str(c1200), str(c4)]) == 3
         assert "hom-search" in capsys.readouterr().err
+
+
+def test_memory_error_exits_resource(monkeypatch, capsys, c5_file):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_girth", out_of_memory)
+    assert main(["girth", c5_file]) == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert "girth" in err and "memory" in err
 
 
 def test_cli_import_does_not_load_numpy():

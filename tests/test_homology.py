@@ -20,6 +20,7 @@ from nbhd import (
     smith_normal_form,
 )
 from nbhd import gf2
+from nbhd.homology import _snf_dense
 
 
 def rational_rank(rows):
@@ -145,6 +146,41 @@ class TestSmithNormalForm:
                 assert g == prod
             else:
                 assert g == 0
+
+
+@st.composite
+def int_matrices(draw, max_side=10):
+    """Shape and row-major entries in -3..3, about half of them zero, so that
+    non-unit entries survive the unit pass into the dense endgame."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+    vals = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    return m, n, vals
+
+
+def textbook_snf(rows):
+    """Oracle: the dense textbook reduction alone, with no sparse unit pass."""
+    factors = [f for f in _snf_dense([list(r) for r in rows]) if f]
+    return tuple(factors), len(factors)
+
+
+class TestUnitPassAgainstTextbook:
+    @given(int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_random_integer_matrices(self, matrix):
+        m, n, vals = matrix
+        rows = [vals[i * n:(i + 1) * n] for i in range(m)]
+        entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+        assert smith_normal_form(entries, (m, n)) == textbook_snf(rows)
+
+    @given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_matrices_of_random_complexes(self, faces):
+        for mat in boundary_matrices(SimplicialComplex.from_faces(faces)):
+            got = smith_normal_form(mat.entries, (mat.n_rows, mat.n_cols))
+            assert got == textbook_snf(mat_entries_dense(mat))
 
 
 @st.composite

@@ -8,6 +8,7 @@ from conftest import antipodal6, hexagon_complex, octahedron, rp2_complex
 from nbhd import (
     CochainZ2,
     FreenessError,
+    FreenessReport,
     Graph,
     Involution,
     SimplicialComplex,
@@ -77,6 +78,50 @@ class TestFreeness:
         report = check_free_involution(K, t)
         assert not report and report.reason == "not simplicial"
         assert report.witness is not None
+
+
+def reference_freeness(K, t):
+    """Oracle: the freeness check with every facet image tested by the
+    linear face scan."""
+    for facet in K.facets:
+        img = t.image_face(facet)
+        if not K.has_face_indices(img):
+            return FreenessReport(
+                False, "not simplicial", (K.face_labels(facet), K.face_labels(img)))
+    fixed = [i for i in range(K.n_vertices) if t.perm[i] == i]
+    if fixed:
+        return FreenessReport(False, "fixed vertex", (K.vertices[fixed[0]],))
+    for facet in K.facets:
+        if any(t.perm[i] in facet for i in facet):
+            return FreenessReport(
+                False, "face contains a vertex and its image", (K.face_labels(facet),))
+    return FreenessReport(True)
+
+
+@st.composite
+def complexes_with_involutions(draw):
+    """A complex on vertices 0..n-1 and an involution pairing some of them;
+    half the complexes are closed under the involution."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        perm[a], perm[b] = b, a
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                          max_size=6))
+    if draw(st.booleans()):
+        faces += [{perm[i] for i in f} for f in faces]
+    K = SimplicialComplex.from_faces(faces + [{i} for i in range(n)])
+    return K, Involution.from_label_map(K, dict(enumerate(perm)))
+
+
+class TestFreenessAgainstLinearScan:
+    @given(complexes_with_involutions())
+    @settings(max_examples=300, deadline=None)
+    def test_report_matches_reference(self, case):
+        K, t = case
+        assert check_free_involution(K, t) == reference_freeness(K, t)
 
 
 class TestQuotient:
