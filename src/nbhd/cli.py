@@ -24,9 +24,9 @@ from .complexes import (
     pair_poset,
 )
 from .errors import ConsistencyError, FreenessError, ResourceLimitError
-from .graphs import hom_search, load_graph, make_cycle, make_kneser, odd_girth, validate_hom
+from .graphs import hom_search, load_graph, make_kneser, odd_girth, validate_hom
 from .homology import homology
-from .morse import collapse_cycle_tower, cycle_matching, verify_matching
+from .morse import collapse_cycle_tower, cycle_matching
 from .z2 import obstruction_check
 
 EXIT_OK = 0
@@ -147,20 +147,19 @@ def _cmd_obstruct(args):
 
 
 def _cmd_morse(args):
-    matching = cycle_matching(args.m, args.r)
-    start = neighborhood_complex(make_cycle(args.m), args.r)
-    report = verify_matching(start.all_faces_label_set(args.limit_faces), matching)
+    matching = cycle_matching(args.m, args.r)  # rejects even m and r < 2 up front
     final, stages = collapse_cycle_tower(args.m, args.r, args.limit_faces)
+    report = stages[0]["verification"]
     h = homology(final, args.limit_faces)
     params = {"m": args.m, "r": args.r}
     result = {
         "matching": matching.to_json_obj(),
-        "verification": report.to_json_obj(),
+        "verification": report,
         "stages": stages,
         "final_facets": [list(final.face_labels(f)) for f in final.facets],
         "homology": h.to_json_obj(),
     }
-    lines = [f"top matching: {len(matching.pairs)} pairs, perfect={report.perfect}"]
+    lines = [f"top matching: {len(matching.pairs)} pairs, perfect={report['perfect']}"]
     lines += [f"stage r={s['radius']}: {s['pairs']} pairs, acyclic" for s in stages]
     lines.append(f"final complex: {len(final.facets)} facets, betti {h.betti_vector}")
     return params, result, lines
@@ -238,34 +237,42 @@ def _build_parser(face_default):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    shared = {
+        "limit-faces": dict(type=int, default=face_default,
+                            help="face-count guard for enumeration"),
+        "budget": dict(type=int, default=10_000_000,
+                       help="node-expansion limit for exhaustive searches"),
+        "out": dict(default=None, help="write the artifact to this file"),
+    }
+
+    def add(name, func, help_text, *options):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--json", action="store_true", help="emit the run report as JSON")
-        sp.add_argument("--limit-faces", type=int, default=face_default,
-                        help="face-count guard for enumeration")
-        sp.add_argument("--budget", type=int, default=10_000_000,
-                        help="node-expansion limit for exhaustive searches")
-        sp.add_argument("--out", default=None, help="write the artifact to this file")
+        for opt in options:
+            sp.add_argument("--" + opt, **shared[opt])
         return sp
 
     sp = add("girth", _cmd_girth, "odd girth of a graph file")
     sp.add_argument("graph")
 
-    sp = add("complex", _cmd_complex, "walk-neighborhood complex of a graph")
+    sp = add("complex", _cmd_complex, "walk-neighborhood complex of a graph",
+             "limit-faces", "out")
     sp.add_argument("graph")
     sp.add_argument("r", type=int)
 
-    sp = add("homology", _cmd_homology, "integral homology of a complex or graph+radius")
+    sp = add("homology", _cmd_homology, "integral homology of a complex or graph+radius",
+             "limit-faces")
     sp.add_argument("file")
     sp.add_argument("-r", type=int, default=None, help="radius when the input is a graph")
 
-    sp = add("bposet", _cmd_bposet, "linked-pair poset of a graph")
+    sp = add("bposet", _cmd_bposet, "linked-pair poset of a graph", "out")
     sp.add_argument("graph")
     sp.add_argument("r", type=int)
     sp.add_argument("--guard", type=int, default=200_000, help="element-count guard")
 
-    sp = add("obstruct", _cmd_obstruct, "homomorphism obstruction verdict")
+    sp = add("obstruct", _cmd_obstruct, "homomorphism obstruction verdict",
+             "limit-faces", "budget")
     sp.add_argument("source")
     sp.add_argument("target")
     sp.add_argument("r", type=int)
@@ -273,7 +280,8 @@ def _build_parser(face_default):
                     help="fall back to exact cup-power heights")
     sp.add_argument("--guard", type=int, default=200_000, help="pair-poset guard")
 
-    sp = add("morse", _cmd_morse, "matching + collapse tower for a cycle complex")
+    sp = add("morse", _cmd_morse, "matching + collapse tower for a cycle complex",
+             "limit-faces")
     sp.add_argument("m", type=int)
     sp.add_argument("r", type=int)
 
@@ -285,7 +293,7 @@ def _build_parser(face_default):
     sp.add_argument("--limit-cells", type=int, default=20_000,
                     help="total vertex-count guard for the table")
 
-    sp = add("hom-search", _cmd_hom_search, "exhaustive homomorphism search")
+    sp = add("hom-search", _cmd_hom_search, "exhaustive homomorphism search", "budget")
     sp.add_argument("source")
     sp.add_argument("target")
 
@@ -323,10 +331,9 @@ def main(argv=None):
         "command": args.command,
         "parameters": params,
         "result": result,
-        "limits": {
-            "face_limit": args.limit_faces,
-            "budget": args.budget,
-        },
+        "limits": {key: getattr(args, attr) for key, attr in
+                   (("face_limit", "limit_faces"), ("budget", "budget"))
+                   if hasattr(args, attr)},
         "wall_time_s": round(wall, 6),
     }
     if args.json:

@@ -224,7 +224,8 @@ def collapse(K, matching, limit=None):
 def collapse_cycle_tower(m, r, limit=None):
     """Collapse the radius-r complex of the m-cycle down the radius tower to
     radius 1.  Each stage's matching is verified (perfect and acyclic) before
-    collapsing.  Returns the final complex and one report dict per stage."""
+    collapsing.  Returns the final complex and one report dict per stage,
+    each carrying its matching's verification report."""
     current = neighborhood_complex(make_cycle(m), r)
     stages = []
     for rr in range(r, 1, -1):
@@ -234,5 +235,6 @@ def collapse_cycle_tower(m, r, limit=None):
         if not (report.perfect and acyclic):
             raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
         current = collapse(current, matching, limit)
-        stages.append({"radius": rr, "pairs": len(matching.pairs), "acyclic": True})
+        stages.append({"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
+                       "verification": report.to_json_obj()})
     return current, stages

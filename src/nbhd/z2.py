@@ -8,6 +8,7 @@ cover's class nonzero (0 when the class itself is trivial).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -134,19 +135,20 @@ def quotient_complex(K, t, limit=None, max_subdivisions=2):
     Validates that every quotient face has exactly two disjoint preimages
     swapped by the involution; on failure the total complex is barycentrically
     subdivided (with the induced involution) and the construction retried, at
-    most ``max_subdivisions`` times.
+    most ``max_subdivisions`` times.  The total complex's faces are never
+    enumerated: ``limit`` bounds the faces of the quotient and, on a retry,
+    the faces of the complex being subdivided and the facets of its
+    subdivision.
     """
     report = check_free_involution(K, t)
     if not report:
         raise FreenessError(f"involution is not free: {report.reason} {report.witness!r}")
-    current, perm = K, t
     for subdiv in range(max_subdivisions + 1):
-        built = _build_quotient(current, perm, limit, subdiv)
+        if subdiv:
+            K, t = _subdivide_pair(K, t, limit)
+        built = _build_quotient(K, t, limit, subdiv)
         if built is not None:
             return built
-        if subdiv == max_subdivisions:
-            break
-        current, perm = _subdivide_pair(current, perm, limit)
     raise QuotientStructureError(
         f"quotient validation still failing after {max_subdivisions} subdivisions"
     )
@@ -163,39 +165,25 @@ def _subdivide_pair(K, t, limit):
 
 
 def _build_quotient(K, t, limit, subdivisions):
-    faces = K.faces(limit)
-    n = K.n_vertices
     perm = t.perm
-    orbit_label = [None] * n
-    for i in range(n):
-        pair = sorted_labels([K.vertices[i], K.vertices[perm[i]]])
-        orbit_label[i] = tuple(pair)
+    # t is free, so faces s and u with one image and u not in {s, t(s)} share
+    # a vertex a, and some b in s has t(b) in u: {a, b} and {a, t(b)} are both
+    # edges.  Without such a pair each quotient face lifts to exactly f and
+    # t(f), so the distinct facet images are the quotient's facets.  One
+    # orientation suffices because t is simplicial.
+    k_edges = {e for f in K.facets for e in itertools.combinations(f, 2)}
+    if any(tuple(sorted((a, perm[b]))) in k_edges for a, b in k_edges):
+        return None
+    n = K.n_vertices
+    orbit_label = [tuple(sorted_labels([K.vertices[i], K.vertices[perm[i]]]))
+                   for i in range(n)]
     q_labels = sorted_labels(set(orbit_label))
     q_index = {lab: qi for qi, lab in enumerate(q_labels)}
     to_q = tuple(q_index[orbit_label[i]] for i in range(n))
+    quotient = SimplicialComplex._from_indexed(
+        q_labels, {tuple(sorted(to_q[i] for i in f)) for f in K.facets})
 
-    preimages = {}
-    for lst in faces.values():
-        for f in lst:
-            qf = tuple(sorted(to_q[i] for i in f))
-            preimages.setdefault(qf, []).append(f)
-    for qf, pre in preimages.items():
-        if len(qf) != len(set(qf)) or len(pre) != 2:
-            return None
-        f1, f2 = pre
-        if tuple(sorted(perm[i] for i in f1)) != f2 or set(f1) & set(f2):
-            return None
-
-    quotient = SimplicialComplex.from_faces(
-        [tuple(q_labels[q] for q in sorted(set(to_q[i] for i in f))) for f in K.facets]
-    )
-    # from_faces sorts with the same key, so indices line up with q_labels
-    assert quotient.vertices == tuple(q_labels)
-
-    members = {}
-    for i in range(n):
-        members.setdefault(to_q[i], []).append(i)
-    k_edges = set(faces.get(1, []))
+    members = {to_q[i]: sorted((i, perm[i])) for i in range(n)}
     q_edges = quotient.faces(limit).get(1, [])
     lifted = _monodromy_bits(k_edges, perm, members, q_edges, quotient.n_vertices)
     if lifted is None:
@@ -203,7 +191,6 @@ def _build_quotient(K, t, limit, subdivisions):
     lift, bits = lifted
     sheet = [0] * n
     for lv in lift.values():
-        sheet[lv] = 0
         sheet[perm[lv]] = 1
     return DoubleCover(
         total=K,
@@ -360,7 +347,9 @@ def is_coboundary(Q, c, limit=None):
 
 def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
-    nonzero in cohomology (iterated cup powers plus coboundary membership)."""
+    nonzero in cohomology (iterated cup powers plus coboundary membership).
+    ``limit`` guards the quotient's faces, not those of ``K``, as in
+    :func:`quotient_complex`."""
     cov = quotient_complex(K, t, limit)
     Q = cov.quotient
     w = CochainZ2(1, cov.edge_bits)

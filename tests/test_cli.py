@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,33 @@ class TestHomSearch:
         assert "hom-search" in capsys.readouterr().err
 
 
+class TestOptionsWhereRead:
+    @pytest.mark.parametrize("argv", [
+        ["girth", "G", "--budget", "5"],
+        ["girth", "G", "--limit-faces", "5"],
+        ["homology", "G", "--out", "x.json"],
+        ["obstruct", "G", "H", "3", "--out", "x.json"],
+        ["hom-search", "G", "H", "--limit-faces", "5"],
+        ["kneser-table", "5", "7", "2", "3", "--budget", "5"],
+        ["morse", "7", "2", "--budget", "5"],
+        ["bposet", "G", "3", "--limit-faces", "5"],
+    ])
+    def test_unread_option_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_report_lists_only_taken_limits(self, capsys, c5_file, petersen_file):
+        _, report = run_json(capsys, ["girth", c5_file])
+        assert report["limits"] == {}
+        _, report = run_json(capsys, ["hom-search", petersen_file, c5_file, "--budget", "5"])
+        assert report["limits"] == {"budget": 5}
+        _, report = run_json(capsys, ["homology", c5_file, "-r", "1", "--limit-faces", "50"])
+        assert report["limits"] == {"face_limit": 50}
+        _, report = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
+        assert set(report["limits"]) == {"face_limit", "budget"}
+
+
 def test_memory_error_exits_resource(monkeypatch, capsys, c5_file):
     def out_of_memory(args):
         raise MemoryError
@@ -246,3 +274,13 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_worked_examples_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(nbhd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, str(root / "scripts" / "run_worked_examples.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "all examples reproduced" in out.stdout

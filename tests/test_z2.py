@@ -11,6 +11,7 @@ from nbhd import (
     FreenessReport,
     Graph,
     Involution,
+    ResourceLimitError,
     SimplicialComplex,
     check_free_involution,
     coboundary,
@@ -33,6 +34,8 @@ from nbhd import (
     z2_height,
     zero_cochain,
 )
+from nbhd.complexes import sorted_labels
+from nbhd.z2 import _build_quotient, _monodromy_bits
 
 
 def swap_complex(G, r):
@@ -124,6 +127,71 @@ class TestFreenessAgainstLinearScan:
         assert check_free_involution(K, t) == reference_freeness(K, t)
 
 
+def reference_quotient(K, t):
+    """Oracle: the quotient validated on all faces of ``K``.  Every quotient
+    face must have exactly two disjoint preimages swapped by ``t``; the
+    quotient is the maximal facet images.  Returns None on a failed check,
+    else (vertices, facets, edge_bits, sheet, orbit_to_quotient)."""
+    n, perm = K.n_vertices, t.perm
+    orbit_label = [tuple(sorted_labels([K.vertices[i], K.vertices[perm[i]]]))
+                   for i in range(n)]
+    q_labels = sorted_labels(set(orbit_label))
+    to_q = tuple(q_labels.index(orbit_label[i]) for i in range(n))
+    faces = K.faces()
+    preimages = {}
+    for lst in faces.values():
+        for f in lst:
+            preimages.setdefault(tuple(sorted(to_q[i] for i in f)), []).append(f)
+    for qf, pre in preimages.items():
+        if len(qf) != len(set(qf)) or len(pre) != 2:
+            return None
+        f1, f2 = pre
+        if t.image_face(f1) != f2 or set(f1) & set(f2):
+            return None
+    Q = SimplicialComplex.from_faces(
+        [[q_labels[to_q[i]] for i in f] for f in K.facets])
+    members = {}
+    for i in range(n):
+        members.setdefault(to_q[i], []).append(i)
+    lifted = _monodromy_bits(set(faces.get(1, [])), perm, members,
+                             Q.faces().get(1, []), Q.n_vertices)
+    if lifted is None:
+        return None
+    lift, bits = lifted
+    sheet = [0] * n
+    for lv in lift.values():
+        sheet[perm[lv]] = 1
+    return Q.vertices, Q.facets, tuple(bits), tuple(sheet), to_q
+
+
+@st.composite
+def free_double_covers(draw):
+    """A complex on 0..2m-1 with the free involution i <-> i+m: each facet
+    takes one vertex from some orbits and is added together with its image."""
+    m = draw(st.integers(1, 5))
+    faces = [{i} for i in range(2 * m)]
+    for _ in range(draw(st.integers(0, 6))):
+        orbits = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m))
+        face = {i + m * draw(st.integers(0, 1)) for i in orbits}
+        faces += [face, {(i + m) % (2 * m) for i in face}]
+    K = SimplicialComplex.from_faces(faces)
+    return K, Involution.from_label_map(K, {i: (i + m) % (2 * m) for i in range(2 * m)})
+
+
+class TestQuotientAgainstAllFaces:
+    @given(free_double_covers())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_test_matches_all_faces_check(self, case):
+        K, t = case
+        cov = _build_quotient(K, t, None, 0)
+        ref = reference_quotient(K, t)
+        assert (cov is None) == (ref is None)
+        if cov is not None:
+            Q = cov.quotient
+            assert (Q.vertices, Q.facets, cov.edge_bits, cov.sheet,
+                    cov.orbit_to_quotient) == ref
+
+
 class TestQuotient:
     def test_hexagon_to_triangle(self):
         K = hexagon_complex()
@@ -165,6 +233,13 @@ class TestQuotient:
         K = octahedron()
         with pytest.raises(QuotientStructureError):
             quotient_complex(K, antipodal6(K), max_subdivisions=0)
+
+    def test_face_limit_bounds_the_quotient(self):
+        # the hexagon has 12 faces, its quotient triangle only 6
+        K = hexagon_complex()
+        with pytest.raises(ResourceLimitError):
+            quotient_complex(K, antipodal6(K), limit=5)
+        assert quotient_complex(K, antipodal6(K), limit=6).quotient.face_counts() == (3, 3)
 
     def test_sheets_partition_orbits(self):
         K = hexagon_complex()
