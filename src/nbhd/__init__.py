@@ -7,7 +7,6 @@ from .errors import (
     CollapseError,
     ConsistencyError,
     FreenessError,
-    QuotientStructureError,
     ResourceLimitError,
 )
 from .graphs import (
@@ -33,10 +32,9 @@ from .complexes import (
     DEFAULT_FACE_LIMIT,
     Poset,
     SimplicialComplex,
-    barycentric_subdivision,
+    box_complex,
     complex_from_json_obj,
     complex_to_json_obj,
-    face_poset,
     load_complex,
     neighborhood_complex,
     order_complex,
@@ -57,7 +55,6 @@ from .homology import (
 )
 from .z2 import (
     CochainZ2,
-    DoubleCover,
     FreenessReport,
     HeightBounds,
     Involution,
@@ -72,9 +69,7 @@ from .z2 import (
     obstruction_check,
     pair_space_height,
     pair_swap_involution,
-    quotient_complex,
     unit_cochain,
-    w1_cocycle,
     z2_height,
     zero_cochain,
 )

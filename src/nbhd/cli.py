@@ -133,6 +133,7 @@ def _cmd_obstruct(args):
         "r": args.r,
         "exact": args.exact,
         "budget": args.budget,
+        "guard": args.guard,
     }
     result = {
         "obstruction": rep.to_json_obj(),
@@ -175,8 +176,8 @@ def _cmd_kneser_table(args):
             cells += comb(n, k)
             if cells > args.limit_cells:
                 raise ResourceLimitError(
-                    f"table spans more than {args.limit_cells} vertices",
-                    count=cells, limit=args.limit_cells)
+                    f"kneser-table reached {cells} vertices, above the limit of "
+                    f"{args.limit_cells}", count=cells, limit=args.limit_cells)
             g = make_kneser(n, k)
             bfs = odd_girth(g)
             formula = 2 * math.ceil(k / (n - 2 * k)) + 1 if n > 2 * k else math.inf
@@ -278,7 +279,8 @@ def _build_parser(face_default):
     sp.add_argument("r", type=int)
     sp.add_argument("--exact", action="store_true",
                     help="fall back to exact cup-power heights")
-    sp.add_argument("--guard", type=int, default=200_000, help="pair-poset guard")
+    sp.add_argument("--guard", type=int, default=200_000,
+                    help="ball-intersection guard for exact heights")
 
     sp = add("morse", _cmd_morse, "matching + collapse tower for a cycle complex",
              "limit-faces")

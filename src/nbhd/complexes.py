@@ -1,6 +1,6 @@
 """Abstract simplicial complexes and finite posets, plus the graph-derived
-builders: walk-neighborhood complexes, linked-pair posets, order complexes,
-face posets, barycentric subdivision.
+builders: walk-neighborhood complexes, linked-pair posets, box complexes and
+order complexes.
 
 Complexes are stored by facets; full face enumeration is on demand, cached,
 and guarded by a face-count limit (default 5,000,000).  Constructed values
@@ -25,9 +25,8 @@ __all__ = [
     "sorted_labels",
     "neighborhood_complex",
     "pair_poset",
+    "box_complex",
     "order_complex",
-    "face_poset",
-    "barycentric_subdivision",
     "complex_to_json_obj",
     "complex_from_json_obj",
     "save_complex",
@@ -37,7 +36,8 @@ __all__ = [
 
 def _face_limit_error(count, cap):
     return ResourceLimitError(
-        f"face enumeration exceeds the limit of {cap} faces", count=count, limit=cap)
+        f"face enumeration reached {count} faces, above the limit of {cap}",
+        count=count, limit=cap)
 
 
 def sorted_labels(labels):
@@ -288,32 +288,23 @@ class Poset:
     def maximal_chains(self, limit=None):
         """All maximal chains as index tuples, depth-first in element order."""
         cap = DEFAULT_FACE_LIMIT if limit is None else limit
-        out = []
-        for root in self.minimal_elements():
-            if not self._succ[root]:
-                out.append((root,))
+        out, path = [], []
+        iters = [iter(self.minimal_elements())]  # the first iterates the roots
+        while iters:
+            nxt = next(iters[-1], None)
+            if nxt is None:
+                iters.pop()
+                if iters:
+                    path.pop()
+            elif self._succ[nxt]:
+                path.append(nxt)
+                iters.append(iter(self._succ[nxt]))
+            else:
+                out.append(tuple(path) + (nxt,))
                 if len(out) > cap:
                     raise ResourceLimitError(
-                        f"maximal-chain enumeration exceeds {cap}",
-                        count=len(out), limit=cap)
-                continue
-            path = [root]
-            iters = [iter(self._succ[root])]
-            while iters:
-                nxt = next(iters[-1], None)
-                if nxt is None:
-                    iters.pop()
-                    path.pop()
-                    continue
-                if self._succ[nxt]:
-                    path.append(nxt)
-                    iters.append(iter(self._succ[nxt]))
-                else:
-                    out.append(tuple(path) + (nxt,))
-                    if len(out) > cap:
-                        raise ResourceLimitError(
-                            f"maximal-chain enumeration exceeds {cap}",
-                            count=len(out), limit=cap)
+                        f"maximal-chain enumeration reached {len(out)} chains, "
+                        f"above the limit of {cap}", count=len(out), limit=cap)
         return out
 
     def to_json_obj(self):
@@ -405,37 +396,44 @@ def pair_poset(G, r, size_guard=200_000):
     return Poset(payloads, covers)
 
 
+def box_complex(G, r, size_guard=200_000):
+    """Box complex of the exact-r walk graph: a facet ``A x {0} + CN(A) x {1}``
+    per nonempty intersection ``A`` of walk balls, ``CN(A)`` being that of the
+    balls of A's members.  Vertices are ``(label, sheet)``, sheet 0 first.
+    Raises :class:`ResourceLimitError` past ``size_guard`` intersections."""
+    if r < 1:
+        raise ValueError("radius must be at least 1")
+    balls = [walk_ball(G, i, r) for i in range(G.n_vertices)]
+    lattice = {b for b in balls if b}
+    queue = list(lattice)
+    # every intersection of balls is reached one ball at a time
+    for a in queue:
+        if len(lattice) > size_guard:
+            raise ResourceLimitError(
+                f"ball-intersection enumeration reached {len(lattice)} sets, "
+                f"above the guard of {size_guard}", count=len(lattice), limit=size_guard)
+        for b in balls:
+            c = a & b
+            if c and c not in lattice:
+                lattice.add(c)
+                queue.append(c)
+    active = [i for i, b in enumerate(balls) if b]
+    slot = {x: 2 * k for k, x in enumerate(active)}
+    vertices = [(G.vertices[x], s) for x in active for s in (0, 1)]
+    # A <= A' forces CN(A) >= CN(A'), and A = CN(CN(A)) for an intersection
+    # A, so no facet lies in another
+    facets = []
+    for a in lattice:
+        cn = frozenset.intersection(*(balls[x] for x in a))
+        facets.append(sorted([slot[x] for x in a] + [slot[y] + 1 for y in cn]))
+    return SimplicialComplex._from_indexed(vertices, facets)
+
+
 def order_complex(P, limit=None):
     """Simplicial complex of the chains of ``P``: vertices are the elements,
     facets the maximal chains."""
     facets = [tuple(sorted(c)) for c in P.maximal_chains(limit)]
     return SimplicialComplex._from_indexed(P.elements, facets)
-
-
-def face_poset(K, limit=None):
-    """All nonempty faces of ``K`` ordered by inclusion (payloads are label
-    tuples)."""
-    faces = K.faces(limit)
-    elems = []
-    pos = {}
-    for d in sorted(faces):
-        for f in faces[d]:
-            pos[f] = len(elems)
-            elems.append(K.face_labels(f))
-    covers = []
-    for d in sorted(faces):
-        if d == 0:
-            continue
-        for f in faces[d]:
-            fi = pos[f]
-            for i in range(len(f)):
-                covers.append((pos[f[:i] + f[i + 1:]], fi))
-    return Poset(elems, covers)
-
-
-def barycentric_subdivision(K, limit=None):
-    """Order complex of the face poset; vertices are the faces of ``K``."""
-    return order_complex(face_poset(K, limit), limit)
 
 
 # ---------------------------------------------------------------------------

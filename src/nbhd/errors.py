@@ -14,10 +14,6 @@ class FreenessError(ValueError):
     """A free-involution precondition does not hold."""
 
 
-class QuotientStructureError(RuntimeError):
-    """Quotient validation failed even after barycentric subdivision."""
-
-
 class CollapseError(RuntimeError):
     """No free matched pair was available before the matching was exhausted."""
 

@@ -322,8 +322,21 @@ def graph_to_json_obj(G):
 def graph_from_json_obj(obj):
     vertices = [_decode_label(v) for v in obj["vertices"]]
     edges = [(_decode_label(u), _decode_label(v)) for u, v in obj["edges"]]
-    tag = tuple(obj["tag"]) if "tag" in obj else None
-    return Graph(vertices, edges, tag=tag)
+    tag = obj.get("tag")
+    if "tag" in obj and not _tag_fits(tag, len(vertices)):
+        raise ValueError('tag must be ["cycle", m] or ["kneser", n, k] with integers '
+                         f"matching the vertex count, got {tag!r}")
+    return Graph(vertices, edges, tag=None if tag is None else tuple(tag))
+
+
+def _tag_fits(tag, n_vertices):
+    if not isinstance(tag, list) or not all(type(p) is int for p in tag[1:]):
+        return False
+    if tag[:1] == ["kneser"] and len(tag) == 3:
+        n, k = tag[1:]
+        # C(n, k) >= n when 0 < k < n, so a larger n cannot match
+        return 0 < k <= n and (k == n or n <= n_vertices) and math.comb(n, k) == n_vertices
+    return tag == ["cycle", n_vertices]
 
 
 def save_graph(G, path):

@@ -1,38 +1,31 @@
-"""Free simplicial involutions, validated double covers, the first
-Stiefel-Whitney cocycle, mod-2 cup products, involution height, and the
-homomorphism obstruction verdicts built from cheap height bounds.
+"""Free simplicial involutions, mod-2 cochains and cup products, involution
+height, and the homomorphism obstruction verdicts built from cheap height
+bounds.
 
 Height uses the sup convention: the largest n with the n-th cup power of the
-cover's class nonzero (0 when the class itself is trivial).
+cover's class nonzero (0 when the class itself is trivial).  It is computed on
+the orbit Delta-complex K/t, with no subdivision for any free simplicial
+involution (Hatcher, *Algebraic Topology*, sections 2.1 and 3.2), and for
+pair spaces on the Z2-homotopy equivalent box complex (Csorba 2007).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
 from . import gf2
-from .complexes import (
-    SimplicialComplex,
-    barycentric_subdivision,
-    order_complex,
-    pair_poset,
-    sorted_labels,
-)
-from .errors import FreenessError, QuotientStructureError
+from .complexes import DEFAULT_FACE_LIMIT, box_complex
+from .errors import FreenessError, ResourceLimitError
 from .graphs import hom_search, make_cycle, odd_girth
 
 __all__ = [
     "Involution",
     "FreenessReport",
-    "DoubleCover",
     "CochainZ2",
     "check_free_involution",
-    "quotient_complex",
-    "w1_cocycle",
     "zero_cochain",
     "unit_cochain",
     "coboundary",
@@ -115,135 +108,45 @@ def check_free_involution(K, t):
     return FreenessReport(True)
 
 
-@dataclass(eq=False)
-class DoubleCover:
-    """A validated free double cover: total complex, quotient, orbit map,
-    forest-based sheet assignment, and the per-edge monodromy bits."""
+class _OrbitComplex:
+    """Orbit Delta-complex of t(v) = v ^ 1: each orbit {f, t(f)} of faces is
+    stored as the one starting on an even vertex.  t keeps the order in a
+    face, so the i-th, front and back faces of the orbit are those of f, found
+    from either member by :func:`_positions`.  The build applied ``limit``."""
 
-    total: SimplicialComplex
-    quotient: SimplicialComplex
-    involution: Involution
-    orbit_to_quotient: tuple  # total vertex index -> quotient vertex index
-    sheet: tuple  # total vertex index -> 0/1
-    edge_bits: tuple  # monodromy bit per quotient 1-face (sorted order)
-    subdivisions: int = 0
+    __slots__ = ("_faces",)
 
+    def __init__(self, faces):
+        self._faces = faces
 
-def quotient_complex(K, t, limit=None, max_subdivisions=2):
-    """Quotient of a free simplicial involution.
-
-    Validates that every quotient face has exactly two disjoint preimages
-    swapped by the involution; on failure the total complex is barycentrically
-    subdivided (with the induced involution) and the construction retried, at
-    most ``max_subdivisions`` times.  The total complex's faces are never
-    enumerated: ``limit`` bounds the faces of the quotient and, on a retry,
-    the faces of the complex being subdivided and the facets of its
-    subdivision.
-    """
-    report = check_free_involution(K, t)
-    if not report:
-        raise FreenessError(f"involution is not free: {report.reason} {report.witness!r}")
-    for subdiv in range(max_subdivisions + 1):
-        if subdiv:
-            K, t = _subdivide_pair(K, t, limit)
-        built = _build_quotient(K, t, limit, subdiv)
-        if built is not None:
-            return built
-    raise QuotientStructureError(
-        f"quotient validation still failing after {max_subdivisions} subdivisions"
-    )
+    def faces(self, limit=None):
+        return self._faces
 
 
-def _subdivide_pair(K, t, limit):
-    sd = barycentric_subdivision(K, limit)
-    idx_of = K.index_of
-    mapping = {}
-    for v in sd.vertices:  # v is a face of K as a label tuple
-        face_idx = tuple(sorted(t.perm[idx_of(x)] for x in v))
-        mapping[v] = K.face_labels(face_idx)
-    return sd, Involution.from_label_map(sd, mapping)
-
-
-def _build_quotient(K, t, limit, subdivisions):
-    perm = t.perm
-    # t is free, so faces s and u with one image and u not in {s, t(s)} share
-    # a vertex a, and some b in s has t(b) in u: {a, b} and {a, t(b)} are both
-    # edges.  Without such a pair each quotient face lifts to exactly f and
-    # t(f), so the distinct facet images are the quotient's facets.  One
-    # orientation suffices because t is simplicial.
-    k_edges = {e for f in K.facets for e in itertools.combinations(f, 2)}
-    if any(tuple(sorted((a, perm[b]))) in k_edges for a, b in k_edges):
-        return None
-    n = K.n_vertices
-    orbit_label = [tuple(sorted_labels([K.vertices[i], K.vertices[perm[i]]]))
-                   for i in range(n)]
-    q_labels = sorted_labels(set(orbit_label))
-    q_index = {lab: qi for qi, lab in enumerate(q_labels)}
-    to_q = tuple(q_index[orbit_label[i]] for i in range(n))
-    quotient = SimplicialComplex._from_indexed(
-        q_labels, {tuple(sorted(to_q[i] for i in f)) for f in K.facets})
-
-    members = {to_q[i]: sorted((i, perm[i])) for i in range(n)}
-    q_edges = quotient.faces(limit).get(1, [])
-    lifted = _monodromy_bits(k_edges, perm, members, q_edges, quotient.n_vertices)
-    if lifted is None:
-        return None
-    lift, bits = lifted
-    sheet = [0] * n
-    for lv in lift.values():
-        sheet[perm[lv]] = 1
-    return DoubleCover(
-        total=K,
-        quotient=quotient,
-        involution=t,
-        orbit_to_quotient=to_q,
-        sheet=tuple(sheet),
-        edge_bits=tuple(bits),
-        subdivisions=subdivisions,
-    )
-
-
-def _monodromy_bits(k_edges, perm, members, q_edges, n_q, forest=None):
-    """Lift a spanning forest of the quotient 1-skeleton sheet-consistently
-    and read off the monodromy bit of every quotient edge.  ``forest``
-    restricts which edges the traversal may use (default: all)."""
-    adj = {}
-    for a, b in q_edges:
-        if forest is None or (a, b) in forest:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    for v in adj:
-        adj[v].sort()
-    lift = {}
-    for root in range(n_q):
-        if root in lift:
-            continue
-        lift[root] = min(members[root])
-        queue = deque([root])
-        while queue:
-            qa = queue.popleft()
-            la = lift[qa]
-            for qb in adj.get(qa, []):
-                if qb in lift:
-                    continue
-                b1, b2 = members[qb]
-                if tuple(sorted((la, b1))) in k_edges:
-                    lift[qb] = b1
-                elif tuple(sorted((la, b2))) in k_edges:
-                    lift[qb] = b2
-                else:
-                    return None
-                queue.append(qb)
-    bits = []
-    for a, b in q_edges:
-        e0 = tuple(sorted((lift[a], lift[b])))
-        if e0 in k_edges:
-            bits.append(0)
-        elif tuple(sorted((lift[a], perm[lift[b]]))) in k_edges:
-            bits.append(1)
-        else:
-            return None
-    return lift, bits
+def _orbit_complex(facets, limit, upto=None):
+    """The orbit complex of t(v) = v ^ 1 on the complex with these facets
+    (sorted tuples, t free and simplicial on them), without its simplices
+    above dimension ``upto``.  ``limit`` bounds its faces."""
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    top = math.inf if upto is None else upto
+    seen = set()
+    for f in facets:
+        # a face starting on an odd vertex is the image of one in t(f), also
+        # a facet, that starts on an even vertex
+        for i, v in enumerate(f):
+            if v & 1:
+                continue
+            for k in range(min(top, len(f) - 1 - i) + 1):
+                for rest in itertools.combinations(f[i + 1:], k):
+                    seen.add((v,) + rest)
+                    if len(seen) > cap:
+                        raise ResourceLimitError(
+                            f"orbit-face enumeration reached {len(seen)} faces, "
+                            f"above the limit of {cap}", count=len(seen), limit=cap)
+    by_dim = {}
+    for f in seen:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    return _OrbitComplex({d: sorted(by_dim[d]) for d in sorted(by_dim)})
 
 
 # ---------------------------------------------------------------------------
@@ -277,33 +180,18 @@ def unit_cochain(Q, limit=None):
     return CochainZ2(0, (1,) * len(Q.faces(limit).get(0, [])))
 
 
-def w1_cocycle(cov, forest=None, limit=None):
-    """Monodromy cocycle of the double cover.  With ``forest`` (an iterable of
-    quotient edge index pairs) the lift uses that spanning forest instead of
-    the breadth-first default; the class is the same either way."""
-    if forest is None:
-        return CochainZ2(1, cov.edge_bits)
-    Q = cov.quotient
-    q_edges = Q.faces(limit).get(1, [])
-    forest = {tuple(sorted(e)) for e in forest}
-    if not forest <= set(q_edges):
-        raise ValueError("forest contains non-edges of the quotient")
-    members = {}
-    for i, q in enumerate(cov.orbit_to_quotient):
-        members.setdefault(q, []).append(i)
-    k_edges = set(cov.total.faces(limit).get(1, []))
-    lifted = _monodromy_bits(
-        k_edges, cov.involution.perm, members, q_edges, Q.n_vertices, forest=forest
-    )
-    if lifted is None:
-        raise ValueError("forest is inconsistent with the cover")
-    _, bits = lifted
-    return CochainZ2(1, tuple(bits))
+def _positions(Q, faces):
+    """Face -> its index in ``faces``; on an orbit complex, both faces of an
+    orbit map to the orbit's index."""
+    pos = {f: i for i, f in enumerate(faces)}
+    if isinstance(Q, _OrbitComplex):
+        pos.update({tuple(v ^ 1 for v in f): i for i, f in enumerate(faces)})
+    return pos
 
 
 def coboundary(Q, c, limit=None):
     faces = Q.faces(limit)
-    pos = {f: i for i, f in enumerate(faces.get(c.dim, []))}
+    pos = _positions(Q, faces.get(c.dim, []))
     bits = []
     for f in faces.get(c.dim + 1, []):
         total = 0
@@ -321,8 +209,8 @@ def cup_product(Q, a, b, limit=None):
     target = faces.get(d, [])
     if not target:
         return CochainZ2(d, ())
-    pos_a = {f: i for i, f in enumerate(faces.get(a.dim, []))}
-    pos_b = {f: i for i, f in enumerate(faces.get(b.dim, []))}
+    pos_a = _positions(Q, faces.get(a.dim, []))
+    pos_b = _positions(Q, faces.get(b.dim, []))
     p = a.dim
     bits = [a.bits[pos_a[f[: p + 1]]] & b.bits[pos_b[f[p:]]] for f in target]
     return CochainZ2(d, tuple(bits))
@@ -337,7 +225,7 @@ def is_coboundary(Q, c, limit=None):
     upper = faces.get(c.dim, [])
     if len(upper) != len(c.bits):
         raise ValueError("cochain does not match the complex")
-    pos = {f: i for i, f in enumerate(lower)}
+    pos = _positions(Q, lower)
     ones = []
     for r, f in enumerate(upper):
         for i in range(len(f)):
@@ -347,21 +235,40 @@ def is_coboundary(Q, c, limit=None):
 
 def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
-    nonzero in cohomology (iterated cup powers plus coboundary membership).
-    ``limit`` guards the quotient's faces, not those of ``K``, as in
-    :func:`quotient_complex`."""
-    cov = quotient_complex(K, t, limit)
-    Q = cov.quotient
-    w = CochainZ2(1, cov.edge_bits)
-    top = Q.dim
+    nonzero in cohomology (iterated cup powers plus coboundary membership),
+    computed on the orbit Delta-complex.  ``limit`` guards its faces, half
+    as many as those of ``K``."""
+    return _height(_orbit_complex(_orbit_labelled(K, t), limit))
+
+
+def _orbit_labelled(K, t):
+    """The facets of ``K`` with orbit o renamed {2o, 2o + 1}, so that
+    t(v) = v ^ 1.  Raises :class:`FreenessError` unless ``t`` is free."""
+    report = check_free_involution(K, t)
+    if not report:
+        raise FreenessError(f"involution is not free: {report.reason} {report.witness!r}")
+    perm = t.perm
+    new = [0] * K.n_vertices
+    for o, v in enumerate([v for v in range(K.n_vertices) if v < perm[v]]):
+        new[v], new[perm[v]] = 2 * o, 2 * o + 1
+    return [sorted(new[v] for v in f) for f in K.facets]
+
+
+def _height(Q):
+    """Height on an orbit complex, capped at its top dimension: min(height, k)
+    on the k-skeleton, as H^k of the whole injects into H^k of the skeleton."""
+    faces = Q.faces()
+    # orbit (a, b) lifts from sheet 0 of a's orbit to sheet b & 1 of b's
+    w = CochainZ2(1, tuple(e[1] & 1 for e in faces.get(1, [])))
+    top = max(faces, default=0)
     height = 0
     power = w
     for k in range(1, top + 1):
-        if is_coboundary(Q, power, limit):
+        if is_coboundary(Q, power):
             break
         height = k
         if k < top:
-            power = cup_product(Q, power, w, limit)
+            power = cup_product(Q, power, w)
     return height
 
 
@@ -373,10 +280,18 @@ def pair_swap_involution(K):
 
 def pair_space_height(G, r, *, size_guard=200_000, limit=None):
     """Exact involution height of the order complex of the linked-pair poset
-    at odd radius ``r`` under the swap."""
+    at odd radius ``r`` under the swap, taken on the box complex under its
+    sheet swap: it is Z2-homotopy equivalent to Hom(K2, G_r) (Csorba 2007),
+    whose face poset is the linked-pair poset (Babson & Kozlov 2006).
+    ``size_guard`` bounds its ball intersections, ``limit`` its orbit faces."""
+    return _pair_height(G, r, size_guard, limit)
+
+
+def _pair_height(G, r, size_guard, limit, upto=None):
+    # (x, 1) follows (x, 0), so the sheet swap is v ^ 1; it is free and
+    # simplicial once _require_free holds
     _require_free(G, r)
-    K = order_complex(pair_poset(G, r, size_guard), limit)
-    return z2_height(K, pair_swap_involution(K), limit)
+    return _height(_orbit_complex(box_complex(G, r, size_guard).facets, limit, upto))
 
 
 # ---------------------------------------------------------------------------
@@ -489,21 +404,24 @@ def obstruction_check(
     the target: NO-MAP when the source height provably exceeds the target's.
 
     With ``exact=True``, a side whose cheap rules produced no exact value gets
-    the true cup-power height of its pair space instead (subject to the size
-    guards).  Requires ``r`` odd and both odd girths above ``r``.
+    the cup-power height of its pair space instead (subject to the size
+    guards).  The target's comes first; only "source height > upper" decides
+    the verdict, so the source's is computed up to ``upper + 1`` and reported
+    as min(height, upper + 1).  Requires ``r`` odd and both odd girths above
+    ``r``.
     """
     lb = height_bounds(G, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
     ub = height_bounds(H, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
     lower, lrule = _best_bound(lb.rules, "lower")
     upper, urule = _best_bound(ub.rules, "upper")
     # a cheap rule may only bound the height; exact mode replaces anything
-    # short of an exact rule by the true cup-power height
-    if exact and not any(b.kind == "exact" for b in lb.rules):
-        lower = pair_space_height(G, r, size_guard=size_guard, limit=limit)
-        lrule = "cup-power-height"
+    # short of an exact rule by the cup-power height, as far as it matters
     if exact and not any(b.kind == "exact" for b in ub.rules):
         upper = pair_space_height(H, r, size_guard=size_guard, limit=limit)
         urule = "cup-power-height"
+    if exact and not any(b.kind == "exact" for b in lb.rules):
+        lower = _pair_height(G, r, size_guard, limit, upper + 1)
+        lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"
     else:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,12 +167,62 @@ class TestObstruct:
         assert res["verdict"] == "NO-MAP"
         assert res["lhs"] == {"bound": 2, "rule": "cup-power-height"}
 
+    def test_guard_is_echoed(self, capsys, petersen_file, c5_file):
+        _, report = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
+        assert report["parameters"]["guard"] == 200_000
+        _, report = run_json(capsys, ["obstruct", petersen_file, c5_file, "3", "--guard", "7"])
+        assert report["parameters"]["guard"] == 7
+
     def test_deterministic_payloads(self, capsys, petersen_file, c5_file):
         _, a = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
         _, b = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("tag", [
+    ["cycle"],
+    ["kneser", 5],
+    ["cycle", "5"],
+    ["cycle", 5.0],
+    ["cycle", True],
+    ["cycle", 7],
+    ["kneser", 5, 2],
+    ["kneser", 5, 0],
+    ["kneser", 5, 1, 1],
+    ["petersen", 5],
+    [],
+    "cycle",
+    None,
+])
+def test_malformed_tag_is_an_input_error(tmp_path, capsys, c5_file, tag):
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps({"vertices": list(range(5)),
+                                "edges": [[i, (i + 1) % 5] for i in range(5)],
+                                "tag": tag}))
+    assert main(["obstruct", str(path), c5_file, "3"]) == 2
+    assert "tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,stage", [
+    (["homology", "{petersen}", "-r", "3", "--limit-faces", "50"], "face enumeration"),
+    (["obstruct", "{k4}", "{c5}", "1", "--exact", "--limit-faces", "3"],
+     "orbit-face enumeration"),
+    (["obstruct", "{k4}", "{c5}", "1", "--exact", "--guard", "5"],
+     "ball-intersection enumeration"),
+    (["kneser-table", "10", "14", "2", "5", "--limit-cells", "100"], "kneser-table"),
+])
+def test_resource_limit_names_stage_and_count(tmp_path, capsys, petersen_file, c5_file,
+                                              argv, stage):
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    files = {"petersen": petersen_file, "c5": c5_file, "k4": str(k4)}
+    assert main([a.format(**files) for a in argv]) == 3
+    err = capsys.readouterr().err
+    found = re.search(r"(\S[^:]*) reached (\d+) \w+, above the \w+ of (\d+)", err)
+    assert found and found.group(1).endswith(stage), err
+    assert int(found.group(2)) > int(found.group(3))
 
 
 class TestMorse:

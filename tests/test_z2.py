@@ -1,10 +1,16 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import antipodal6, hexagon_complex, octahedron, rp2_complex
+from conftest import (
+    antipodal6,
+    hexagon_complex,
+    octahedron,
+    rp2_complex,
+    small_graph_corpus,
+)
 from nbhd import (
     CochainZ2,
     FreenessError,
@@ -24,18 +30,25 @@ from nbhd import (
     make_cycle,
     make_kneser,
     obstruction_check,
+    odd_girth,
     order_complex,
     pair_poset,
     pair_space_height,
     pair_swap_involution,
-    quotient_complex,
     unit_cochain,
-    w1_cocycle,
     z2_height,
     zero_cochain,
 )
 from nbhd.complexes import sorted_labels
-from nbhd.z2 import _build_quotient, _monodromy_bits
+from nbhd.z2 import _height, _orbit_complex, _orbit_labelled, _pair_height
+from quotient_oracle import (
+    QuotientStructureError,
+    build_quotient,
+    monodromy_bits,
+    quotient_complex,
+    reference_height,
+    w1_cocycle,
+)
 
 
 def swap_complex(G, r):
@@ -153,8 +166,8 @@ def reference_quotient(K, t):
     members = {}
     for i in range(n):
         members.setdefault(to_q[i], []).append(i)
-    lifted = _monodromy_bits(set(faces.get(1, [])), perm, members,
-                             Q.faces().get(1, []), Q.n_vertices)
+    lifted = monodromy_bits(set(faces.get(1, [])), perm, members,
+                            Q.faces().get(1, []), Q.n_vertices)
     if lifted is None:
         return None
     lift, bits = lifted
@@ -183,7 +196,7 @@ class TestQuotientAgainstAllFaces:
     @settings(max_examples=300, deadline=None)
     def test_edge_test_matches_all_faces_check(self, case):
         K, t = case
-        cov = _build_quotient(K, t, None, 0)
+        cov = build_quotient(K, t, None, 0)
         ref = reference_quotient(K, t)
         assert (cov is None) == (ref is None)
         if cov is not None:
@@ -228,8 +241,6 @@ class TestQuotient:
             quotient_complex(K, Involution(tuple(range(6))))
 
     def test_structural_error_when_subdivision_disallowed(self):
-        from nbhd import QuotientStructureError
-
         K = octahedron()
         with pytest.raises(QuotientStructureError):
             quotient_complex(K, antipodal6(K), max_subdivisions=0)
@@ -362,6 +373,120 @@ class TestHeights:
             swap_complex(make_cycle(3), 1),
         ]:
             assert z2_height(K, t) <= K.dim
+
+    def test_face_limit_bounds_the_orbit_faces(self):
+        # the hexagon has 12 faces, its orbit complex only 6
+        K = hexagon_complex()
+        with pytest.raises(ResourceLimitError) as err:
+            z2_height(K, antipodal6(K), limit=5)
+        assert (err.value.count, err.value.limit) == (6, 5)
+        assert "orbit-face" in str(err.value)
+        assert z2_height(K, antipodal6(K), limit=6) == 1
+
+    def test_tight_heptagon_at_radius_five(self):
+        assert pair_space_height(make_cycle(7), 5) == 5
+
+    def test_petersen_at_radius_three(self):
+        assert pair_space_height(make_kneser(5, 2), 3) == 8
+
+    def test_graphs_without_edges_have_height_zero(self):
+        assert pair_space_height(Graph([], []), 1) == 0
+        assert pair_space_height(Graph(range(4), []), 3) == 0
+
+    def test_ball_guard_names_stage_and_count(self):
+        with pytest.raises(ResourceLimitError) as err:
+            pair_space_height(make_cycle(5), 1, size_guard=5)
+        assert err.value.limit == 5 and err.value.count > 5
+        assert "ball-intersection" in str(err.value)
+        assert str(err.value.count) in str(err.value)
+
+
+def cross_polytope_sphere(n):
+    """Boundary of the n-dimensional cross-polytope, an (n-1)-sphere, with
+    the antipodal map (i, s) <-> (i, 1 - s)."""
+    K = SimplicialComplex.from_faces(
+        [[(i, s) for i, s in enumerate(bits)] for bits in itertools.product((0, 1), repeat=n)])
+    return K, Involution.from_label_map(K, {(i, s): (i, 1 - s) for i, s in K.vertices})
+
+
+@st.composite
+def graphs_and_radii(draw):
+    """A graph on at most 9 vertices with at most 2n edges, and r = 3 when
+    drawn and allowed by the odd girth, else r = 1."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    G = Graph(range(n), edges)
+    r = 3 if draw(st.booleans()) and odd_girth(G) > 3 else 1
+    return G, r
+
+
+def reference_pair_height(G, r):
+    K = order_complex(pair_poset(G, r, size_guard=2_000), limit=20_000)
+    return reference_height(K, pair_swap_involution(K))
+
+
+class TestOrbitHeightAgainstQuotient:
+    @given(free_double_covers())
+    @settings(max_examples=300, deadline=None)
+    def test_random_free_double_covers(self, case):
+        K, t = case
+        assert z2_height(K, t) == reference_height(K, t)
+
+    @pytest.mark.parametrize("K,t", [
+        (octahedron(), antipodal6(octahedron())),
+        cross_polytope_sphere(4),
+    ])
+    def test_spheres_that_need_a_subdivision(self, K, t):
+        assert quotient_complex(K, t).subdivisions >= 1
+        assert z2_height(K, t) == reference_height(K, t) == K.dim
+
+    @given(free_double_covers(), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_height_is_capped_height(self, case, k):
+        K, t = case
+        truncated = _height(_orbit_complex(_orbit_labelled(K, t), None, k))
+        assert truncated == min(z2_height(K, t), k)
+
+
+class TestBoxHeightAgainstPairSpace:
+    @given(graphs_and_radii())
+    @settings(max_examples=120, deadline=None)
+    def test_random_graphs(self, case):
+        G, r = case
+        try:
+            expected = reference_pair_height(G, r)
+        except ResourceLimitError:
+            assume(False)
+        assert pair_space_height(G, r) == expected
+
+    def test_corpus(self):
+        for G in small_graph_corpus():
+            for r in (1, 3):
+                if odd_girth(G) > r:
+                    assert pair_space_height(G, r) == reference_pair_height(G, r), (G, r)
+
+    @given(graphs_and_radii(), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_height_is_capped_height(self, case, k):
+        G, r = case
+        assert _pair_height(G, r, 200_000, None, k) == min(pair_space_height(G, r), k)
+
+
+
+def untagged(G):
+    return Graph(G.vertices, [(G.vertices[i], G.vertices[j]) for i, j in G.edges()])
+
+
+class TestExactVerdict:
+    def test_source_height_is_computed_up_to_one_above_the_target(self):
+        # untagged, no cheap rule is exact on either side: the 9-cycle's
+        # height 1 is computed first, then Petersen's (8) only up to 2
+        rep = obstruction_check(untagged(make_kneser(5, 2)), untagged(make_cycle(9)), 3,
+                                exact=True)
+        assert rep.verdict == "NO-MAP"
+        assert rep.lhs == {"bound": 2, "rule": "cup-power-height"}
+        assert rep.rhs == {"bound": 1, "rule": "cup-power-height"}
 
 
 class TestHeightBounds:
