@@ -230,6 +230,14 @@ def _cmd_hom_search(args):
     return params, result, lines
 
 
+def _count(text):
+    """argparse type of the limits and the budget: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _build_parser(face_default):
     parser = argparse.ArgumentParser(
         prog="nbhd",
@@ -239,9 +247,9 @@ def _build_parser(face_default):
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "limit-faces": dict(type=int, default=face_default,
+        "limit-faces": dict(type=_count, default=face_default,
                             help="face-count guard for enumeration"),
-        "budget": dict(type=int, default=10_000_000,
+        "budget": dict(type=_count, default=10_000_000,
                        help="node-expansion limit for exhaustive searches"),
         "out": dict(default=None, help="write the artifact to this file"),
     }
@@ -270,7 +278,7 @@ def _build_parser(face_default):
     sp = add("bposet", _cmd_bposet, "linked-pair poset of a graph", "out")
     sp.add_argument("graph")
     sp.add_argument("r", type=int)
-    sp.add_argument("--guard", type=int, default=200_000, help="element-count guard")
+    sp.add_argument("--guard", type=_count, default=200_000, help="element-count guard")
 
     sp = add("obstruct", _cmd_obstruct, "homomorphism obstruction verdict",
              "limit-faces", "budget")
@@ -279,7 +287,7 @@ def _build_parser(face_default):
     sp.add_argument("r", type=int)
     sp.add_argument("--exact", action="store_true",
                     help="fall back to exact cup-power heights")
-    sp.add_argument("--guard", type=int, default=200_000,
+    sp.add_argument("--guard", type=_count, default=200_000,
                     help="ball-intersection guard for exact heights")
 
     sp = add("morse", _cmd_morse, "matching + collapse tower for a cycle complex",
@@ -292,7 +300,7 @@ def _build_parser(face_default):
     sp.add_argument("n_max", type=int)
     sp.add_argument("k_min", type=int)
     sp.add_argument("k_max", type=int)
-    sp.add_argument("--limit-cells", type=int, default=20_000,
+    sp.add_argument("--limit-cells", type=_count, default=20_000,
                     help="total vertex-count guard for the table")
 
     sp = add("hom-search", _cmd_hom_search, "exhaustive homomorphism search", "budget")
@@ -303,7 +311,9 @@ def _build_parser(face_default):
 
 
 def main(argv=None):
-    face_default = int(os.environ.get("NBHD_LIMIT_FACES", DEFAULT_FACE_LIMIT))
+    # argparse runs a string default through the option's type, so a bad
+    # NBHD_LIMIT_FACES is an input error of the commands that read it
+    face_default = os.environ.get("NBHD_LIMIT_FACES", DEFAULT_FACE_LIMIT)
     parser = _build_parser(face_default)
     args = parser.parse_args(argv)
     t0 = time.perf_counter()

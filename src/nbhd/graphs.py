@@ -227,6 +227,13 @@ def hom_search(G, H, budget=10_000_000):
     target candidates in index order, with forward checking on the candidate
     sets of unassigned neighbors.  Deterministic: equal inputs give equal
     outcomes.  ``budget`` caps the number of attempted assignments.
+
+    Candidate sets are bit masks (bit ``h`` for target ``h``), taken lowest
+    bit first, which is index order.  Forward checking ands the chosen
+    target's neighbour mask into the sets of the neighbours later in the
+    static order, the only unassigned ones, and restores those that shrank.
+    The search tree, so the outcome and the expansion count, is that of the
+    same search on Python sets.
     """
     nG, nH = G.n_vertices, H.n_vertices
     if nG == 0:
@@ -234,8 +241,13 @@ def hom_search(G, H, budget=10_000_000):
     if nH == 0:
         return SearchOutcome("none", None, 0)
     order = sorted(range(nG), key=lambda i: (-len(G.adj[i]), i))
-    loop_targets = frozenset(h for h in range(nH) if h in H.adj[h])
-    domains = [set(loop_targets) if i in G.adj[i] else set(range(nH)) for i in range(nG)]
+    position = [0] * nG
+    for k, u in enumerate(order):
+        position[u] = k
+    later = [[w for w in G.adj[u] if position[w] > k] for k, u in enumerate(order)]
+    allowed = [sum(1 << j for j in H.adj[h]) for h in range(nH)]
+    loop_targets = sum(1 << h for h in range(nH) if h in H.adj[h])
+    domains = [loop_targets if i in G.adj[i] else (1 << nH) - 1 for i in range(nG)]
     assignment = [-1] * nG
     expansions = 0
 
@@ -244,29 +256,31 @@ def hom_search(G, H, budget=10_000_000):
         if k == nG:
             return True
         u = order[k]
-        for h in sorted(domains[u]):
+        ahead = later[k]
+        candidates = domains[u]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
             expansions += 1
             if expansions > budget:
                 raise _BudgetExhausted
-            pruned = []
-            feasible = True
-            for w in G.adj[u]:
-                if w == u or assignment[w] >= 0:
-                    continue
-                drop = domains[w] - H.adj[h]
-                if drop:
-                    domains[w] -= drop
-                    pruned.append((w, drop))
-                    if not domains[w]:
-                        feasible = False
+            h = low.bit_length() - 1
+            mask = allowed[h]
+            saved = []
+            for w in ahead:
+                old = domains[w]
+                new = old & mask
+                if new != old:
+                    domains[w] = new
+                    saved.append((w, old))
+                    if not new:
                         break
-            if feasible:
+            else:
                 assignment[u] = h
                 if backtrack(k + 1):
                     return True
-                assignment[u] = -1
-            for w, drop in pruned:
-                domains[w] |= drop
+            for w, old in saved:
+                domains[w] = old
         return False
 
     try:

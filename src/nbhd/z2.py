@@ -407,8 +407,9 @@ def obstruction_check(
     the cup-power height of its pair space instead (subject to the size
     guards).  The target's comes first; only "source height > upper" decides
     the verdict, so the source's is computed up to ``upper + 1`` and reported
-    as min(height, upper + 1).  Requires ``r`` odd and both odd girths above
-    ``r``.
+    as min(height, upper + 1), or not at all when its cheap lower bound
+    already exceeds ``upper`` (that bound is reported).  Requires ``r`` odd
+    and both odd girths above ``r``.
     """
     lb = height_bounds(G, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
     ub = height_bounds(H, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
@@ -420,8 +421,11 @@ def obstruction_check(
         upper = pair_space_height(H, r, size_guard=size_guard, limit=limit)
         urule = "cup-power-height"
     if exact and not any(b.kind == "exact" for b in lb.rules):
-        lower = _pair_height(G, r, size_guard, limit, upper + 1)
-        lrule = "cup-power-height"
+        # the source's height matters only up to upper + 1, and not at all
+        # when a cheap lower bound already exceeds upper
+        if lower is None or lower <= upper:
+            lower = _pair_height(G, r, size_guard, limit, upper + 1)
+            lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"
     else:

@@ -55,6 +55,16 @@ def nine_cycle_chord():
     return Graph(range(9), edges)
 
 
+def mycielskian(G):
+    """Mycielski construction: vertex i, its shadow n + i, and an apex 2n."""
+    n = G.n_vertices
+    edges = []
+    for i, j in G.edges():
+        edges += [(i, j), (i, n + j), (j, n + i)]
+    edges += [(n + i, 2 * n) for i in range(n)]
+    return Graph(range(2 * n + 1), edges)
+
+
 def small_graph_corpus():
     """Fixed 20-graph corpus on at most 7 vertices for cross-oracle sweeps."""
     graphs = [

@@ -297,6 +297,38 @@ class TestOptionsWhereRead:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["hom-search", "{g}", "{g}", "--budget", "-1"],
+        ["obstruct", "{g}", "{g}", "3", "--budget", "-5"],
+        ["homology", "{g}", "-r", "3", "--limit-faces", "-1"],
+        ["complex", "{g}", "3", "--limit-faces", "-1"],
+        ["obstruct", "{g}", "{g}", "3", "--exact", "--guard", "-1"],
+        ["bposet", "{g}", "1", "--guard", "-1"],
+        ["kneser-table", "5", "7", "2", "3", "--limit-cells", "-1"],
+        ["hom-search", "{g}", "{g}", "--budget", "ten"],
+    ])
+    def test_negative_or_malformed_count_rejected(self, argv, c5_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("{g}", c5_file) for a in argv])
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    def test_zero_counts_accepted(self, capsys, c5_file):
+        code, report = run_json(capsys, ["hom-search", c5_file, c5_file, "--budget", "0"])
+        assert code == 0 and report["result"] == {
+            "status": "budget-exceeded", "expansions": 1, "map": None}
+        assert main(["homology", c5_file, "-r", "3", "--limit-faces", "0"]) == 3
+
+    @pytest.mark.parametrize("value", ["-1", "many"])
+    def test_bad_face_limit_env_rejected(self, value, c5_file, monkeypatch, capsys):
+        monkeypatch.setenv("NBHD_LIMIT_FACES", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", c5_file, "-r", "3"])
+        assert exc.value.code == 2
+        assert "--limit-faces" in capsys.readouterr().err
+        # commands without the face guard do not read it
+        assert main(["girth", c5_file]) == 0
+
     def test_report_lists_only_taken_limits(self, capsys, c5_file, petersen_file):
         _, report = run_json(capsys, ["girth", c5_file])
         assert report["limits"] == {}

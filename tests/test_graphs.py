@@ -20,6 +20,8 @@ from nbhd import (
     validate_hom,
     walk_neighborhood,
 )
+from conftest import mycielskian
+from hom_search_oracle import hom_search as reference_search
 
 
 def brute_walk_endpoints(G, start, r):
@@ -28,6 +30,16 @@ def brute_walk_endpoints(G, start, r):
     for _ in range(r):
         frontier = {w for u in frontier for w in G.adj[u]}
     return tuple(sorted(frontier))
+
+
+@st.composite
+def graphs_with_loops(draw, max_n):
+    """Random graphs on 0..n-1, n from 0, where any pair (loops included) may
+    be an edge."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(range(n), [e for e, b in zip(pairs, bits) if b])
 
 
 small_graphs = st.builds(
@@ -235,6 +247,54 @@ class TestHomSearch:
         if out.found:
             assert validate_hom(out.mapping, g, h)
             assert odd_girth(g) >= odd_girth(h)
+
+
+class TestHomSearchAgainstSets:
+    """The bit-mask search walks the set-based search's tree: equal status,
+    mapping and expansion count on every input and budget."""
+
+    @given(graphs_with_loops(7), graphs_with_loops(6), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference(self, g, h, data):
+        full = reference_search(g, h)
+        assert hom_search(g, h) == full
+        # from no expansion at all to past the need: every budget-exceeded path
+        budget = data.draw(st.integers(min_value=0, max_value=full.expansions + 2))
+        assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
+    def test_loops_on_both_sides(self):
+        g = Graph(range(3), [(0, 0), (0, 1), (1, 2)])
+        h = Graph(range(3), [(0, 1), (2, 2), (1, 2)])
+        out = hom_search(g, h)
+        assert out == reference_search(g, h)
+        assert out.found and out.mapping[0] == 2 and validate_hom(out.mapping, g, h)
+
+    def test_loop_without_loop_targets_has_none(self):
+        g = Graph(range(2), [(0, 0), (0, 1)])
+        out = hom_search(g, make_cycle(5))
+        assert out == reference_search(g, make_cycle(5))
+        assert out.status == "none"
+
+
+class TestSearchCounts:
+    """The expansion counts the benchmark's verdict workload relies on, with
+    both graphs in generator order."""
+
+    def test_kneser_73_to_c7_has_none(self):
+        out = hom_search(make_kneser(7, 3), make_cycle(7))
+        assert (out.status, out.expansions) == ("none", 2_108_603)
+
+    def test_kneser_73_to_petersen(self):
+        g, h = make_kneser(7, 3), make_kneser(5, 2)
+        out = hom_search(g, h)
+        assert (out.status, out.expansions) == ("found", 756_383)
+        assert validate_hom(out.mapping, g, h)
+
+    def test_budget_guard_on_double_mycielskian(self):
+        g = mycielskian(mycielskian(make_cycle(5)))
+        k4 = Graph(range(4), itertools.combinations(range(4), 2))
+        out = hom_search(g, k4, budget=5_000)
+        assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 5_001)
 
 
 class TestValidateHom:

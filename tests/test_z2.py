@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     antipodal6,
     hexagon_complex,
+    mycielskian,
     octahedron,
     rp2_complex,
     small_graph_corpus,
@@ -479,14 +480,35 @@ def untagged(G):
 
 
 class TestExactVerdict:
-    def test_source_height_is_computed_up_to_one_above_the_target(self):
+    def test_cheap_lower_bound_above_the_target_is_kept(self):
         # untagged, no cheap rule is exact on either side: the 9-cycle's
-        # height 1 is computed first, then Petersen's (8) only up to 2
+        # height 1 is computed first; Petersen's girth-sphere bound 3 already
+        # exceeds it, so its pair space is not built and that bound is reported
         rep = obstruction_check(untagged(make_kneser(5, 2)), untagged(make_cycle(9)), 3,
                                 exact=True)
         assert rep.verdict == "NO-MAP"
-        assert rep.lhs == {"bound": 2, "rule": "cup-power-height"}
+        assert rep.lhs == {"bound": 3, "rule": "girth-sphere"}
         assert rep.rhs == {"bound": 1, "rule": "cup-power-height"}
+
+    def test_source_height_is_computed_up_to_one_above_the_target(self):
+        # the Groetzsch graph has odd girth 5, so no cheap rule bounds it at
+        # r=1; its height 2 is computed only up to one above the edge's 0
+        grotzsch = mycielskian(make_cycle(5))
+        edge = Graph(range(2), [(0, 1)])
+        assert pair_space_height(grotzsch, 1) == 2
+        rep = obstruction_check(grotzsch, edge, 1, exact=True)
+        assert rep.verdict == "NO-MAP"
+        assert rep.lhs == {"bound": 1, "rule": "cup-power-height"}
+        assert rep.rhs == {"bound": 0, "rule": "cup-power-height"}
+
+    def test_cheap_lower_bound_at_the_target_is_refined(self):
+        # C5 at r=3 has the cheap lower bound 3 and exact height 3; untagged
+        # C5 as the target has height 3, so the source is computed up to 4
+        rep = obstruction_check(untagged(make_cycle(5)), untagged(make_cycle(5)), 3,
+                                exact=True)
+        assert rep.verdict == "INCONCLUSIVE"
+        assert rep.lhs == {"bound": 3, "rule": "cup-power-height"}
+        assert rep.rhs == {"bound": 3, "rule": "cup-power-height"}
 
 
 class TestHeightBounds:
