@@ -14,7 +14,7 @@ import json
 from collections import deque
 
 from .errors import ResourceLimitError
-from .graphs import _decode_label, _encode_label, walk_ball
+from .graphs import _decode_label, _encode_label, _json_list, walk_ball
 
 DEFAULT_FACE_LIMIT = 5_000_000
 
@@ -187,7 +187,7 @@ class Poset:
     reflexive-transitive closure (acyclicity is validated, which gives
     antisymmetry)."""
 
-    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_reach")
+    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_topo", "_reach")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -208,18 +208,19 @@ class Poset:
             indeg[b] += 1
         self._succ = tuple(tuple(sorted(s)) for s in succ)
         self._pred_count = tuple(indeg)
-        remaining = list(indeg)
-        queue = deque(i for i in range(n) if remaining[i] == 0)
-        done = 0
+        # Kahn's algorithm: a topological order exists iff there is no cycle
+        topo = []
+        queue = deque(i for i in range(n) if indeg[i] == 0)
         while queue:
             i = queue.popleft()
-            done += 1
+            topo.append(i)
             for j in self._succ[i]:
-                remaining[j] -= 1
-                if remaining[j] == 0:
+                indeg[j] -= 1
+                if indeg[j] == 0:
                     queue.append(j)
-        if done != n:
+        if len(topo) != n:
             raise ValueError("covering relation has a cycle")
+        self._topo = tuple(topo)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._reach = None
 
@@ -250,30 +251,13 @@ class Poset:
         except KeyError:
             raise ValueError(f"{element!r} is not a poset element") from None
 
-    def successors(self, i):
-        return self._succ[i]
-
     def minimal_elements(self):
         return [i for i in range(self.n_elements) if self._pred_count[i] == 0]
 
-    def maximal_elements(self):
-        return [i for i in range(self.n_elements) if not self._succ[i]]
-
     def _ensure_reach(self):
         if self._reach is None:
-            n = self.n_elements
-            indeg = list(self._pred_count)
-            topo = []
-            queue = deque(i for i in range(n) if indeg[i] == 0)
-            while queue:
-                i = queue.popleft()
-                topo.append(i)
-                for j in self._succ[i]:
-                    indeg[j] -= 1
-                    if indeg[j] == 0:
-                        queue.append(j)
-            reach = [1 << i for i in range(n)]
-            for i in reversed(topo):
+            reach = [1 << i for i in range(self.n_elements)]
+            for i in reversed(self._topo):
                 acc = reach[i]
                 for j in self._succ[i]:
                     acc |= reach[j]
@@ -447,8 +431,12 @@ def complex_to_json_obj(K):
 
 
 def complex_from_json_obj(obj):
-    vertices = [_decode_label(v) for v in obj["vertices"]]
-    faces = [tuple(_decode_label(v) for v in f) for f in obj["facets"]]
+    vertices = [_decode_label(v) for v in _json_list(obj, "vertices")]
+    faces = []
+    for f in _json_list(obj, "facets"):
+        if not isinstance(f, list):
+            raise ValueError(f"a facet must be a list of vertices, got {f!r}")
+        faces.append(tuple(_decode_label(v) for v in f))
     # listed vertices survive as 0-faces even when isolated
     faces.extend((v,) for v in vertices)
     return SimplicialComplex.from_faces(faces)

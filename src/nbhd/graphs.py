@@ -47,7 +47,17 @@ def _encode_label(label):
 def _decode_label(obj):
     if isinstance(obj, list):
         return tuple(_decode_label(x) for x in obj)
+    if isinstance(obj, dict):
+        raise ValueError(f"vertex label {obj!r} is not hashable")
     return obj
+
+
+def _json_list(obj, key):
+    """The list stored under ``key`` in a parsed JSON file."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, list):
+        raise ValueError(f'expected a JSON object whose "{key}" is a list')
+    return value
 
 
 class Graph:
@@ -334,8 +344,12 @@ def graph_to_json_obj(G):
 
 
 def graph_from_json_obj(obj):
-    vertices = [_decode_label(v) for v in obj["vertices"]]
-    edges = [(_decode_label(u), _decode_label(v)) for u, v in obj["edges"]]
+    vertices = [_decode_label(v) for v in _json_list(obj, "vertices")]
+    edges = []
+    for e in _json_list(obj, "edges"):
+        if not (isinstance(e, list) and len(e) == 2):
+            raise ValueError(f"an edge must be a [u, v] pair, got {e!r}")
+        edges.append((_decode_label(e[0]), _decode_label(e[1])))
     tag = obj.get("tag")
     if "tag" in obj and not _tag_fits(tag, len(vertices)):
         raise ValueError('tag must be ["cycle", m] or ["kneser", n, k] with integers '

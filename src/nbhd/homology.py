@@ -2,9 +2,10 @@
 connectivity, and edge-path group presentations with abelianization.
 
 The Smith reduction runs on arbitrary-precision integers: a sparse pass
-eliminates unit pivots in minimum-fill order from a queue refreshed only for
-the columns each elimination touches, and the textbook dense algorithm
-finishes the rest.  No modular shortcuts, so torsion coefficients are exact.
+eliminates unit pivots in minimum-fill order from a lazy queue, which holds
+every unit entry at its Markowitz cost and re-checks an entry only when it
+is popped, and the textbook dense algorithm finishes the rest.  No modular
+shortcuts, so torsion coefficients are exact.
 """
 
 from __future__ import annotations
@@ -68,48 +69,48 @@ def smith_normal_form(matrix, shape=None):
     Returns ``(factors, rank)``: the factors are the nonzero diagonal
     entries, positive and divisibility-chained, so ``rank == len(factors)``.
     """
-    entries, _ = _as_sparse(matrix, shape)
-    factors = _snf_factors(entries)
-    return tuple(factors), len(factors)
-
-
-def _as_sparse(matrix, shape):
     if isinstance(matrix, dict):
         if shape is None:
             raise ValueError("sparse input needs an explicit shape")
-        return {k: int(v) for k, v in matrix.items() if int(v)}, shape
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    entries = {
-        (i, j): int(v)
-        for i, row in enumerate(rows)
-        for j, v in enumerate(row)
-        if int(v)
-    }
-    return entries, (m, n)
+        entries = matrix.items()
+    else:
+        dense = [list(r) for r in matrix]
+        n = len(dense[0]) if dense else 0
+        if any(len(r) != n for r in dense):
+            raise ValueError("ragged matrix")
+        entries = (((i, j), v) for i, r in enumerate(dense) for j, v in enumerate(r))
+    factors = _snf_factors(entries)
+    return tuple(factors), len(factors)
 
 
 def _snf_factors(entries):
     rows = {}
     cols = {}
-    for (i, j), v in entries.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
-    # minimum-fill queue: best[j] is the live heap item of column j, its
-    # cheapest unit entry; items that no longer match best are stale
-    best, heap = {}, []
-    _queue_cheapest(rows, cols, best, heap, cols)
+    for (i, j), v in entries:
+        if v := int(v):
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+    # lazy minimum-fill queue of unit entries as (Markowitz cost, column, row),
+    # checked only on pop: an entry that is gone or no longer a unit is
+    # dropped, one whose cost has grown is queued again, any other is pivoted
+    heap = [
+        (_markowitz(rows, cols, i, j), j, i)
+        for i, r in rows.items()
+        for j, v in r.items()
+        if v in (1, -1)
+    ]
+    heapq.heapify(heap)
     unit_count = 0
     while heap:
-        _, j, i = item = heapq.heappop(heap)
-        if best.get(j) != item:
+        cost, j, i = heapq.heappop(heap)
+        if rows.get(i, {}).get(j) not in (1, -1):
             continue
-        del best[j]
-        dirty = _eliminate_unit(rows, cols, i, j)
-        _queue_cheapest(rows, cols, best, heap, dirty)
+        now = _markowitz(rows, cols, i, j)
+        if now > cost:
+            heapq.heappush(heap, (now, j, i))
+            continue
+        for ii, jj in _eliminate_unit(rows, cols, i, j):
+            heapq.heappush(heap, (_markowitz(rows, cols, ii, jj), jj, ii))
         unit_count += 1
     dense_factors = []
     if rows:
@@ -124,27 +125,12 @@ def _snf_factors(entries):
     return [1] * unit_count + [f for f in dense_factors if f]
 
 
-def _queue_cheapest(rows, cols, best, heap, columns):
-    # queue each column's cheapest unit entry as (Markowitz cost, column, row)
-    for j in columns:
-        item = None
-        col_rows = cols.get(j, ())
-        c1 = len(col_rows) - 1
-        for i in col_rows:
-            r = rows[i]
-            if abs(r[j]) == 1:
-                cand = ((len(r) - 1) * c1, j, i)
-                if item is None or cand < item:
-                    item = cand
-        if item is None:
-            best.pop(j, None)
-        elif best.get(j) != item:
-            best[j] = item
-            heapq.heappush(heap, item)
+def _markowitz(rows, cols, i, j):
+    return (len(rows[i]) - 1) * (len(cols[j]) - 1)
 
 
 def _eliminate_unit(rows, cols, pi, pj):
-    # returns the columns whose cheapest unit entry may have changed
+    # returns the entries that have just become +-1
     piv_row = rows.pop(pi)
     v = piv_row.pop(pj)  # +-1
     col_rows = cols.pop(pj)
@@ -154,7 +140,7 @@ def _eliminate_unit(rows, cols, pi, pj):
         s.discard(pi)
         if not s:
             del cols[jj]
-    dirty = set(piv_row)
+    units = []
     for ii in col_rows:
         r = rows[ii]
         f = r.pop(pj) * v  # row_ii -= f * piv_row
@@ -165,17 +151,17 @@ def _eliminate_unit(rows, cols, pi, pj):
                 if cur is None:
                     cols.setdefault(jj, set()).add(ii)
                 r[jj] = nv
+                if nv in (1, -1) and cur not in (1, -1):
+                    units.append((ii, jj))
             elif cur is not None:
                 del r[jj]
                 s = cols[jj]
                 s.discard(ii)
                 if not s:
                     del cols[jj]
-        if r:
-            dirty.update(r)
-        else:
+        if not r:
             del rows[ii]
-    return dirty
+    return units
 
 
 def _snf_dense(a):

@@ -354,8 +354,12 @@ def height_bounds(G, r, *, odd_cycle_scan=15, budget=10_000_000):
         rules.append(HeightBound("lower", r, "girth-sphere"))
     if not any(b.kind == "exact" for b in rules):
         for m in range(2 * r + 1, odd_cycle_scan + 1, 2):
-            if hom_search(G, make_cycle(m), budget).found:
+            status = hom_search(G, make_cycle(m), budget).status
+            if status == "found":
                 rules.append(HeightBound("upper", 1, f"maps-to-odd-cycle-C{m}"))
+            # every longer odd cycle maps onto C_m, so a map to one of them
+            # would give a map to C_m; only a budget cut-off keeps scanning
+            if status != "budget-exceeded":
                 break
     lower, _ = _best_bound(rules, "lower")
     upper, _ = _best_bound(rules, "upper")

@@ -205,6 +205,23 @@ def test_malformed_tag_is_an_input_error(tmp_path, capsys, c5_file, tag):
     assert "tag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,obj", [
+    ("homology", {"vertices": [1, 2], "facets": [5]}),
+    ("homology", {"vertices": 3, "facets": []}),
+    ("homology", {"vertices": [[1, {"a": 1}]], "facets": []}),
+    ("girth", {"vertices": [1, 2], "edges": 7}),
+    ("girth", {"vertices": [1, 2], "edges": [[1, 2, 1]]}),
+    ("girth", {"vertices": [{"a": 1}], "edges": []}),
+    ("hom-search", {"vertices": [{"a": 1}], "edges": []}),
+])
+def test_malformed_json_shape_is_an_input_error(tmp_path, capsys, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    files = [str(path)] * (2 if command == "hom-search" else 1)
+    assert main([command, *files]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv,stage", [
     (["homology", "{petersen}", "-r", "3", "--limit-faces", "50"], "face enumeration"),
     (["obstruct", "{k4}", "{c5}", "1", "--exact", "--limit-faces", "3"],

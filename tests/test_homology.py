@@ -300,6 +300,12 @@ class TestHomology:
         assert h.betti_vector == (1, 0, 0, 0, 0, 0, 0, 0, 1)
         assert all(t == () for _, t in h.groups)
 
+    def test_kneser_7_2_radius1(self):
+        # 17,724 faces, so the unit pass makes about 8,850 pivots
+        h = homology(neighborhood_complex(make_kneser(7, 2), 1))
+        assert h.betti_vector == (1, 0, 0, 29, 0, 0, 0, 0, 0, 0)
+        assert all(t == () for _, t in h.groups)
+
 
 class TestConnectivity:
     def test_sphere(self):

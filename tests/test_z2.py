@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,12 +37,14 @@ from nbhd import (
     pair_poset,
     pair_space_height,
     pair_swap_involution,
+    random_connected_graph,
     unit_cochain,
     z2_height,
     zero_cochain,
 )
+from nbhd import z2
 from nbhd.complexes import sorted_labels
-from nbhd.z2 import _height, _orbit_complex, _orbit_labelled, _pair_height
+from nbhd.z2 import HeightBound, _height, _orbit_complex, _orbit_labelled, _pair_height
 from quotient_oracle import (
     QuotientStructureError,
     build_quotient,
@@ -540,6 +543,32 @@ class TestHeightBounds:
     def test_small_girth_rejected(self):
         with pytest.raises(FreenessError):
             height_bounds(make_cycle(3), 3)
+
+    def test_scan_stops_at_first_unreachable_cycle(self, monkeypatch):
+        targets = []
+
+        def counting_search(G, H, budget):
+            targets.append(H.n_vertices)
+            return hom_search(G, H, budget)
+
+        monkeypatch.setattr(z2, "hom_search", counting_search)
+        hb = height_bounds(Graph(range(4), itertools.combinations(range(4), 2)), 1)
+        assert targets == [3]
+        assert hb.lower == 1 and hb.upper is None
+
+    @given(st.integers(3, 9), st.sampled_from([0.25, 0.5]), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_rules_match_full_scan(self, n, p, seed, r):
+        G = random_connected_graph(n, p, random.Random(seed))
+        g0 = odd_girth(G)
+        assume(g0 > r)
+        rules = [HeightBound("lower", r, "girth-sphere")] if g0 == r + 2 else []
+        for m in range(2 * r + 1, 16, 2):
+            if hom_search(G, make_cycle(m)).found:
+                rules.append(HeightBound("upper", 1, f"maps-to-odd-cycle-C{m}"))
+                break
+        assert height_bounds(G, r).rules == tuple(rules)
 
 
 class TestObstruction:
