@@ -218,7 +218,10 @@ def _cmd_hom_search(args):
     out = hom_search(g, h, args.budget)
     mapping = None
     if out.found:
-        assert validate_hom(out.mapping, g, h)
+        if not validate_hom(out.mapping, g, h):
+            raise ConsistencyError(
+                "the exhaustive search returned a map that is not a homomorphism"
+            )
         mapping = [
             [g.vertices[i], h.vertices[t]] for i, t in enumerate(out.mapping)
         ]

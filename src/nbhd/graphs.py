@@ -167,24 +167,37 @@ def walk_neighborhood(G, v, r):
 
 
 def odd_girth(G):
-    """Length of the shortest odd closed walk, via shortest paths on the
-    parity-doubled graph; ``math.inf`` iff the graph is bipartite."""
+    """Length of the shortest odd closed walk; ``math.inf`` iff the graph is
+    bipartite.
+
+    A level-by-level breadth-first search runs from each source.  An edge
+    inside level d (a loop included) closes an odd walk of length 2d + 1
+    through the source, and the least such length over all sources is the
+    odd girth.  A source stops once 2d + 1 cannot beat the best so far.
+    """
     best = math.inf
     for s in range(G.n_vertices):
-        dist = {(s, 0): 0}
-        queue = deque([(s, 0)])
-        while queue:
-            u, p = queue.popleft()
-            d = dist[(u, p)]
-            if d + 1 >= best:
-                continue
-            for w in G.adj[u]:
-                nxt = (w, 1 - p)
-                if nxt not in dist:
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
-        best = min(best, dist.get((s, 1), math.inf))
+        best = _odd_walk_length(G.adj, s, best)
     return best
+
+
+def _odd_walk_length(adj, s, bound):
+    """2d + 1 for the first breadth-first level d from ``s`` that holds an
+    edge, or ``bound`` if that length would not be below it."""
+    depth = [-1] * len(adj)
+    depth[s] = 0
+    level, d = [s], 0
+    while level and 2 * d + 1 < bound:
+        below = []
+        for u in level:
+            for w in adj[u]:
+                if depth[w] < 0:
+                    depth[w] = d + 1
+                    below.append(w)
+                elif depth[w] == d:
+                    return 2 * d + 1
+        level, d = below, d + 1
+    return bound
 
 
 def kneser_walk_test(n, k, a, b, s):
@@ -242,8 +255,16 @@ def hom_search(G, H, budget=10_000_000):
     bit first, which is index order.  Forward checking ands the chosen
     target's neighbour mask into the sets of the neighbours later in the
     static order, the only unassigned ones, and restores those that shrank.
-    The search tree, so the outcome and the expansion count, is that of the
-    same search on Python sets.
+
+    At the root, a target ``h`` that an automorphism of ``H`` maps onto an
+    earlier root target whose subtree failed is not searched: the root
+    candidate sets and the neighbour masks are invariant under Aut(H), so
+    ``h``'s subtree is that subtree's image and fails after as many
+    expansions, which are added instead.  The automorphism is found by
+    :func:`_automorphism` and checked edge by edge; all these searches in
+    one call share an allowance of the expansions counted so far.  The
+    search tree, so the outcome and the expansion count, is that of the
+    same search on Python sets without the skip.
     """
     nG, nH = G.n_vertices, H.n_vertices
     if nG == 0:
@@ -260,6 +281,21 @@ def hom_search(G, H, budget=10_000_000):
     domains = [loop_targets if i in G.adj[i] else (1 << nH) - 1 for i in range(nG)]
     assignment = [-1] * nG
     expansions = 0
+    failed_roots = []  # (root target, expansions of its subtree), as searched
+    steps = 0  # spent on automorphisms, kept within the expansions
+
+    def failed_image(h):
+        """The subtree size of a failed root target that an automorphism
+        maps to ``h``, or None."""
+        nonlocal steps
+        for h0, size in failed_roots:
+            if expansions - steps < nH:  # not enough left to order H's vertices
+                break
+            sigma, spent = _automorphism(H, h0, h, expansions - steps)
+            steps += spent
+            if sigma is not None:
+                return size
+        return None
 
     def backtrack(k):
         nonlocal expansions
@@ -268,13 +304,23 @@ def hom_search(G, H, budget=10_000_000):
         u = order[k]
         ahead = later[k]
         candidates = domains[u]
+        root = k == 0
         while candidates:
             low = candidates & -candidates
             candidates ^= low
+            h = low.bit_length() - 1
+            if root:
+                size = failed_image(h)
+                if size is not None:
+                    expansions += size
+                    if expansions > budget:
+                        expansions = budget + 1
+                        raise _BudgetExhausted
+                    continue
+                start = expansions
             expansions += 1
             if expansions > budget:
                 raise _BudgetExhausted
-            h = low.bit_length() - 1
             mask = allowed[h]
             saved = []
             for w in ahead:
@@ -291,6 +337,8 @@ def hom_search(G, H, budget=10_000_000):
                     return True
             for w, old in saved:
                 domains[w] = old
+            if root:
+                failed_roots.append((h, expansions - start))
         return False
 
     try:
@@ -299,6 +347,80 @@ def hom_search(G, H, budget=10_000_000):
         return SearchOutcome("none", None, expansions)
     except _BudgetExhausted:
         return SearchOutcome("budget-exceeded", None, expansions)
+
+
+def _automorphism(H, a, b, allowance):
+    """An automorphism of ``H`` sending vertex ``a`` to ``b``, as a tuple of
+    images, and the number of steps spent.  The automorphism is None if
+    there is none, or if ``allowance`` steps did not find one.
+
+    ``a`` is pinned to ``b`` and the other vertices are assigned in
+    breadth-first order from ``a``, then from each unreached vertex by
+    index.  A candidate must be unused, have the same degree and loop
+    status, and be adjacent to exactly the images of the assigned
+    neighbours.  The result is checked edge by edge before it is returned.
+    Setting up the order costs one step per vertex, and each candidate
+    tried one more; with fewer than one step per vertex allowed, or with
+    ``a`` and ``b`` of different degree or loop status, nothing is spent.
+    """
+    n, adj = H.n_vertices, H.adj
+    if allowance < n or len(adj[a]) != len(adj[b]) or (a in adj[a]) != (b in adj[b]):
+        return None, 0
+    nbr = [sum(1 << j for j in nbrs) for nbrs in adj]
+    kind = [(len(nbrs), v in nbrs) for v, nbrs in enumerate(adj)]
+    same = {}
+    for v, key in enumerate(kind):
+        same[key] = same.get(key, 0) | 1 << v
+    order, reached, i = [], 0, 0
+    for s in (a, *range(n)):
+        if reached >> s & 1:
+            continue
+        reached |= 1 << s
+        order.append(s)
+        while i < len(order):
+            fresh = nbr[order[i]] & ~reached
+            reached |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                order.append(low.bit_length() - 1)
+            i += 1
+    sigma = [-1] * n
+    sigma[a] = b
+    used = 1 << b
+
+    def candidates(k):
+        v = order[k]
+        mask = same[kind[v]] & ~used
+        for w in order[:k]:
+            mask &= nbr[sigma[w]] if nbr[v] >> w & 1 else ~nbr[sigma[w]]
+        return mask
+
+    pending = [0] * n
+    k, steps = 1, n
+    if n > 1:
+        pending[1] = candidates(1)
+    while 0 < k < n:
+        v = order[k]
+        if sigma[v] >= 0:
+            used ^= 1 << sigma[v]
+            sigma[v] = -1
+        if not pending[k]:
+            k -= 1
+            continue
+        if steps >= allowance:
+            return None, steps
+        steps += 1
+        low = pending[k] & -pending[k]
+        pending[k] ^= low
+        sigma[v] = low.bit_length() - 1
+        used |= low
+        k += 1
+        if k < n:
+            pending[k] = candidates(k)
+    if k == 0 or not all(sigma[j] in adj[sigma[i]] for i in range(n) for j in adj[i]):
+        return None, steps
+    return tuple(sigma), steps
 
 
 def is_connected(G):

@@ -289,6 +289,12 @@ class TestHomSearch:
         assert code == 0
         assert report["result"]["status"] == "budget-exceeded"
 
+    def test_invalid_map_is_a_consistency_error(self, capsys, monkeypatch, c5_file):
+        # checked without assert, so python -O keeps the check
+        monkeypatch.setattr(cli, "validate_hom", lambda f, G, H: False)
+        assert main(["hom-search", c5_file, c5_file]) == cli.EXIT_INTERNAL == 1
+        assert "consistency" in capsys.readouterr().err
+
     def test_too_deep_for_recursive_search(self, tmp_path, capsys):
         c1200 = tmp_path / "c1200.json"
         c4 = tmp_path / "c4.json"

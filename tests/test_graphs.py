@@ -20,6 +20,8 @@ from nbhd import (
     validate_hom,
     walk_neighborhood,
 )
+from nbhd import graphs
+from nbhd.graphs import _automorphism, walk_ball
 from conftest import mycielskian
 from hom_search_oracle import hom_search as reference_search
 
@@ -38,6 +40,16 @@ def graphs_with_loops(draw, max_n):
     be an edge."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(range(n), [e for e, b in zip(pairs, bits) if b])
+
+
+@st.composite
+def loopless_graphs(draw, max_n):
+    """Random graphs on 0..n-1, n from 1, where any two vertices may be
+    joined."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
     bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(range(n), [e for e, b in zip(pairs, bits) if b])
 
@@ -157,6 +169,20 @@ class TestOddGirth:
     def test_edgeless(self):
         assert odd_girth(Graph(range(3))) == math.inf
 
+    @given(graphs_with_loops(8))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_least_odd_closed_walk(self, g):
+        # oracle: the least odd m with i in its own exact m-walk ball; an odd
+        # closed walk contains an odd cycle, so m <= n if any exists
+        n = g.n_vertices
+        walks = [m for m in range(1, 2 * n + 2, 2)
+                 if any(i in walk_ball(g, i, m) for i in range(n))]
+        assert odd_girth(g) == (walks[0] if walks else math.inf)
+
+    def test_kneser_girths(self):
+        for n, k in [(7, 3), (8, 3), (9, 4)]:
+            assert odd_girth(make_kneser(n, k)) == 2 * math.ceil(k / (n - 2 * k)) + 1
+
     def test_petersen_agrees_with_cycle_map_search(self):
         g = make_kneser(5, 2)
         hits = [m for m in (3, 5, 7, 9) if hom_search(make_cycle(m), g).found]
@@ -274,6 +300,121 @@ class TestHomSearchAgainstSets:
         out = hom_search(g, make_cycle(5))
         assert out == reference_search(g, make_cycle(5))
         assert out.status == "none"
+
+
+def _disjoint_union(*parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(offset + i, offset + j) for i, j in part.edges()]
+        offset += part.n_vertices
+    return Graph(range(offset), edges)
+
+
+def _complete(m):
+    return Graph(range(m), itertools.combinations(range(m), 2))
+
+
+# Targets with nontrivial automorphisms, so root subtrees get skipped: cycles,
+# complete graphs, Petersen, two components (C5+C5 swaps them; in C5+K3 every
+# vertex has degree 2 but no automorphism mixes the parts), a triangle of
+# looped vertices next to a plain triangle (same degrees, different loops),
+# and C6 with the chord 3-5 (degree-2 vertices in and out of the triangle).
+ORBIT_TARGETS = (
+    [make_cycle(m) for m in range(3, 10)]
+    + [_complete(m) for m in range(1, 6)]
+    + [
+        make_kneser(5, 2),
+        _disjoint_union(make_cycle(5), make_cycle(5)),
+        _disjoint_union(make_cycle(5), make_cycle(3)),
+        Graph(range(6), [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0),
+                         (3, 4), (4, 5), (5, 3)]),
+        Graph(range(6), [(i, (i + 1) % 6) for i in range(6)] + [(3, 5)]),
+    ]
+)
+
+
+class TestRootOrbitSkip:
+    """Skipping root targets in the orbit of a failed one leaves every
+    outcome equal to the search without the skip."""
+
+    @given(st.one_of(loopless_graphs(8), graphs_with_loops(8)),
+           st.sampled_from(ORBIT_TARGETS), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_reference(self, g, h, data):
+        full = reference_search(g, h)
+        assert hom_search(g, h) == full
+        budget = data.draw(st.integers(min_value=0, max_value=full.expansions + 2))
+        assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
+    @pytest.mark.parametrize("h", ORBIT_TARGETS[-3:], ids=["C5+K3", "loops", "C6+chord"])
+    @pytest.mark.parametrize("g", [
+        _complete(3),
+        Graph(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)]),
+        Graph(range(4), [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)]),
+        Graph(range(9), [(i, i + 1) for i in range(6)] + [(6, 7), (7, 8), (8, 6)]),
+    ], ids=["K3", "K3+pendant", "diamond", "K3+path"])
+    def test_equal_degrees_in_different_orbits(self, g, h):
+        # the first root targets fail; a later one of the same degree is in
+        # another orbit and holds the map.  With K3+path the failed subtrees
+        # are large enough for the automorphism searches to run.
+        out = hom_search(g, h)
+        assert out == reference_search(g, h)
+        assert out.found and validate_hom(out.mapping, g, h)
+
+    def test_skips_happen(self, monkeypatch):
+        found = []
+
+        def counting(*args):
+            sigma, steps = _automorphism(*args)
+            found.append(sigma is not None)
+            return sigma, steps
+
+        monkeypatch.setattr(graphs, "_automorphism", counting)
+        g, c5 = make_kneser(5, 2), make_cycle(5)
+        out = hom_search(g, c5)
+        assert out == reference_search(g, c5)
+        assert found.count(True) == 4  # roots 1-4 are images of root 0
+
+    def test_budget_inside_a_skipped_subtree(self):
+        g, c5 = make_kneser(5, 2), make_cycle(5)
+        size = reference_search(g, c5).expansions // 5
+        for budget in (size, size + 1, 3 * size - 1, 3 * size, 3 * size + 1):
+            out = hom_search(g, c5, budget)
+            assert out == reference_search(g, c5, budget)
+        out = hom_search(g, c5, 3 * size - 1)
+        assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 3 * size)
+
+
+class TestAutomorphism:
+    def test_c7_rotation_or_reflection(self):
+        c7 = make_cycle(7)
+        sigma, steps = _automorphism(c7, 0, 3, 100)
+        assert sigma[0] == 3 and sorted(sigma) == list(range(7))
+        assert validate_hom(sigma, c7, c7)
+        assert steps == 7 + 6  # the order, then one candidate per vertex
+
+    def test_degree_mismatch(self):
+        path = Graph(range(3), [(0, 1), (1, 2)])
+        assert _automorphism(path, 0, 1, 100) == (None, 0)
+
+    def test_loop_mismatch(self):
+        # 0 and 1 both have degree 1; only 0 carries a loop
+        g = Graph(range(3), [(0, 0), (1, 2)])
+        assert _automorphism(g, 0, 1, 100) == (None, 0)
+
+    def test_rigid_graph(self):
+        # a path 0-1-2-3-4 with 5 joined to 2 and 3: only the identity
+        g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+        autos = [p for p in itertools.permutations(range(6)) if validate_hom(p, g, g)]
+        assert autos == [tuple(range(6))]
+        for a, b in itertools.permutations(range(6), 2):
+            assert _automorphism(g, a, b, 10_000)[0] is None
+
+    def test_allowance_caps_the_steps(self):
+        c7 = make_cycle(7)
+        assert _automorphism(c7, 0, 3, 6) == (None, 0)
+        assert _automorphism(c7, 0, 3, 9) == (None, 9)
+        assert _automorphism(c7, 0, 3, 13)[0] is not None
 
 
 class TestSearchCounts:
