@@ -6,6 +6,16 @@ eliminates unit pivots in minimum-fill order from a lazy queue, which holds
 every unit entry at its Markowitz cost and re-checks an entry only when it
 is popped, and the textbook dense algorithm finishes the rest.  No modular
 shortcuts, so torsion coefficients are exact.
+
+``homology`` reduces the boundary matrices from the top dimension down and
+clears as it goes (Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).
+A unit pivot of the sparse pass at (row s, column t) of the boundary of
+dimension d + 1 is an elementary reduction over Z: s plus a combination of
+the d-faces not yet paired is a boundary, so the boundary of s lies in the
+span of those faces' boundaries.  Column s of the boundary of dimension d
+is therefore dropped before that matrix is reduced; its image, and with it
+its rank and invariant factors, stay the same.  Pivots of the dense endgame
+are not units and clear nothing.
 """
 
 from __future__ import annotations
@@ -61,13 +71,15 @@ def boundary_matrices(K, limit=None):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def smith_normal_form(matrix, shape=None):
+def smith_normal_form(matrix, shape=None, pivot_rows=None):
     """Invariant factors and rank of an integer matrix.
 
     Accepts a dense matrix as any sequence of rows, or a sparse
     ``{(i, j): value}`` dict with an explicit ``(rows, cols)`` shape.
     Returns ``(factors, rank)``: the factors are the nonzero diagonal
     entries, positive and divisibility-chained, so ``rank == len(factors)``.
+    When ``pivot_rows`` is a set, the row of every unit pivot the sparse
+    pass takes is added to it; the dense endgame's rows are not.
     """
     if isinstance(matrix, dict):
         if shape is None:
@@ -79,11 +91,11 @@ def smith_normal_form(matrix, shape=None):
         if any(len(r) != n for r in dense):
             raise ValueError("ragged matrix")
         entries = (((i, j), v) for i, r in enumerate(dense) for j, v in enumerate(r))
-    factors = _snf_factors(entries)
+    factors = _snf_factors(entries, set() if pivot_rows is None else pivot_rows)
     return tuple(factors), len(factors)
 
 
-def _snf_factors(entries):
+def _snf_factors(entries, pivot_rows):
     rows = {}
     cols = {}
     for (i, j), v in entries:
@@ -111,6 +123,7 @@ def _snf_factors(entries):
             continue
         for ii, jj in _eliminate_unit(rows, cols, i, j):
             heapq.heappush(heap, (_markowitz(rows, cols, ii, jj), jj, ii))
+        pivot_rows.add(i)
         unit_count += 1
     dense_factors = []
     if rows:
@@ -261,7 +274,9 @@ class HomologyResult:
 
 
 def homology(K, limit=None):
-    """Unreduced integral homology of ``K`` in every dimension 0..dim."""
+    """Unreduced integral homology of ``K`` in every dimension 0..dim, with
+    the boundary matrices reduced from the top down and the columns that a
+    unit pivot one dimension up already paired cleared."""
     faces = K.faces(limit)
     if not faces:
         return HomologyResult(())
@@ -269,8 +284,13 @@ def homology(K, limit=None):
     counts = [len(faces[d]) for d in range(top + 1)]
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
-    for mat in boundary_matrices(K, limit):
-        factors, r = smith_normal_form(mat.entries, (mat.n_rows, mat.n_cols))
+    paired = set()  # rows of the unit pivots of the matrix one dimension up
+    for mat in reversed(boundary_matrices(K, limit)):
+        entries = mat.entries
+        if paired:
+            entries = {ij: v for ij, v in entries.items() if ij[1] not in paired}
+        paired = set()
+        factors, r = smith_normal_form(entries, (mat.n_rows, mat.n_cols), paired)
         rank[mat.dim] = r
         torsion[mat.dim] = tuple(f for f in factors if f > 1)
     groups = []

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from nbhd import (
     neighborhood_complex,
     smith_normal_form,
 )
-from nbhd import gf2
+from nbhd import HomologyResult, gf2
 from nbhd.homology import _snf_dense
 
 
@@ -82,6 +83,16 @@ class TestSmithNormalForm:
     def test_sparse_input(self):
         factors, rank = smith_normal_form({(0, 0): 2, (1, 1): 4}, shape=(2, 2))
         assert factors == (2, 4) and rank == 2
+
+    def test_pivot_rows_of_a_unimodular_matrix(self):
+        pivots = set()
+        assert smith_normal_form([[1, 1], [0, 1]], pivot_rows=pivots) == ((1, 1), 2)
+        assert pivots == {0, 1}
+
+    def test_pivot_rows_skip_the_dense_endgame(self):
+        pivots = set()
+        assert smith_normal_form({(0, 0): 2, (1, 1): 1}, (2, 2), pivots) == ((1, 2), 2)
+        assert pivots == {1}
 
     @given(small_int_matrices)
     @settings(max_examples=120, deadline=None)
@@ -173,6 +184,17 @@ class TestUnitPassAgainstTextbook:
         rows = [vals[i * n:(i + 1) * n] for i in range(m)]
         entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
         assert smith_normal_form(entries, (m, n)) == textbook_snf(rows)
+
+    @given(int_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_pivot_rows_leave_the_result_unchanged(self, matrix):
+        m, n, vals = matrix
+        entries = {(i, j): v for i in range(m) for j in range(n) if (v := vals[i * n + j])}
+        pivots = {-1}  # the out-set is only added to
+        got = smith_normal_form(entries, (m, n), pivot_rows=pivots)
+        assert got == smith_normal_form(entries, (m, n))
+        assert -1 in pivots and (pivots - {-1}) <= {i for i, _ in entries}
+        assert len(pivots) - 1 <= got[0].count(1)
 
     @given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
                     min_size=1, max_size=8))
@@ -305,6 +327,113 @@ class TestHomology:
         h = homology(neighborhood_complex(make_kneser(7, 2), 1))
         assert h.betti_vector == (1, 0, 0, 29, 0, 0, 0, 0, 0, 0)
         assert all(t == () for _, t in h.groups)
+
+    def test_kneser_8_3_radius1(self):
+        h = homology(neighborhood_complex(make_kneser(8, 3), 1))
+        assert h.betti_vector == (1, 0, 181, 0, 0, 0, 0, 0, 0, 0)
+        assert all(t == () for _, t in h.groups)
+
+
+def uncleared_homology(K):
+    """Oracle: homology from the Smith form of every full boundary matrix,
+    each reduced on its own with no column cleared."""
+    faces = K.faces()
+    if not faces:
+        return HomologyResult(())
+    rank = [0] * (len(faces) + 1)
+    torsion = [()] * (len(faces) + 1)
+    for mat in boundary_matrices(K):
+        factors, rank[mat.dim] = smith_normal_form(mat.entries, (mat.n_rows, mat.n_cols))
+        torsion[mat.dim] = tuple(f for f in factors if f > 1)
+    return HomologyResult(tuple(
+        (len(faces[d]) - rank[d] - rank[d + 1], torsion[d + 1])
+        for d in range(len(faces))
+    ))
+
+
+def moore_space(m):
+    """A Moore space M(Z/m, 1): the mapping cylinder of the m-fold wrap of a
+    3m-cycle b onto the triangle a, with the cycle b coned off at c."""
+    n = 3 * m
+    b = [("b", k) for k in range(n)]
+    a = [("a", k) for k in range(3)]
+    triangles = []
+    for k in range(n):
+        triangles.append((b[k], b[(k + 1) % n], a[(k + 1) % 3]))
+        triangles.append((b[k], a[k % 3], a[(k + 1) % 3]))
+        triangles.append(("c", b[k], b[(k + 1) % n]))
+    return SimplicialComplex.from_faces(triangles)
+
+
+def suspension(K):
+    """The join of ``K`` with two points, which shifts reduced homology up
+    by one dimension."""
+    return SimplicialComplex.from_faces(
+        [tuple(f) + (pole,) for f in K.facet_label_sets() for pole in ("north", "south")]
+    )
+
+
+def klein_bottle():
+    """The 3-by-3 grid on the torus with one pair of sides glued reversed."""
+    def v(i, j):
+        i %= 3
+        if j % 3 == 0 and j:
+            i = (-i) % 3  # crossing the top edge reverses the other side
+        return (i, j % 3)
+
+    triangles = []
+    for i in range(3):
+        for j in range(3):
+            triangles.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            triangles.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
+    return SimplicialComplex.from_faces(triangles)
+
+
+# the unit pass yields only 1s, so each torsion factor comes from a non-unit
+# factor of the dense endgame, whose rows must clear nothing
+TORSION_CASES = {
+    "rp2": (rp2_complex, ((1, ()), (0, (2,)), (0, ()))),
+    "moore3": (lambda: moore_space(3), ((1, ()), (0, (3,)), (0, ()))),
+    "moore4": (lambda: moore_space(4), ((1, ()), (0, (4,)), (0, ()))),
+    "klein": (klein_bottle, ((1, ()), (1, (2,)), (0, ()))),
+    "suspended rp2": (lambda: suspension(rp2_complex()),
+                      ((1, ()), (0, ()), (0, (2,)), (0, ()))),
+    "suspended moore3": (lambda: suspension(moore_space(3)),
+                         ((1, ()), (0, ()), (0, (3,)), (0, ()))),
+}
+
+
+class TestClearing:
+    """``homology`` drops the columns that a unit pivot one dimension up
+    paired; the uncleared reduction of every full matrix is the reference."""
+
+    @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=6),
+                    min_size=0, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_random_complexes_match_uncleared(self, faces):
+        K = SimplicialComplex.from_faces(faces)
+        assert homology(K) == uncleared_homology(K)
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CASES))
+    def test_torsion_cases(self, name):
+        build, groups = TORSION_CASES[name]
+        K = build()
+        assert homology(K).groups == groups
+        assert uncleared_homology(K).groups == groups
+
+    def test_paired_columns_are_not_reduced(self, monkeypatch):
+        # the full 4-simplex is acyclic and pairs only by units, so every
+        # matrix reaches the Smith form with exactly its rank in columns
+        module = sys.modules["nbhd.homology"]
+        seen = []
+
+        def recording(matrix, shape=None, pivot_rows=None):
+            seen.append(len({j for _, j in matrix}))
+            return smith_normal_form(matrix, shape, pivot_rows)
+
+        monkeypatch.setattr(module, "smith_normal_form", recording)
+        assert homology(full_simplex(4)).betti_vector == (1, 0, 0, 0, 0)
+        assert seen == [1, 4, 6, 4]
 
 
 class TestConnectivity:
