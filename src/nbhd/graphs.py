@@ -5,7 +5,9 @@ Vertex labels are opaque hashable values; computation runs on vertex indices
 (positions in ``Graph.vertices``).  Walk neighborhoods are exact-length: a
 vertex counts as reachable at radius ``r`` only through a walk of length
 exactly ``r``, so parities matter on bipartite graphs.  All values here are
-immutable after construction and safe to share between threads.
+immutable after construction, apart from a graph's memo of answers derived
+from it (its odd girth, its height bounds), and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -62,9 +64,11 @@ def _json_list(obj, key):
 
 class Graph:
     """Immutable graph on labelled vertices.  Adjacency is symmetrized on
-    construction; loops ``(v, v)`` are accepted."""
+    construction; loops ``(v, v)`` are accepted.  ``_memo`` holds answers
+    derived from the graph, so each is computed once; it takes no part in
+    equality or hashing."""
 
-    __slots__ = ("vertices", "adj", "tag", "_index")
+    __slots__ = ("vertices", "adj", "tag", "_index", "_memo")
 
     def __init__(self, vertices, edges=(), tag=None):
         self.vertices = tuple(vertices)
@@ -81,6 +85,7 @@ class Graph:
             adj[j].add(i)
         self.adj = tuple(frozenset(s) for s in adj)
         self.tag = tag
+        self._memo = {}
 
     @property
     def n_vertices(self):
@@ -174,11 +179,15 @@ def odd_girth(G):
     inside level d (a loop included) closes an odd walk of length 2d + 1
     through the source, and the least such length over all sources is the
     odd girth.  A source stops once 2d + 1 cannot beat the best so far.
+    The answer is kept in the graph's memo.
     """
-    best = math.inf
-    for s in range(G.n_vertices):
-        best = _odd_walk_length(G.adj, s, best)
-    return best
+    memo = G._memo
+    if "odd_girth" not in memo:
+        best = math.inf
+        for s in range(G.n_vertices):
+            best = _odd_walk_length(G.adj, s, best)
+        memo["odd_girth"] = best
+    return memo["odd_girth"]
 
 
 def _odd_walk_length(adj, s, bound):
@@ -249,22 +258,28 @@ def hom_search(G, H, budget=10_000_000):
     Source vertices are assigned in descending-degree order (ties by index),
     target candidates in index order, with forward checking on the candidate
     sets of unassigned neighbors.  Deterministic: equal inputs give equal
-    outcomes.  ``budget`` caps the number of attempted assignments.
+    outcomes.  ``budget`` caps the expansions (attempted assignments) of
+    that search tree, skipped subtrees counted in full, not the work done.
 
     Candidate sets are bit masks (bit ``h`` for target ``h``), taken lowest
     bit first, which is index order.  Forward checking ands the chosen
     target's neighbour mask into the sets of the neighbours later in the
     static order, the only unassigned ones, and restores those that shrank.
 
-    At the root, a target ``h`` that an automorphism of ``H`` maps onto an
-    earlier root target whose subtree failed is not searched: the root
-    candidate sets and the neighbour masks are invariant under Aut(H), so
-    ``h``'s subtree is that subtree's image and fails after as many
-    expansions, which are added instead.  The automorphism is found by
-    :func:`_automorphism` and checked edge by edge; all these searches in
-    one call share an allowance of the expansions counted so far.  The
-    search tree, so the outcome and the expansion count, is that of the
-    same search on Python sets without the skip.
+    Subtrees are skipped by symmetry, at every depth.  Let T be the targets
+    assigned above a node.  Its candidate sets are the initial ones, which
+    Aut(H) preserves, cut by the neighbour masks of targets in T, so every
+    automorphism fixing T pointwise preserves them.  A candidate ``h`` that
+    such an automorphism maps an earlier failed candidate ``h0`` of the node
+    onto is not searched: its subtree is the image of ``h0``'s, whose size
+    is added instead.  At the root T is empty.  Such an automorphism keeps
+    degree, loop and the distance to each target in T, so only an ``h0``
+    agreeing with ``h`` on these is tried, and no check runs below a node
+    where all targets differ.  :func:`_automorphism` finds it and checks it
+    edge by edge; answers are kept per (T, h0, h), and all its steps in one
+    call share an allowance of the expansions counted so far.  The outcome
+    and the expansion count are those of the same search on Python sets
+    without the skip.
     """
     nG, nH = G.n_vertices, H.n_vertices
     if nG == 0:
@@ -281,42 +296,76 @@ def hom_search(G, H, budget=10_000_000):
     domains = [loop_targets if i in G.adj[i] else (1 << nH) - 1 for i in range(nG)]
     assignment = [-1] * nG
     expansions = 0
-    failed_roots = []  # (root target, expansions of its subtree), as searched
     steps = 0  # spent on automorphisms, kept within the expansions
+    maps_onto = {}  # (T mask, h0, h) -> whether an automorphism fixing T sends h0 to h
+    partitions = {}  # T mask -> class of each target, or None once all differ
+    distances = [None] * nH  # breadth-first distances from each target, once needed
 
-    def failed_image(h):
-        """The subtree size of a failed root target that an automorphism
-        maps to ``h``, or None."""
+    def classes(keys):
+        """Class ids, equal where the keys are; None when all differ."""
+        ids = {}
+        out = tuple(ids.setdefault(key, len(ids)) for key in keys)
+        return None if len(ids) == nH else out
+
+    def refine(fixed, parent, t):
+        """The classes at T = ``fixed``: ``parent``'s, split by the distance
+        to ``t``, the target just added to T."""
+        if fixed not in partitions:
+            if distances[t] is None:
+                dist = distances[t] = [-1] * nH
+                dist[t] = 0
+                queue = [t]
+                for v in queue:
+                    for w in H.adj[v]:
+                        if dist[w] < 0:
+                            dist[w] = dist[v] + 1
+                            queue.append(w)
+            partitions[fixed] = classes(zip(parent, distances[t]))
+        return partitions[fixed]
+
+    def image_size(fixed, earlier, h):
+        """The subtree size of a failed candidate in ``earlier`` that an
+        automorphism fixing T = ``fixed`` maps to ``h``, or None."""
         nonlocal steps
-        for h0, size in failed_roots:
-            if expansions - steps < nH:  # not enough left to order H's vertices
-                break
-            sigma, spent = _automorphism(H, h0, h, expansions - steps)
-            steps += spent
-            if sigma is not None:
+        for h0, size in earlier:
+            key = (fixed, h0, h)
+            maps = maps_onto.get(key)
+            if maps is None:
+                allowance = expansions - steps
+                if allowance < nH:  # not enough left to order H's vertices
+                    continue
+                pins = [t for t in range(nH) if fixed >> t & 1]
+                sigma, spent = _automorphism(H, h0, h, allowance, pins)
+                steps += spent
+                maps = sigma is not None
+                if maps or spent < allowance:  # not cut off by the allowance
+                    maps_onto[key] = maps
+            if maps:
                 return size
         return None
 
-    def backtrack(k):
+    def backtrack(k, fixed, cls):
         nonlocal expansions
         if k == nG:
             return True
         u = order[k]
         ahead = later[k]
         candidates = domains[u]
-        root = k == 0
+        failed = {}  # class -> [(candidate, subtree size)], as searched
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             h = low.bit_length() - 1
-            if root:
-                size = failed_image(h)
-                if size is not None:
-                    expansions += size
-                    if expansions > budget:
-                        expansions = budget + 1
-                        raise _BudgetExhausted
-                    continue
+            if cls is not None:
+                earlier = failed.get(cls[h])
+                if earlier:
+                    size = image_size(fixed, earlier, h)
+                    if size is not None:
+                        expansions += size
+                        if expansions > budget:
+                            expansions = budget + 1
+                            raise _BudgetExhausted
+                        continue
                 start = expansions
             expansions += 1
             if expansions > budget:
@@ -333,50 +382,63 @@ def hom_search(G, H, budget=10_000_000):
                         break
             else:
                 assignment[u] = h
-                if backtrack(k + 1):
+                below = cls
+                if cls is not None and not fixed & low:
+                    below = refine(fixed | low, cls, h)
+                if backtrack(k + 1, fixed | low, below):
                     return True
             for w, old in saved:
                 domains[w] = old
-            if root:
-                failed_roots.append((h, expansions - start))
+            if cls is not None:
+                failed.setdefault(cls[h], []).append((h, expansions - start))
         return False
 
     try:
-        if backtrack(0):
+        if backtrack(0, 0, classes((len(nbrs), h in nbrs) for h, nbrs in enumerate(H.adj))):
             return SearchOutcome("found", tuple(assignment), expansions)
         return SearchOutcome("none", None, expansions)
     except _BudgetExhausted:
         return SearchOutcome("budget-exceeded", None, expansions)
 
 
-def _automorphism(H, a, b, allowance):
-    """An automorphism of ``H`` sending vertex ``a`` to ``b``, as a tuple of
-    images, and the number of steps spent.  The automorphism is None if
-    there is none, or if ``allowance`` steps did not find one.
+def _automorphism(H, a, b, allowance, fixed=()):
+    """An automorphism of ``H`` sending vertex ``a`` to ``b`` and fixing
+    every vertex in ``fixed``, as a tuple of images, and the number of steps
+    spent.  The automorphism is None if there is none, or if ``allowance``
+    steps did not find one.
 
-    ``a`` is pinned to ``b`` and the other vertices are assigned in
-    breadth-first order from ``a``, then from each unreached vertex by
-    index.  A candidate must be unused, have the same degree and loop
-    status, and be adjacent to exactly the images of the assigned
-    neighbours.  The result is checked edge by edge before it is returned.
-    Setting up the order costs one step per vertex, and each candidate
-    tried one more; with fewer than one step per vertex allowed, or with
-    ``a`` and ``b`` of different degree or loop status, nothing is spent.
+    ``a`` is pinned to ``b`` and each fixed vertex to itself; the other
+    vertices are assigned in breadth-first order from the pinned ones, then
+    from each unreached vertex by index.  A candidate must be unused, have
+    the same degree and loop status, and be adjacent to exactly the images
+    of the assigned neighbours.  The result is checked edge by edge before
+    it is returned.  Setting up the order costs one step per vertex, and
+    each candidate tried one more.  Nothing is spent with fewer than one
+    step per vertex allowed, with ``a`` and ``b`` of different degree or
+    loop status, or with pins no bijection keeps: ``a`` or ``b`` fixed
+    while ``a != b``, or a fixed vertex adjacent to only one of them.
     """
     n, adj = H.n_vertices, H.adj
-    if allowance < n or len(adj[a]) != len(adj[b]) or (a in adj[a]) != (b in adj[b]):
+    fixed = set(fixed)
+    if (
+        allowance < n
+        or len(adj[a]) != len(adj[b])
+        or (a in adj[a]) != (b in adj[b])
+        or (a != b and (a in fixed or b in fixed))
+        or any((t in adj[a]) != (t in adj[b]) for t in fixed)
+    ):
         return None, 0
+    fixed = sorted(fixed - {a})
     nbr = [sum(1 << j for j in nbrs) for nbrs in adj]
     kind = [(len(nbrs), v in nbrs) for v, nbrs in enumerate(adj)]
     same = {}
     for v, key in enumerate(kind):
         same[key] = same.get(key, 0) | 1 << v
-    order, reached, i = [], 0, 0
-    for s in (a, *range(n)):
-        if reached >> s & 1:
-            continue
-        reached |= 1 << s
-        order.append(s)
+    order = [a, *fixed]
+    pinned = len(order)
+    reached = sum(1 << v for v in order)
+    i = 0
+    for s in range(n + 1):
         while i < len(order):
             fresh = nbr[order[i]] & ~reached
             reached |= fresh
@@ -385,9 +447,14 @@ def _automorphism(H, a, b, allowance):
                 fresh ^= low
                 order.append(low.bit_length() - 1)
             i += 1
+        if s < n and not reached >> s & 1:
+            reached |= 1 << s
+            order.append(s)
     sigma = [-1] * n
+    for t in fixed:
+        sigma[t] = t
     sigma[a] = b
-    used = 1 << b
+    used = sum(1 << w for w in sigma if w >= 0)
 
     def candidates(k):
         v = order[k]
@@ -397,10 +464,10 @@ def _automorphism(H, a, b, allowance):
         return mask
 
     pending = [0] * n
-    k, steps = 1, n
-    if n > 1:
-        pending[1] = candidates(1)
-    while 0 < k < n:
+    k, steps = pinned, n
+    if k < n:
+        pending[k] = candidates(k)
+    while pinned <= k < n:
         v = order[k]
         if sigma[v] >= 0:
             used ^= 1 << sigma[v]
@@ -418,7 +485,7 @@ def _automorphism(H, a, b, allowance):
         k += 1
         if k < n:
             pending[k] = candidates(k)
-    if k == 0 or not all(sigma[j] in adj[sigma[i]] for i in range(n) for j in adj[i]):
+    if k < pinned or not all(sigma[j] in adj[sigma[i]] for i in range(n) for j in adj[i]):
         return None, steps
     return tuple(sigma), steps
 

@@ -337,8 +337,16 @@ def height_bounds(G, r, *, odd_cycle_scan=15, budget=10_000_000):
     parameters put the pair space on a sphere; the exact value ``r`` for the
     tagged (r+2)-cycle; the lower bound ``r`` whenever the odd girth is
     exactly ``r + 2``; and the upper bound 1 when the graph maps to some odd
-    cycle longer than ``2r`` (scanned up to ``odd_cycle_scan``).
+    cycle longer than ``2r`` (scanned up to ``odd_cycle_scan``).  The bounds
+    are kept in the graph's memo, per ``(r, odd_cycle_scan, budget)``.
     """
+    key = ("height_bounds", r, odd_cycle_scan, budget)
+    if key not in G._memo:
+        G._memo[key] = _height_bounds(G, r, odd_cycle_scan, budget)
+    return G._memo[key]
+
+
+def _height_bounds(G, r, odd_cycle_scan, budget):
     g0 = _require_free(G, r)
     rules = []
     tag = G.tag or ()

@@ -169,6 +169,14 @@ class TestOddGirth:
     def test_edgeless(self):
         assert odd_girth(Graph(range(3))) == math.inf
 
+    def test_memoized_on_the_graph(self, monkeypatch):
+        g = make_kneser(5, 2)
+        assert odd_girth(g) == 5
+        monkeypatch.setattr(graphs, "_odd_walk_length", None)  # no second search
+        assert odd_girth(g) == 5
+        fresh = make_kneser(5, 2)
+        assert g == fresh and hash(g) == hash(fresh)
+
     @given(graphs_with_loops(8))
     @settings(max_examples=300, deadline=None)
     def test_equals_least_odd_closed_walk(self, g):
@@ -373,7 +381,11 @@ class TestRootOrbitSkip:
         g, c5 = make_kneser(5, 2), make_cycle(5)
         out = hom_search(g, c5)
         assert out == reference_search(g, c5)
-        assert found.count(True) == 4  # roots 1-4 are images of root 0
+        # roots 1-4 are images of root 0; below root 0, where T = {0}, the
+        # reflection fixing 0 maps the failed candidates 2 and 1 onto 3 and
+        # 4, an answer kept for every later node with T = {0}; no other T
+        # of C5 is fixed by any automorphism but the identity
+        assert found.count(True) == 6
 
     def test_budget_inside_a_skipped_subtree(self):
         g, c5 = make_kneser(5, 2), make_cycle(5)
@@ -383,6 +395,68 @@ class TestRootOrbitSkip:
             assert out == reference_search(g, c5, budget)
         out = hom_search(g, c5, 3 * size - 1)
         assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 3 * size)
+
+
+# The triangular prism: vertex-transitive, but of the three neighbours of
+# vertex 0 only 1 and 2 are swapped by an automorphism fixing 0, though all
+# three are at distance 1 from it.
+PRISM = Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                         (0, 3), (1, 4), (2, 5)])
+
+# Targets whose automorphisms fixing the assigned targets are many, so that
+# subtrees below the root get skipped: complete graphs (the stabilizer of T
+# permutes the other vertices freely), Petersen, two pentagons, and the
+# prism, where an automorphism that moved the assigned targets would give
+# other counts.
+DEEP_TARGETS = [_complete(m) for m in range(2, 6)] + [
+    make_kneser(5, 2),
+    _disjoint_union(make_cycle(5), make_cycle(5)),
+    PRISM,
+]
+
+
+class TestOrbitSkipAtEveryDepth:
+    """Skipping a candidate that an automorphism fixing the assigned targets
+    maps onto a failed sibling leaves every outcome equal to the search
+    without the skip, at every budget."""
+
+    @given(loopless_graphs(9), st.sampled_from(DEEP_TARGETS))
+    @settings(max_examples=120, deadline=None)
+    def test_every_budget_equals_reference(self, g, h):
+        full = reference_search(g, h)
+        assert hom_search(g, h) == full
+        for budget in range(full.expansions + 3):
+            assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
+    def test_automorphisms_fix_the_assigned_targets(self):
+        # Grotzsch -> prism: at a node where T = {0}, candidate 1 fails; an
+        # automorphism maps 1 to 3, but none fixing 0, and the subtree under
+        # 3 differs in size from the one under 1
+        g = mycielskian(make_cycle(5))
+        full = reference_search(g, PRISM)
+        assert (full.status, full.expansions) == ("none", 1_104)
+        for budget in range(full.expansions + 3):
+            assert hom_search(g, PRISM, budget) == reference_search(g, PRISM, budget)
+
+    @pytest.mark.parametrize("g, h", [
+        # the rigid graph of TestAutomorphism.test_rigid_graph: no
+        # automorphism search can succeed
+        (mycielskian(mycielskian(make_cycle(5))),
+         Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])),
+        (make_kneser(7, 3), make_cycle(7)),
+    ], ids=["M(Grotzsch)->rigid", "K(7,3)->C7"])
+    def test_automorphism_steps_within_expansions(self, monkeypatch, g, h):
+        spent = []
+
+        def counting(*args):
+            sigma, steps = _automorphism(*args)
+            spent.append(steps)
+            return sigma, steps
+
+        monkeypatch.setattr(graphs, "_automorphism", counting)
+        out = hom_search(g, h)
+        assert out.status == "none"
+        assert spent and sum(spent) <= out.expansions
 
 
 class TestAutomorphism:
@@ -416,6 +490,35 @@ class TestAutomorphism:
         assert _automorphism(c7, 0, 3, 9) == (None, 9)
         assert _automorphism(c7, 0, 3, 13)[0] is not None
 
+    def test_pinned_targets_stay_fixed(self):
+        c7 = make_cycle(7)
+        sigma, _ = _automorphism(c7, 1, 6, 100, fixed=[0])
+        assert sigma == (0, 6, 5, 4, 3, 2, 1)  # the reflection through 0
+        assert _automorphism(c7, 1, 2, 100, fixed=[0])[0] is None
+        assert _automorphism(c7, 2, 4, 100, fixed=[0])[0] is None
+
+    def test_inconsistent_pins(self):
+        c7 = make_cycle(7)
+        assert _automorphism(c7, 1, 2, 100, fixed=[1]) == (None, 0)  # 1 sent to 1 and 2
+        assert _automorphism(c7, 1, 2, 100, fixed=[2]) == (None, 0)  # 2 the image of both
+        assert _automorphism(c7, 1, 3, 100, fixed=[0]) == (None, 0)  # 0 next to 1, not 3
+
+    @given(graphs_with_loops(6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, g, data):
+        n = g.n_vertices
+        if n == 0:
+            return
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        fixed = data.draw(st.sets(st.integers(0, n - 1)))
+        autos = [p for p in itertools.permutations(range(n))
+                 if p[a] == b and all(p[t] == t for t in fixed)
+                 and validate_hom(p, g, g)]
+        sigma, _ = _automorphism(g, a, b, 10**6, fixed)
+        assert (sigma is not None) == bool(autos)
+        if sigma is not None:
+            assert sigma in autos
+
 
 class TestSearchCounts:
     """The expansion counts the benchmark's verdict workload relies on, with
@@ -436,6 +539,12 @@ class TestSearchCounts:
         k4 = Graph(range(4), itertools.combinations(range(4), 2))
         out = hom_search(g, k4, budget=5_000)
         assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 5_001)
+
+    def test_triple_mycielskian_to_k5_has_none(self):
+        # chromatic number 6; the count is that of the search without skips
+        g = mycielskian(mycielskian(mycielskian(make_cycle(5))))
+        out = hom_search(g, _complete(5), budget=10**9)
+        assert (out.status, out.expansions) == ("none", 791_210_820)
 
 
 class TestValidateHom:

@@ -556,6 +556,28 @@ class TestHeightBounds:
         assert targets == [3]
         assert hb.lower == 1 and hb.upper is None
 
+    def test_memoized_per_radius_scan_and_budget(self, monkeypatch):
+        searches = []
+
+        def counting_search(G, H, budget):
+            searches.append((H.n_vertices, budget))
+            return hom_search(G, H, budget)
+
+        monkeypatch.setattr(z2, "hom_search", counting_search)
+        g = make_cycle(9)
+        hb = height_bounds(g, 1)
+        assert searches == [(3, 10_000_000)] and hb.upper == 1
+        assert height_bounds(g, 1) is hb
+        assert searches == [(3, 10_000_000)]  # no second scan search
+        height_bounds(g, 3)
+        height_bounds(g, 1, budget=1_000)
+        height_bounds(g, 1, odd_cycle_scan=13)
+        assert searches[1:] == [(7, 10_000_000), (3, 1_000), (3, 10_000_000)]
+        height_bounds(g, 1, budget=1_000)
+        assert len(searches) == 4
+        fresh = make_cycle(9)
+        assert g == fresh and hash(g) == hash(fresh)
+
     @given(st.integers(3, 9), st.sampled_from([0.25, 0.5]), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([1, 3]))
     @settings(max_examples=60, deadline=None)
