@@ -272,14 +272,18 @@ def hom_search(G, H, budget=10_000_000):
     automorphism fixing T pointwise preserves them.  A candidate ``h`` that
     such an automorphism maps an earlier failed candidate ``h0`` of the node
     onto is not searched: its subtree is the image of ``h0``'s, whose size
-    is added instead.  At the root T is empty.  Such an automorphism keeps
-    degree, loop and the distance to each target in T, so only an ``h0``
-    agreeing with ``h`` on these is tried, and no check runs below a node
-    where all targets differ.  :func:`_automorphism` finds it and checks it
-    edge by edge; answers are kept per (T, h0, h), and all its steps in one
-    call share an allowance of the expansions counted so far.  The outcome
-    and the expansion count are those of the same search on Python sets
-    without the skip.
+    is added instead.  At the root T is empty.  Only subtrees of more than
+    ``8 * nH`` expansions are kept as ``h0``: a smaller one is searched
+    again faster than an automorphism is looked for, so a search of small
+    subtrees does none of this work.  Such an automorphism keeps degree,
+    loop and the distance to each target in T; these classes are computed
+    once a node first has a kept ``h0``, only an ``h0`` of ``h``'s class is
+    tried, and a node where all targets differ runs no automorphism search
+    and turns the check off below its later candidates.
+    :func:`_automorphism` finds it and checks it edge by edge; answers are
+    kept per (T, h0, h), and all its steps in one call share an allowance of
+    the expansions counted so far.  The outcome and the expansion count are
+    those of the same search on Python sets without the skip.
     """
     nG, nH = G.n_vertices, H.n_vertices
     if nG == 0:
@@ -299,7 +303,7 @@ def hom_search(G, H, budget=10_000_000):
     steps = 0  # spent on automorphisms, kept within the expansions
     maps_onto = {}  # (T mask, h0, h) -> whether an automorphism fixing T sends h0 to h
     partitions = {}  # T mask -> class of each target, or None once all differ
-    distances = [None] * nH  # breadth-first distances from each target, once needed
+    distances = {}  # target -> breadth-first distances from it
 
     def classes(keys):
         """Class ids, equal where the keys are; None when all differ."""
@@ -307,27 +311,38 @@ def hom_search(G, H, budget=10_000_000):
         out = tuple(ids.setdefault(key, len(ids)) for key in keys)
         return None if len(ids) == nH else out
 
-    def refine(fixed, parent, t):
-        """The classes at T = ``fixed``: ``parent``'s, split by the distance
-        to ``t``, the target just added to T."""
-        if fixed not in partitions:
-            if distances[t] is None:
-                dist = distances[t] = [-1] * nH
-                dist[t] = 0
-                queue = [t]
-                for v in queue:
-                    for w in H.adj[v]:
-                        if dist[w] < 0:
-                            dist[w] = dist[v] + 1
-                            queue.append(w)
-            partitions[fixed] = classes(zip(parent, distances[t]))
-        return partitions[fixed]
+    def partition(fixed):
+        """The classes at T = ``fixed``: degree and loop, split by the
+        distance to each target in T; None when all differ."""
+        if fixed in partitions:
+            return partitions[fixed]
+        if not fixed:
+            cls = classes((len(nbrs), h in nbrs) for h, nbrs in enumerate(H.adj))
+        else:
+            t = fixed.bit_length() - 1
+            cls = partition(fixed ^ 1 << t)
+            if cls is not None:
+                if t not in distances:
+                    dist = distances[t] = [-1] * nH
+                    dist[t] = 0
+                    queue = [t]
+                    for v in queue:
+                        for w in H.adj[v]:
+                            if dist[w] < 0:
+                                dist[w] = dist[v] + 1
+                                queue.append(w)
+                cls = classes(zip(cls, distances[t]))
+        partitions[fixed] = cls
+        return cls
 
-    def image_size(fixed, earlier, h):
-        """The subtree size of a failed candidate in ``earlier`` that an
-        automorphism fixing T = ``fixed`` maps to ``h``, or None."""
+    def image_size(fixed, cls, failed, h):
+        """The subtree size of a candidate in ``failed`` that an automorphism
+        fixing T = ``fixed`` maps to ``h``, or None; ``cls`` is the
+        partition at T."""
         nonlocal steps
-        for h0, size in earlier:
+        for h0, size in failed:
+            if cls[h0] != cls[h]:
+                continue
             key = (fixed, h0, h)
             maps = maps_onto.get(key)
             if maps is None:
@@ -344,29 +359,31 @@ def hom_search(G, H, budget=10_000_000):
                 return size
         return None
 
-    def backtrack(k, fixed, cls):
+    def backtrack(k, fixed, live):
         nonlocal expansions
         if k == nG:
             return True
         u = order[k]
         ahead = later[k]
         candidates = domains[u]
-        failed = {}  # class -> [(candidate, subtree size)], as searched
+        failed = []  # (candidate, subtree size) of the large failed subtrees
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             h = low.bit_length() - 1
-            if cls is not None:
-                earlier = failed.get(cls[h])
-                if earlier:
-                    size = image_size(fixed, earlier, h)
+            if failed:
+                cls = partition(fixed)
+                if cls is None:  # all targets differ, here and below
+                    live, failed = False, []
+                else:
+                    size = image_size(fixed, cls, failed, h)
                     if size is not None:
                         expansions += size
                         if expansions > budget:
                             expansions = budget + 1
                             raise _BudgetExhausted
                         continue
-                start = expansions
+            start = expansions
             expansions += 1
             if expansions > budget:
                 raise _BudgetExhausted
@@ -382,19 +399,16 @@ def hom_search(G, H, budget=10_000_000):
                         break
             else:
                 assignment[u] = h
-                below = cls
-                if cls is not None and not fixed & low:
-                    below = refine(fixed | low, cls, h)
-                if backtrack(k + 1, fixed | low, below):
+                if backtrack(k + 1, fixed | low, live):
                     return True
             for w, old in saved:
                 domains[w] = old
-            if cls is not None:
-                failed.setdefault(cls[h], []).append((h, expansions - start))
+            if live and expansions - start > 8 * nH:
+                failed.append((h, expansions - start))
         return False
 
     try:
-        if backtrack(0, 0, classes((len(nbrs), h in nbrs) for h, nbrs in enumerate(H.adj))):
+        if backtrack(0, 0, True):
             return SearchOutcome("found", tuple(assignment), expansions)
         return SearchOutcome("none", None, expansions)
     except _BudgetExhausted:

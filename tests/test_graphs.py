@@ -381,11 +381,7 @@ class TestRootOrbitSkip:
         g, c5 = make_kneser(5, 2), make_cycle(5)
         out = hom_search(g, c5)
         assert out == reference_search(g, c5)
-        # roots 1-4 are images of root 0; below root 0, where T = {0}, the
-        # reflection fixing 0 maps the failed candidates 2 and 1 onto 3 and
-        # 4, an answer kept for every later node with T = {0}; no other T
-        # of C5 is fixed by any automorphism but the identity
-        assert found.count(True) == 6
+        assert found.count(True) == 4  # roots 1-4 are images of root 0
 
     def test_budget_inside_a_skipped_subtree(self):
         g, c5 = make_kneser(5, 2), make_cycle(5)
@@ -415,6 +411,20 @@ DEEP_TARGETS = [_complete(m) for m in range(2, 6)] + [
 ]
 
 
+# Sources whose searches keep failed subtrees of more than 8 * nH
+# expansions below the root, where the skips run: random graphs this small
+# fail too quickly.
+DEEP_SOURCES = [mycielskian(make_cycle(7)), mycielskian(make_cycle(5)), make_kneser(6, 2)]
+
+
+@st.composite
+def relabelled(draw, graphs):
+    """One of ``graphs`` with its vertex indices permuted."""
+    g = draw(st.sampled_from(graphs))
+    p = draw(st.permutations(range(g.n_vertices)))
+    return Graph(range(g.n_vertices), [(p[i], p[j]) for i, j in g.edges()])
+
+
 class TestOrbitSkipAtEveryDepth:
     """Skipping a candidate that an automorphism fixing the assigned targets
     maps onto a failed sibling leaves every outcome equal to the search
@@ -428,14 +438,24 @@ class TestOrbitSkipAtEveryDepth:
         for budget in range(full.expansions + 3):
             assert hom_search(g, h, budget) == reference_search(g, h, budget)
 
+    @given(relabelled(DEEP_SOURCES), relabelled(DEEP_TARGETS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_deep_skips_equal_reference(self, g, h, data):
+        full = reference_search(g, h)
+        assert hom_search(g, h) == full
+        budget = data.draw(st.integers(min_value=0, max_value=full.expansions + 2))
+        assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
     def test_automorphisms_fix_the_assigned_targets(self):
-        # Grotzsch -> prism: at a node where T = {0}, candidate 1 fails; an
-        # automorphism maps 1 to 3, but none fixing 0, and the subtree under
-        # 3 differs in size from the one under 1
-        g = mycielskian(make_cycle(5))
+        # K(6,2) -> prism: at a node where T = {0}, candidate 1 fails after
+        # more than 8 * 6 expansions; an automorphism maps 1 to 3, but none
+        # fixing 0, and the subtree under 3 differs in size from the one
+        # under 1.  Searched without the pins, the count is 6,516.
+        g = make_kneser(6, 2)
         full = reference_search(g, PRISM)
-        assert (full.status, full.expansions) == ("none", 1_104)
-        for budget in range(full.expansions + 3):
+        assert (full.status, full.expansions) == ("none", 5_712)
+        n = full.expansions
+        for budget in [*range(0, n, 41), *range(n - 2, n + 3)]:
             assert hom_search(g, PRISM, budget) == reference_search(g, PRISM, budget)
 
     @pytest.mark.parametrize("g, h", [
