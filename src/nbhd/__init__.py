@@ -32,7 +32,6 @@ from .complexes import (
     DEFAULT_FACE_LIMIT,
     Poset,
     SimplicialComplex,
-    box_complex,
     complex_from_json_obj,
     complex_to_json_obj,
     load_complex,

@@ -113,15 +113,8 @@ def _cmd_bposet(args):
 def _cmd_obstruct(args):
     g = load_graph(args.source)
     h = load_graph(args.target)
-    rep = obstruction_check(
-        g,
-        h,
-        args.r,
-        exact=args.exact,
-        budget=args.budget,
-        limit=args.limit_faces,
-        size_guard=args.guard,
-    )
+    rep = obstruction_check(g, h, args.r, exact=args.exact, budget=args.budget,
+                            limit=args.limit_faces)
     search = hom_search(g, h, args.budget)
     if rep.verdict == "NO-MAP" and search.found:
         raise ConsistencyError(
@@ -133,7 +126,6 @@ def _cmd_obstruct(args):
         "r": args.r,
         "exact": args.exact,
         "budget": args.budget,
-        "guard": args.guard,
     }
     result = {
         "obstruction": rep.to_json_obj(),
@@ -290,8 +282,6 @@ def _build_parser(face_default):
     sp.add_argument("r", type=int)
     sp.add_argument("--exact", action="store_true",
                     help="fall back to exact cup-power heights")
-    sp.add_argument("--guard", type=_count, default=200_000,
-                    help="ball-intersection guard for exact heights")
 
     sp = add("morse", _cmd_morse, "matching + collapse tower for a cycle complex",
              "limit-faces")

@@ -1,6 +1,6 @@
 """Abstract simplicial complexes and finite posets, plus the graph-derived
-builders: walk-neighborhood complexes, linked-pair posets, box complexes and
-order complexes.
+builders: walk-neighborhood complexes, linked-pair posets and order
+complexes.
 
 Complexes are stored by facets; full face enumeration is on demand, cached,
 and guarded by a face-count limit (default 5,000,000).  Constructed values
@@ -25,7 +25,6 @@ __all__ = [
     "sorted_labels",
     "neighborhood_complex",
     "pair_poset",
-    "box_complex",
     "order_complex",
     "complex_to_json_obj",
     "complex_from_json_obj",
@@ -378,39 +377,6 @@ def pair_poset(G, r, size_guard=200_000):
         for a, b in elements
     ]
     return Poset(payloads, covers)
-
-
-def box_complex(G, r, size_guard=200_000):
-    """Box complex of the exact-r walk graph: a facet ``A x {0} + CN(A) x {1}``
-    per nonempty intersection ``A`` of walk balls, ``CN(A)`` being that of the
-    balls of A's members.  Vertices are ``(label, sheet)``, sheet 0 first.
-    Raises :class:`ResourceLimitError` past ``size_guard`` intersections."""
-    if r < 1:
-        raise ValueError("radius must be at least 1")
-    balls = [walk_ball(G, i, r) for i in range(G.n_vertices)]
-    lattice = {b for b in balls if b}
-    queue = list(lattice)
-    # every intersection of balls is reached one ball at a time
-    for a in queue:
-        if len(lattice) > size_guard:
-            raise ResourceLimitError(
-                f"ball-intersection enumeration reached {len(lattice)} sets, "
-                f"above the guard of {size_guard}", count=len(lattice), limit=size_guard)
-        for b in balls:
-            c = a & b
-            if c and c not in lattice:
-                lattice.add(c)
-                queue.append(c)
-    active = [i for i, b in enumerate(balls) if b]
-    slot = {x: 2 * k for k, x in enumerate(active)}
-    vertices = [(G.vertices[x], s) for x in active for s in (0, 1)]
-    # A <= A' forces CN(A) >= CN(A'), and A = CN(CN(A)) for an intersection
-    # A, so no facet lies in another
-    facets = []
-    for a in lattice:
-        cn = frozenset.intersection(*(balls[x] for x in a))
-        facets.append(sorted([slot[x] for x in a] + [slot[y] + 1 for y in cn]))
-    return SimplicialComplex._from_indexed(vertices, facets)
 
 
 def order_complex(P, limit=None):

@@ -6,7 +6,9 @@ Height uses the sup convention: the largest n with the n-th cup power of the
 cover's class nonzero (0 when the class itself is trivial).  It is computed on
 the orbit Delta-complex K/t, with no subdivision for any free simplicial
 involution (Hatcher, *Algebraic Topology*, sections 2.1 and 3.2), and for
-pair spaces on the Z2-homotopy equivalent box complex (Csorba 2007).
+pair spaces on the Z2-homotopy equivalent box complex (Csorba 2007), whose
+orbit faces come straight from walk-ball bit masks.  The orbit complex is
+grown one dimension at a time, only as far as the cup powers are tested.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from math import comb
 
 from . import gf2
-from .complexes import DEFAULT_FACE_LIMIT, box_complex
+from .complexes import DEFAULT_FACE_LIMIT
 from .errors import FreenessError, ResourceLimitError
-from .graphs import hom_search, make_cycle, odd_girth
+from .graphs import hom_search, make_cycle, odd_girth, walk_ball
 
 __all__ = [
     "Involution",
@@ -109,44 +111,86 @@ def check_free_involution(K, t):
 
 
 class _OrbitComplex:
-    """Orbit Delta-complex of t(v) = v ^ 1: each orbit {f, t(f)} of faces is
-    stored as the one starting on an even vertex.  t keeps the order in a
-    face, so the i-th, front and back faces of the orbit are those of f, found
-    from either member by :func:`_positions`.  The build applied ``limit``."""
+    """Orbit Delta-complex of t(v) = v ^ 1, read lazily from ``source``, an
+    iterator of orbit faces ordered by dimension: each orbit {f, t(f)} of
+    faces is given as the one starting on an even vertex.  t keeps the order
+    in a face, so the i-th, front and back faces of the orbit are those of f,
+    found from either member by :func:`_positions`.  ``limit`` bounds the
+    faces read."""
 
-    __slots__ = ("_faces",)
+    __slots__ = ("_source", "_next", "_faces", "_count", "_cap")
 
-    def __init__(self, faces):
-        self._faces = faces
+    def __init__(self, source, limit=None):
+        self._source = source
+        self._next = next(source, None)
+        self._faces = {}
+        self._count = 0
+        self._cap = DEFAULT_FACE_LIMIT if limit is None else limit
+
+    def grow(self, d):
+        """Read the faces up to dimension ``d``; return all read so far."""
+        while self._next is not None and len(self._next) <= d + 1:
+            self._count += 1
+            if self._count > self._cap:
+                raise ResourceLimitError(
+                    f"orbit-face enumeration reached {self._count} faces, above the "
+                    f"limit of {self._cap}", count=self._count, limit=self._cap)
+            self._faces.setdefault(len(self._next) - 1, []).append(self._next)
+            self._next = next(self._source, None)
+        return self._faces
 
     def faces(self, limit=None):
         return self._faces
 
 
-def _orbit_complex(facets, limit, upto=None):
-    """The orbit complex of t(v) = v ^ 1 on the complex with these facets
-    (sorted tuples, t free and simplicial on them), without its simplices
-    above dimension ``upto``.  ``limit`` bounds its faces."""
-    cap = DEFAULT_FACE_LIMIT if limit is None else limit
-    top = math.inf if upto is None else upto
-    seen = set()
-    for f in facets:
-        # a face starting on an odd vertex is the image of one in t(f), also
-        # a facet, that starts on an even vertex
-        for i, v in enumerate(f):
-            if v & 1:
-                continue
-            for k in range(min(top, len(f) - 1 - i) + 1):
-                for rest in itertools.combinations(f[i + 1:], k):
-                    seen.add((v,) + rest)
-                    if len(seen) > cap:
-                        raise ResourceLimitError(
-                            f"orbit-face enumeration reached {len(seen)} faces, "
-                            f"above the limit of {cap}", count=len(seen), limit=cap)
-    by_dim = {}
-    for f in seen:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    return _OrbitComplex({d: sorted(by_dim[d]) for d in sorted(by_dim)})
+def _facet_faces(facets):
+    """Orbit faces of t(v) = v ^ 1 on the complex with these facets (sorted
+    tuples, t free and simplicial on them), one dimension at a time."""
+    for d in itertools.count():
+        seen = set()
+        # a face starting on an odd vertex is the image of one in t(f), also a
+        # facet, that starts on an even vertex
+        for face in ((v,) + rest for f in facets for i, v in enumerate(f) if not v & 1
+                     for rest in itertools.combinations(f[i + 1:], d)):
+            if face not in seen:
+                seen.add(face)
+                yield face
+        if not seen:
+            return
+
+
+def _box_faces(G, r):
+    """Orbit faces of the box complex B(G_r) under its sheet swap, by
+    dimension, each in lexicographic order (Matousek & Ziegler 2004): A x {0}
+    + B x {1} with B in the exact-r walk ball of each member of A and both
+    common balls CN(A), CN(B) nonempty (CN of no vertex is every vertex).
+    Vertex 2i + s is the i-th vertex with a nonempty ball, on sheet s; each
+    orbit is its face starting on an even vertex, reached once."""
+    balls = [walk_ball(G, x, r) for x in range(G.n_vertices)]
+    slot = {x: i for i, x in enumerate(x for x in range(G.n_vertices) if balls[x])}
+    masks = [sum(1 << slot[y] for y in balls[x]) for x in slot]
+    # a level holds (face, CN of sheet 0, CN of sheet 1) as bit masks
+    level = [((2 * i,), m, (1 << len(masks)) - 1) for i, m in enumerate(masks)]
+    yield from (face for face, _, _ in level)
+    while level:
+        nxt = []
+        for face, c0, c1 in level:
+            v = face[-1]
+            # a new vertex lies in the other sheet's common ball and keeps
+            # its own sheet's nonempty; candidates go lowest slot first
+            cand = (c0 | c1) >> (v >> 1) << (v >> 1)
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                m = masks[i]
+                if 2 * i > v and c1 & low and c0 & m:
+                    nxt.append((face + (2 * i,), c0 & m, c1))
+                    yield nxt[-1][0]
+                if 2 * i + 1 > v and c0 & low and c1 & m:
+                    nxt.append((face + (2 * i + 1,), c0, c1 & m))
+                    yield nxt[-1][0]
+        level = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +229,7 @@ def _positions(Q, faces):
     orbit map to the orbit's index."""
     pos = {f: i for i, f in enumerate(faces)}
     if isinstance(Q, _OrbitComplex):
-        pos.update({tuple(v ^ 1 for v in f): i for i, f in enumerate(faces)})
+        pos.update({tuple([v ^ 1 for v in f]): i for i, f in enumerate(faces)})
     return pos
 
 
@@ -225,20 +269,24 @@ def is_coboundary(Q, c, limit=None):
     upper = faces.get(c.dim, [])
     if len(upper) != len(c.bits):
         raise ValueError("cochain does not match the complex")
-    pos = _positions(Q, lower)
-    ones = []
-    for r, f in enumerate(upper):
-        for i in range(len(f)):
-            ones.append((r, pos[f[:i] + f[i + 1:]]))
-    return gf2.in_column_space(len(upper), len(lower), ones, c.bits)
+    return _in_image(upper, lower, _positions(Q, lower), c.bits)
+
+
+def _in_image(upper, lower, pos, bits, cleared=(), pivot_rows=None):
+    """Is ``bits`` on the faces ``upper`` the coboundary of a cochain on the
+    faces ``lower`` (indexed by ``pos``)?  The columns of the lower faces in
+    ``cleared`` are left out, as they lie in the span of the others."""
+    ones = ((r, j) for r, f in enumerate(upper) for i in range(len(f))
+            if (j := pos[f[:i] + f[i + 1:]]) not in cleared)
+    return gf2.in_column_space(len(upper), len(lower), ones, bits, pivot_rows)
 
 
 def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
     nonzero in cohomology (iterated cup powers plus coboundary membership),
-    computed on the orbit Delta-complex.  ``limit`` guards its faces, half
-    as many as those of ``K``."""
-    return _height(_orbit_complex(_orbit_labelled(K, t), limit))
+    computed on the orbit Delta-complex.  ``limit`` guards the faces read,
+    half as many as those of ``K`` up to the dimension the height needs."""
+    return _height(_OrbitComplex(_facet_faces(_orbit_labelled(K, t)), limit))
 
 
 def _orbit_labelled(K, t):
@@ -254,21 +302,29 @@ def _orbit_labelled(K, t):
     return [sorted(new[v] for v in f) for f in K.facets]
 
 
-def _height(Q):
-    """Height on an orbit complex, capped at its top dimension: min(height, k)
-    on the k-skeleton, as H^k of the whole injects into H^k of the skeleton."""
-    faces = Q.faces()
-    # orbit (a, b) lifts from sheet 0 of a's orbit to sheet b & 1 of b's
-    w = CochainZ2(1, tuple(e[1] & 1 for e in faces.get(1, [])))
-    top = max(faces, default=0)
-    height = 0
-    power = w
-    for k in range(1, top + 1):
-        if is_coboundary(Q, power):
+def _height(Q, cap=math.inf):
+    """min(height, cap) on a lazily grown orbit complex.  w^k is tested on
+    the k-skeleton, grown only when the loop reaches it, as H^k of the whole
+    injects into H^k of the skeleton.  The pivot rows of each reduction are
+    cleared columns one dimension up: such a row tops a reduced cocycle, so
+    its coboundary lies in the span of the lower rows' (de Silva, Morozov &
+    Vejdemo-Johansson 2011)."""
+    height, cleared = 0, set()
+    while height < cap:
+        k = height + 1
+        faces = Q.grow(k)
+        if k not in faces:
             break
-        height = k
-        if k < top:
+        if k == 1:
+            # orbit (a, b) lifts from sheet 0 of a's orbit to sheet b & 1 of b's
+            w = power = CochainZ2(1, tuple(e[1] & 1 for e in faces[1]))
+        else:
             power = cup_product(Q, power, w)
+        lower = faces[k - 1]
+        pivots = set()
+        if _in_image(faces[k], lower, _positions(Q, lower), power.bits, cleared, pivots):
+            break
+        height, cleared = k, pivots
     return height
 
 
@@ -278,20 +334,17 @@ def pair_swap_involution(K):
     return Involution.from_label_map(K, {v: (v[1], v[0]) for v in K.vertices})
 
 
-def pair_space_height(G, r, *, size_guard=200_000, limit=None):
+def pair_space_height(G, r, *, limit=None):
     """Exact involution height of the order complex of the linked-pair poset
     at odd radius ``r`` under the swap, taken on the box complex under its
     sheet swap: it is Z2-homotopy equivalent to Hom(K2, G_r) (Csorba 2007),
-    whose face poset is the linked-pair poset (Babson & Kozlov 2006).
-    ``size_guard`` bounds its ball intersections, ``limit`` its orbit faces."""
-    return _pair_height(G, r, size_guard, limit)
-
-
-def _pair_height(G, r, size_guard, limit, upto=None):
-    # (x, 1) follows (x, 0), so the sheet swap is v ^ 1; it is free and
-    # simplicial once _require_free holds
+    whose face poset is the linked-pair poset (Babson & Kozlov 2006).  Its
+    orbit faces are read from the walk balls only up to the dimension the
+    height needs; ``limit`` bounds the faces read."""
+    # vertex 2i + 1 is 2i on the other sheet, so the sheet swap is v ^ 1; it
+    # is free and simplicial once _require_free holds
     _require_free(G, r)
-    return _height(_orbit_complex(box_complex(G, r, size_guard).facets, limit, upto))
+    return _height(_OrbitComplex(_box_faces(G, r), limit))
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +454,14 @@ class ObstructionReport:
         }
 
 
-def obstruction_check(
-    G,
-    H,
-    r,
-    exact=False,
-    *,
-    budget=10_000_000,
-    size_guard=200_000,
-    limit=None,
-    odd_cycle_scan=15,
-):
+def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None,
+                      odd_cycle_scan=15):
     """Compare a height lower bound for the source against an upper bound for
     the target: NO-MAP when the source height provably exceeds the target's.
 
     With ``exact=True``, a side whose cheap rules produced no exact value gets
-    the cup-power height of its pair space instead (subject to the size
-    guards).  The target's comes first; only "source height > upper" decides
+    the cup-power height of its pair space instead (subject to the face
+    ``limit``).  The target's comes first; only "source height > upper" decides
     the verdict, so the source's is computed up to ``upper + 1`` and reported
     as min(height, upper + 1), or not at all when its cheap lower bound
     already exceeds ``upper`` (that bound is reported).  Requires ``r`` odd
@@ -430,13 +474,14 @@ def obstruction_check(
     # a cheap rule may only bound the height; exact mode replaces anything
     # short of an exact rule by the cup-power height, as far as it matters
     if exact and not any(b.kind == "exact" for b in ub.rules):
-        upper = pair_space_height(H, r, size_guard=size_guard, limit=limit)
+        upper = pair_space_height(H, r, limit=limit)
         urule = "cup-power-height"
     if exact and not any(b.kind == "exact" for b in lb.rules):
         # the source's height matters only up to upper + 1, and not at all
-        # when a cheap lower bound already exceeds upper
+        # when a cheap lower bound already exceeds upper; height_bounds has
+        # checked that its swap is free
         if lower is None or lower <= upper:
-            lower = _pair_height(G, r, size_guard, limit, upper + 1)
+            lower = _height(_OrbitComplex(_box_faces(G, r), limit), upper + 1)
             lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"

@@ -167,12 +167,6 @@ class TestObstruct:
         assert res["verdict"] == "NO-MAP"
         assert res["lhs"] == {"bound": 2, "rule": "cup-power-height"}
 
-    def test_guard_is_echoed(self, capsys, petersen_file, c5_file):
-        _, report = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
-        assert report["parameters"]["guard"] == 200_000
-        _, report = run_json(capsys, ["obstruct", petersen_file, c5_file, "3", "--guard", "7"])
-        assert report["parameters"]["guard"] == 7
-
     def test_deterministic_payloads(self, capsys, petersen_file, c5_file):
         _, a = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
         _, b = run_json(capsys, ["obstruct", petersen_file, c5_file, "3"])
@@ -226,8 +220,7 @@ def test_malformed_json_shape_is_an_input_error(tmp_path, capsys, command, obj):
     (["homology", "{petersen}", "-r", "3", "--limit-faces", "50"], "face enumeration"),
     (["obstruct", "{k4}", "{c5}", "1", "--exact", "--limit-faces", "3"],
      "orbit-face enumeration"),
-    (["obstruct", "{k4}", "{c5}", "1", "--exact", "--guard", "5"],
-     "ball-intersection enumeration"),
+    (["complex", "{petersen}", "3", "--limit-faces", "50"], "face enumeration"),
     (["kneser-table", "10", "14", "2", "5", "--limit-cells", "100"], "kneser-table"),
 ])
 def test_resource_limit_names_stage_and_count(tmp_path, capsys, petersen_file, c5_file,
@@ -314,6 +307,7 @@ class TestOptionsWhereRead:
         ["kneser-table", "5", "7", "2", "3", "--budget", "5"],
         ["morse", "7", "2", "--budget", "5"],
         ["bposet", "G", "3", "--limit-faces", "5"],
+        ["obstruct", "G", "H", "3", "--guard", "7"],
     ])
     def test_unread_option_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -325,7 +319,7 @@ class TestOptionsWhereRead:
         ["obstruct", "{g}", "{g}", "3", "--budget", "-5"],
         ["homology", "{g}", "-r", "3", "--limit-faces", "-1"],
         ["complex", "{g}", "3", "--limit-faces", "-1"],
-        ["obstruct", "{g}", "{g}", "3", "--exact", "--guard", "-1"],
+        ["obstruct", "{g}", "{g}", "3", "--exact", "--limit-faces", "-1"],
         ["bposet", "{g}", "1", "--guard", "-1"],
         ["kneser-table", "5", "7", "2", "3", "--limit-cells", "-1"],
         ["hom-search", "{g}", "{g}", "--budget", "ten"],

@@ -12,7 +12,6 @@ from nbhd import (
     Poset,
     ResourceLimitError,
     SimplicialComplex,
-    box_complex,
     complex_from_json_obj,
     complex_to_json_obj,
     homology,
@@ -207,33 +206,6 @@ class TestPairPoset:
             a, b = P.elements[i], P.elements[j]
             si, sj = index[(a[1], a[0])], index[(b[1], b[0])]
             assert P.leq(si, sj)
-
-
-class TestBoxComplex:
-    @given(small_graphs, st.integers(min_value=1, max_value=3))
-    @settings(max_examples=40, deadline=None)
-    def test_facets_are_maximal_and_swap_closed(self, g, r):
-        K = box_complex(g, r)
-        faces = [K.face_labels(f) for f in K.facets]
-        assert SimplicialComplex.from_faces(faces) == K
-        swapped = frozenset(frozenset((v, 1 - s) for v, s in f) for f in faces)
-        assert swapped == K.facet_label_sets()
-        for f in faces:
-            a = {v for v, s in f if s == 0}
-            b = {v for v, s in f if s == 1}
-            assert all(y in walk_neighborhood(g, x, r) for x in a for y in b)
-
-    def test_pentagon_at_radius_one(self):
-        # five balls of two vertices and their five singleton intersections
-        K = box_complex(make_cycle(5), 1)
-        assert K.n_vertices == 10 and len(K.facets) == 10
-        assert sorted(len(f) for f in K.facets) == [3] * 10
-
-    def test_guard_names_stage_and_count(self):
-        with pytest.raises(ResourceLimitError) as err:
-            box_complex(make_kneser(5, 1), 1, size_guard=10)
-        assert err.value.limit == 10 and err.value.count > 10
-        assert f"reached {err.value.count} sets" in str(err.value)
 
 
 class TestPosetsAndOrderComplexes:

@@ -233,7 +233,20 @@ class TestGF2:
     @settings(max_examples=300, deadline=None)
     def test_rank_matches_odd_invariant_factors(self, system):
         m, n, ones, _ = system
-        assert gf2.rank_sparse(m, n, ones) == snf_rank2(m, n, ones)
+        pivot_rows = set()
+        gf2.in_column_space(m, n, ones, [0] * m, pivot_rows)
+        assert len(pivot_rows) == snf_rank2(m, n, ones)
+
+    @given(gf2_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_pivot_rows_carry_the_rank(self, system):
+        # the reduced columns have distinct largest rows, so the matrix keeps
+        # its rank on the pivot rows alone
+        m, n, ones, _ = system
+        pivot_rows = set()
+        gf2.in_column_space(m, n, ones, [0] * m, pivot_rows)
+        kept = [(i, j) for i, j in ones if i in pivot_rows]
+        assert snf_rank2(m, n, kept) == len(pivot_rows)
 
     @given(gf2_systems())
     @settings(max_examples=300, deadline=None)
@@ -300,7 +313,9 @@ class TestHomology:
         rank2 = [0] * (len(faces) + 1)
         for mat in mats:
             ones = [(i, j) for (i, j), v in mat.entries.items() if v % 2]
-            rank2[mat.dim] = gf2.rank_sparse(mat.n_rows, mat.n_cols, ones)
+            pivot_rows = set()
+            gf2.in_column_space(mat.n_rows, mat.n_cols, ones, [0] * mat.n_rows, pivot_rows)
+            rank2[mat.dim] = len(pivot_rows)
         for d in range(len(faces)):
             betti2 = len(faces[d]) - rank2[d] - rank2[d + 1]
             t_here = sum(1 for t in h.torsion(d) if t % 2 == 0)

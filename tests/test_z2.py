@@ -44,7 +44,14 @@ from nbhd import (
 )
 from nbhd import z2
 from nbhd.complexes import sorted_labels
-from nbhd.z2 import HeightBound, _height, _orbit_complex, _orbit_labelled, _pair_height
+from nbhd.z2 import (
+    HeightBound,
+    _box_faces,
+    _facet_faces,
+    _height,
+    _orbit_labelled,
+    _OrbitComplex,
+)
 from quotient_oracle import (
     QuotientStructureError,
     build_quotient,
@@ -398,11 +405,20 @@ class TestHeights:
         assert pair_space_height(Graph(range(4), []), 3) == 0
 
     def test_ball_guard_names_stage_and_count(self):
+        # the face limit is the height's only guard
         with pytest.raises(ResourceLimitError) as err:
-            pair_space_height(make_cycle(5), 1, size_guard=5)
-        assert err.value.limit == 5 and err.value.count > 5
-        assert "ball-intersection" in str(err.value)
+            pair_space_height(make_cycle(5), 1, limit=5)
+        assert (err.value.count, err.value.limit) == (6, 5)
+        assert "orbit-face" in str(err.value)
         assert str(err.value.count) in str(err.value)
+
+    def test_face_limit_bounds_only_the_faces_read(self):
+        # the orbit faces of C7 at r=3 number 7/35/63/49/14 by dimension;
+        # height 1 is settled on the 2-skeleton, 105 faces
+        assert pair_space_height(make_cycle(7), 3, limit=105) == 1
+        with pytest.raises(ResourceLimitError) as err:
+            pair_space_height(make_cycle(7), 3, limit=104)
+        assert (err.value.count, err.value.limit) == (105, 104)
 
 
 def cross_polytope_sphere(n):
@@ -445,12 +461,66 @@ class TestOrbitHeightAgainstQuotient:
         assert quotient_complex(K, t).subdivisions >= 1
         assert z2_height(K, t) == reference_height(K, t) == K.dim
 
+    @given(free_double_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_facet_source_gives_the_faces_on_even_vertices(self, case):
+        # each orbit once, by dimension, as its member starting on an even
+        # vertex once the orbits are renamed {2o, 2o + 1}
+        K, t = case
+        facets = _orbit_labelled(K, t)
+        got = list(_facet_faces(facets))
+        assert [len(f) for f in got] == sorted(len(f) for f in got)
+        expected = {f for g in facets for k in range(1, len(g) + 1)
+                    for f in itertools.combinations(g, k) if f[0] % 2 == 0}
+        assert len(got) == len(expected) == sum(map(len, K.faces().values())) // 2
+        assert set(got) == expected
+
     @given(free_double_covers(), st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         K, t = case
-        truncated = _height(_orbit_complex(_orbit_labelled(K, t), None, k))
+        truncated = _height(_OrbitComplex(_facet_faces(_orbit_labelled(K, t))), k)
         assert truncated == min(z2_height(K, t), k)
+
+
+def box_orbit_faces_oracle(G, r):
+    """The box complex's faces that start on an even vertex, by dimension and
+    in lexicographic order, from the definition: vertex 2i + s is the i-th
+    vertex with an exact-r walk from it, on sheet s, and A x {0} + B x {1}
+    is a face when every (a, b) in A x B is joined by an exact-r walk and
+    the common walk neighbours of A, and those of B, are nonempty."""
+    n = G.n_vertices
+    walks = {(x, y) for x in range(n) for y in range(n)
+             if any(all(w[j + 1] in G.adj[w[j]] for j in range(r))
+                    for w in ((x, *mid, y) for mid in itertools.product(range(n), repeat=r - 1)))}
+    active = [x for x in range(n) if any((x, y) in walks for y in range(n))]
+
+    def common(side):
+        return [y for y in active if all((x, y) in walks for x in side)]
+
+    out = []
+    for size in range(1, 2 * len(active) + 1):
+        for face in itertools.combinations(range(2 * len(active)), size):
+            a = [active[v >> 1] for v in face if not v & 1]
+            b = [active[v >> 1] for v in face if v & 1]
+            if (face[0] % 2 == 0 and all((x, y) in walks for x in a for y in b)
+                    and common(a) and common(b)):
+                out.append(face)
+    return out
+
+
+class TestBoxFaces:
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                max_size=2 * n) if n else st.just(set()),
+        st.integers(1, 3))))
+    @settings(max_examples=150, deadline=None)
+    def test_against_the_definition(self, case):
+        # loops and even radii included: the sheet swap need not be free
+        n, edges, r = case
+        G = Graph(range(n), edges)
+        assert list(_box_faces(G, r)) == box_orbit_faces_oracle(G, r)
 
 
 class TestBoxHeightAgainstPairSpace:
@@ -474,7 +544,7 @@ class TestBoxHeightAgainstPairSpace:
     @settings(max_examples=100, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         G, r = case
-        assert _pair_height(G, r, 200_000, None, k) == min(pair_space_height(G, r), k)
+        assert _height(_OrbitComplex(_box_faces(G, r)), k) == min(pair_space_height(G, r), k)
 
 
 
