@@ -147,7 +147,8 @@ def make_kneser(n, k):
     if k > n:
         raise ValueError("subset size exceeds ground-set size")
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    edges = [(a, b) for a, b in itertools.combinations(subsets, 2) if not set(a) & set(b)]
+    masked = [(a, sum(1 << i for i in a)) for a in subsets]  # disjoint: masks share no bit
+    edges = [(a, b) for (a, x), (b, y) in itertools.combinations(masked, 2) if not x & y]
     return Graph(subsets, edges, tag=("kneser", n, k))
 
 
@@ -252,6 +253,23 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Reach(dict):
+    """N(D) per set mask D of targets: the mask of the targets adjacent to
+    some member of D, given the neighbour mask of each target."""
+
+    def __init__(self, allowed):
+        self.allowed = allowed
+
+    def __missing__(self, d):
+        out, rest = 0, d
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out |= self.allowed[low.bit_length() - 1]
+        self[d] = out
+        return out
+
+
 def hom_search(G, H, budget=10_000_000):
     """Exhaustive backtracking search for a graph homomorphism ``G -> H``.
 
@@ -282,21 +300,37 @@ def hom_search(G, H, budget=10_000_000):
     and turns the check off below its later candidates.
     :func:`_automorphism` finds it and checks it edge by edge; answers are
     kept per (T, h0, h), and all its steps in one call share an allowance of
-    the expansions counted so far.  The outcome and the expansion count are
-    those of the same search on Python sets without the skip.
+    the expansions counted so far.
+
+    Candidates that would wipe out a set are screened out once per node.  A
+    candidate is viable when it lies in N(D), the targets adjacent to some
+    member of D, for the set D of each later neighbour; N(D) is kept per
+    mask.  An empty set is left out: no candidate changes it, and the search
+    fails at its vertex.  Only viable candidates are assigned, checked and
+    searched.  Each other one is one expansion, as in the plain search,
+    counted late: those below the found candidate when a map is found, all
+    of them when the node fails.  A map found after more than ``budget``
+    expansions is reported as the budget exceeded.  The screen runs only
+    when some target has two non-neighbours: N(D) holds the neighbourhood of
+    each member of D, so where each target has at most one (a complete
+    graph) a later neighbour rules out at most one candidate, and the screen
+    costs more than it saves.  A screened-out candidate's subtree has size
+    1, so it is never the image of a kept ``h0``.  The outcome and the
+    expansion count are those of the same search on Python sets without the
+    skip or the screen.
     """
     nG, nH = G.n_vertices, H.n_vertices
     if nG == 0:
         return SearchOutcome("found", (), 0)
     if nH == 0:
         return SearchOutcome("none", None, 0)
-    order = sorted(range(nG), key=lambda i: (-len(G.adj[i]), i))
-    position = [0] * nG
-    for k, u in enumerate(order):
-        position[u] = k
-    later = [[w for w in G.adj[u] if position[w] > k] for k, u in enumerate(order)]
-    allowed = [sum(1 << j for j in H.adj[h]) for h in range(nH)]
-    loop_targets = sum(1 << h for h in range(nH) if h in H.adj[h])
+    order = sorted(range(nG), key=lambda i: -len(G.adj[i]))  # stable: ties by index
+    later, seen = [], set()  # the neighbours of each vertex later in the order
+    for u in order:
+        seen.add(u)
+        later.append(list(G.adj[u] - seen))
+    allowed = [sum(1 << j for j in nbrs) for nbrs in H.adj]
+    loop_targets = sum(1 << h for h, nbrs in enumerate(H.adj) if h in nbrs)
     domains = [loop_targets if i in G.adj[i] else (1 << nH) - 1 for i in range(nG)]
     assignment = [-1] * nG
     expansions = 0
@@ -304,6 +338,8 @@ def hom_search(G, H, budget=10_000_000):
     maps_onto = {}  # (T mask, h0, h) -> whether an automorphism fixing T sends h0 to h
     partitions = {}  # T mask -> class of each target, or None once all differ
     distances = {}  # target -> breadth-first distances from it
+    screen = nH - min(map(len, H.adj)) >= 2  # some target has two non-neighbours
+    reach = _Reach(allowed) if screen else None
 
     def classes(keys):
         """Class ids, equal where the keys are; None when all differ."""
@@ -366,6 +402,13 @@ def hom_search(G, H, budget=10_000_000):
         u = order[k]
         ahead = later[k]
         candidates = domains[u]
+        dead = 0  # candidates that wipe out a later set: one expansion each
+        if screen:
+            for w in ahead:
+                d = domains[w]
+                if d:
+                    candidates &= reach[d]
+            dead = domains[u] ^ candidates
         failed = []  # (candidate, subtree size) of the large failed subtrees
         while candidates:
             low = candidates & -candidates
@@ -400,15 +443,24 @@ def hom_search(G, H, budget=10_000_000):
             else:
                 assignment[u] = h
                 if backtrack(k + 1, fixed | low, live):
+                    if dead:
+                        expansions += (dead & (low - 1)).bit_count()
                     return True
             for w, old in saved:
                 domains[w] = old
             if live and expansions - start > 8 * nH:
                 failed.append((h, expansions - start))
+        if dead:
+            expansions += dead.bit_count()
+            if expansions > budget:
+                expansions = budget + 1
+                raise _BudgetExhausted
         return False
 
     try:
         if backtrack(0, 0, True):
+            if expansions > budget:
+                return SearchOutcome("budget-exceeded", None, budget + 1)
             return SearchOutcome("found", tuple(assignment), expansions)
         return SearchOutcome("none", None, expansions)
     except _BudgetExhausted:

@@ -93,6 +93,17 @@ class TestGenerators:
     def test_kneser_edgeless_when_crowded(self):
         assert make_kneser(5, 3).edge_count() == 0
 
+    def test_kneser_equals_set_construction(self):
+        # oracle: disjointness tested on Python sets, pair by pair
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                subsets = list(itertools.combinations(range(1, n + 1), k))
+                edges = [(a, b) for a, b in itertools.combinations(subsets, 2)
+                         if not set(a) & set(b)]
+                g, expected = make_kneser(n, k), Graph(subsets, edges)
+                assert g == expected and g.edges() == expected.edges()
+                assert g.tag == ("kneser", n, k)
+
     def test_kneser_bad_params(self):
         with pytest.raises(ValueError):
             make_kneser(2, 3)
@@ -477,6 +488,84 @@ class TestOrbitSkipAtEveryDepth:
         out = hom_search(g, h)
         assert out.status == "none"
         assert spent and sum(spent) <= out.expansions
+
+
+# Targets with a vertex of two non-neighbours, where hom_search screens
+# candidates: cycles, Petersen, the prism, and the three last orbit targets
+# (C5+K3, the looped triangle next to a plain one, C6 with a chord), where
+# the first candidates are often screened out below a map found later.
+SCREENED_TARGETS = [make_cycle(m) for m in range(5, 10)] + [
+    make_kneser(5, 2), PRISM, *ORBIT_TARGETS[-3:],
+]
+
+# Targets where no vertex has two non-neighbours, where the screen is off:
+# complete graphs, and K3 with one looped vertex or all three.
+UNSCREENED_TARGETS = [_complete(m) for m in range(2, 6)] + [
+    Graph(range(3), [(0, 0), (0, 1), (1, 2), (2, 0)]),
+    Graph(range(3), [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)]),
+]
+
+
+@st.composite
+def one_loop(draw, graphs):
+    """One of ``graphs`` with a loop added at one vertex: on a loopless
+    target that vertex's set is empty from the start."""
+    g = draw(graphs)
+    v = draw(st.integers(0, g.n_vertices - 1))
+    return Graph(range(g.n_vertices), g.edges() + [(v, v)])
+
+
+class TestCandidateScreen:
+    """Screening out the candidates that wipe out a later neighbour's set,
+    each counted as one expansion on leaving the node or below a found
+    candidate, leaves every outcome equal to the plain search at every
+    budget.  Looped sources on loopless targets start with empty sets."""
+
+    def test_targets_on_both_sides_of_the_gate(self):
+        def two_non_neighbours(h):
+            return any(h.n_vertices - len(nbrs) >= 2 for nbrs in h.adj)
+
+        assert all(two_non_neighbours(h) for h in SCREENED_TARGETS)
+        assert not any(two_non_neighbours(h) for h in UNSCREENED_TARGETS)
+
+    @given(st.one_of(loopless_graphs(8), graphs_with_loops(8), one_loop(loopless_graphs(8))),
+           st.sampled_from(SCREENED_TARGETS + UNSCREENED_TARGETS))
+    @settings(max_examples=500, deadline=None)
+    def test_every_budget_equals_reference(self, g, h):
+        full = reference_search(g, h)
+        assert hom_search(g, h) == full
+        for budget in range(full.expansions + 3):
+            assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
+    def test_empty_set_is_not_screened(self):
+        # a triangle with a looped pendant vertex 3, assigned last: its set is
+        # empty from the start, so every root candidate is searched (one
+        # expansion, then two that wipe out vertex 2) before the search fails
+        g = Graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (3, 3)])
+        out = hom_search(g, make_cycle(5))
+        assert out == reference_search(g, make_cycle(5))
+        assert (out.status, out.expansions) == ("none", 15)
+
+    def test_screened_candidates_below_a_found_map(self):
+        # K3 -> C6 with the chord 3-5: the map to the triangle 3-4-5 is found
+        # after screened-out candidates below it; they count in its 13
+        # expansions, and one budget short the map is not reported
+        g, h = _complete(3), ORBIT_TARGETS[-1]
+        out = hom_search(g, h)
+        assert out == reference_search(g, h)
+        assert (out.status, out.mapping, out.expansions) == ("found", (3, 4, 5), 13)
+        out = hom_search(g, h, budget=12)
+        assert out == reference_search(g, h, budget=12)
+        assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 13)
+
+    def test_found_budget_boundary_on_kneser_73_to_petersen(self):
+        # in generator order; the budget trips on the last counted candidate
+        g, h = make_kneser(7, 3), make_kneser(5, 2)
+        full = hom_search(g, h)
+        out = hom_search(g, h, budget=756_382)
+        assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 756_383)
+        assert hom_search(g, h, budget=756_383) == full
+        assert (full.status, full.expansions) == ("found", 756_383)
 
 
 class TestAutomorphism:
