@@ -2,10 +2,11 @@
 connectivity, and edge-path group presentations with abelianization.
 
 The Smith reduction runs on arbitrary-precision integers: a sparse pass
-eliminates unit pivots in minimum-fill order from a lazy queue, which holds
-every unit entry at its Markowitz cost and re-checks an entry only when it
-is popped, and the textbook dense algorithm finishes the rest.  No modular
-shortcuts, so torsion coefficients are exact.
+eliminates unit pivots, taking the shortest column from a queue keyed by
+column length and, in it, the shortest row holding a +-1; only the columns
+an elimination touched are queued again, and a column with no unit waits
+until one does.  The textbook dense algorithm finishes whatever is left.
+No modular shortcuts, so torsion coefficients are exact.
 
 ``homology`` reduces the boundary matrices from the top dimension down and
 clears as it goes (Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).
@@ -13,9 +14,9 @@ A unit pivot of the sparse pass at (row s, column t) of the boundary of
 dimension d + 1 is an elementary reduction over Z: s plus a combination of
 the d-faces not yet paired is a boundary, so the boundary of s lies in the
 span of those faces' boundaries.  Column s of the boundary of dimension d
-is therefore dropped before that matrix is reduced; its image, and with it
-its rank and invariant factors, stay the same.  Pivots of the dense endgame
-are not units and clear nothing.
+is therefore never built: that matrix is assembled only after the one above
+is reduced, and its image, and with it its rank and invariant factors, stay
+the same.  Pivots of the dense endgame are not units and clear nothing.
 """
 
 from __future__ import annotations
@@ -57,15 +58,19 @@ def boundary_matrices(K, limit=None):
     """Boundary operators for d = 1..dim(K); the column for a d-face gets sign
     (-1)^i at the row dropping its i-th vertex (vertices sorted)."""
     faces = K.faces(limit)
-    mats = []
-    for d in range(1, len(faces)):
-        rows = {f: i for i, f in enumerate(faces[d - 1])}
-        entries = {}
-        for c, f in enumerate(faces[d]):
+    return [BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), _boundary(faces, d))
+            for d in range(1, len(faces))]
+
+
+def _boundary(faces, d, cleared=()):
+    # entries of the boundary of dimension d, leaving out the cleared columns
+    rows = {f: i for i, f in enumerate(faces[d - 1])}
+    entries = {}
+    for c, f in enumerate(faces[d]):
+        if c not in cleared:
             for i in range(len(f)):
                 entries[(rows[f[:i] + f[i + 1:]], c)] = -1 if i % 2 else 1
-        mats.append(BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), entries))
-    return mats
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -102,27 +107,28 @@ def _snf_factors(entries, pivot_rows):
         if v := int(v):
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
-    # lazy minimum-fill queue of unit entries as (Markowitz cost, column, row),
-    # checked only on pop: an entry that is gone or no longer a unit is
-    # dropped, one whose cost has grown is queued again, any other is pivoted
-    heap = [
-        (_markowitz(rows, cols, i, j), j, i)
-        for i, r in rows.items()
-        for j, v in r.items()
-        if v in (1, -1)
-    ]
+    # queue of columns by length, ties by index: the shortest column is
+    # pivoted on its shortest row holding a +-1 (ties by index).  Only the
+    # pivot row's columns change, so only they are queued again, and an entry
+    # whose length no longer matches its column's is stale.  A column with no
+    # unit leaves the queue until an elimination touches it.
+    heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
     unit_count = 0
     while heap:
-        cost, j, i = heapq.heappop(heap)
-        if rows.get(i, {}).get(j) not in (1, -1):
+        n, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != n:
             continue
-        now = _markowitz(rows, cols, i, j)
-        if now > cost:
-            heapq.heappush(heap, (now, j, i))
+        units = [(len(rows[i]), i) for i in col if rows[i][j] in (1, -1)]
+        if not units:
             continue
-        for ii, jj in _eliminate_unit(rows, cols, i, j):
-            heapq.heappush(heap, (_markowitz(rows, cols, ii, jj), jj, ii))
+        i = min(units)[1]
+        touched = rows[i].keys() - {j}
+        _eliminate_unit(rows, cols, i, j)
+        for jj in touched:
+            if jj in cols:
+                heapq.heappush(heap, (len(cols[jj]), jj))
         pivot_rows.add(i)
         unit_count += 1
     dense_factors = []
@@ -138,12 +144,7 @@ def _snf_factors(entries, pivot_rows):
     return [1] * unit_count + [f for f in dense_factors if f]
 
 
-def _markowitz(rows, cols, i, j):
-    return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-
 def _eliminate_unit(rows, cols, pi, pj):
-    # returns the entries that have just become +-1
     piv_row = rows.pop(pi)
     v = piv_row.pop(pj)  # +-1
     col_rows = cols.pop(pj)
@@ -153,7 +154,6 @@ def _eliminate_unit(rows, cols, pi, pj):
         s.discard(pi)
         if not s:
             del cols[jj]
-    units = []
     for ii in col_rows:
         r = rows[ii]
         f = r.pop(pj) * v  # row_ii -= f * piv_row
@@ -164,8 +164,6 @@ def _eliminate_unit(rows, cols, pi, pj):
                 if cur is None:
                     cols.setdefault(jj, set()).add(ii)
                 r[jj] = nv
-                if nv in (1, -1) and cur not in (1, -1):
-                    units.append((ii, jj))
             elif cur is not None:
                 del r[jj]
                 s = cols[jj]
@@ -174,7 +172,6 @@ def _eliminate_unit(rows, cols, pi, pj):
                     del cols[jj]
         if not r:
             del rows[ii]
-    return units
 
 
 def _snf_dense(a):
@@ -285,14 +282,11 @@ def homology(K, limit=None):
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
     paired = set()  # rows of the unit pivots of the matrix one dimension up
-    for mat in reversed(boundary_matrices(K, limit)):
-        entries = mat.entries
-        if paired:
-            entries = {ij: v for ij, v in entries.items() if ij[1] not in paired}
+    for d in range(top, 0, -1):
+        entries = _boundary(faces, d, paired)
         paired = set()
-        factors, r = smith_normal_form(entries, (mat.n_rows, mat.n_cols), paired)
-        rank[mat.dim] = r
-        torsion[mat.dim] = tuple(f for f in factors if f > 1)
+        factors, rank[d] = smith_normal_form(entries, (counts[d - 1], counts[d]), paired)
+        torsion[d] = tuple(f for f in factors if f > 1)
     groups = []
     for d in range(top + 1):
         groups.append((counts[d] - rank[d] - rank[d + 1], torsion[d + 1]))

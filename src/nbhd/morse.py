@@ -2,7 +2,8 @@
 construction of the radius-shrinking matching, well-formedness and acyclicity
 checks, and collapse execution down to the radius-1 rim.
 
-Faces are handled as sorted tuples of vertex labels throughout.
+Faces are handled as sorted tuples of vertex labels throughout; ``collapse``
+works on the complex's index tuples inside.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, neighborhood_complex
+from .complexes import SimplicialComplex, neighborhood_complex, sorted_labels
 from .errors import CollapseError
 from .graphs import make_cycle
 
@@ -179,46 +180,50 @@ def collapse(K, matching, limit=None):
     """Run elementary collapses: repeatedly remove a matched pair whose lower
     face is free, in lexicographic face order, until only unmatched faces
     remain.  Raises :class:`CollapseError` if the matching gets stuck."""
-    faces = set()
-    for lst in K.faces(limit).values():
-        for f in lst:
-            faces.add(K.face_labels(f))
-    partner = matching.partner()
-    for f in partner:
+    faces = {f for lst in K.faces(limit).values() for f in lst}
+
+    def indexed(labels):
+        f = tuple(K._index.get(v, -1) for v in labels)
         if f not in faces:
-            raise ValueError(f"matching mentions a face outside the complex: {f}")
-    cofacets = {f: set() for f in faces}
+            raise ValueError(f"matching mentions a face outside the complex: {labels}")
+        return f
+
+    by_labels = matching.partner()
+    index = {f: indexed(f) for f in by_labels}
+    partner = {index[f]: index[g] for f, g in by_labels.items()}
+    up = {f: s for f, s in partner.items() if len(s) == len(f) + 1 and set(f) < set(s)}
+    cofacets = dict.fromkeys(faces, 0)  # live cofacets of each face
     for f in faces:
         if len(f) >= 2:
             for i in range(len(f)):
-                cofacets[f[:i] + f[i + 1:]].add(f)
+                cofacets[f[:i] + f[i + 1:]] += 1
 
     def free_tau(f):
-        s = partner.get(f)
-        return s is not None and len(s) == len(f) + 1 and cofacets.get(f) == {s}
+        return cofacets[f] == 1 and up.get(f) in faces
 
     heap = [f for f in partner if free_tau(f)]
     heapq.heapify(heap)
-    removed = set()
     while heap:
         tau = heapq.heappop(heap)
-        if tau in removed or not free_tau(tau):
+        if tau not in faces or not free_tau(tau):
             continue
-        sigma = partner[tau]
-        for g in (sigma, tau):
-            removed.add(g)
+        for g in (up[tau], tau):
             faces.discard(g)
             if len(g) >= 2:
                 for i in range(len(g)):
                     sub = g[:i] + g[i + 1:]
-                    if sub in cofacets:
-                        cofacets[sub].discard(g)
-                        if sub in faces and free_tau(sub):
-                            heapq.heappush(heap, sub)
-    leftovers = sum(1 for f in partner if f not in removed)
+                    cofacets[sub] -= 1
+                    if sub in faces and free_tau(sub):
+                        heapq.heappush(heap, sub)
+    leftovers = sum(1 for f in partner if f in faces)
     if leftovers:
         raise CollapseError(f"{leftovers} matched faces could not be collapsed")
-    return SimplicialComplex.from_faces(faces)
+    facets = [f for f in faces if not cofacets[f]]
+    labels = K.vertices
+    vertices = sorted_labels({labels[i] for f in facets for i in f})
+    new = {v: i for i, v in enumerate(vertices)}
+    return SimplicialComplex._from_indexed(
+        vertices, (sorted(new[labels[i]] for i in f) for f in facets))
 
 
 def collapse_cycle_tower(m, r, limit=None):

@@ -18,6 +18,8 @@ from nbhd import (
     make_cycle,
     make_kneser,
     neighborhood_complex,
+    order_complex,
+    pair_poset,
     smith_normal_form,
 )
 from nbhd import HomologyResult, gf2
@@ -449,6 +451,56 @@ class TestClearing:
         monkeypatch.setattr(module, "smith_normal_form", recording)
         assert homology(full_simplex(4)).betti_vector == (1, 0, 0, 0, 0)
         assert seen == [1, 4, 6, 4]
+
+
+# the complexes of the homology benchmark workload, unshuffled, with K(7,2)
+UNIT_PASS_CASES = {
+    "pair C5 r=3": lambda: order_complex(pair_poset(make_cycle(5), 3)),
+    "pair C7 r=3": lambda: order_complex(pair_poset(make_cycle(7), 3)),
+    "N Petersen r=3": lambda: neighborhood_complex(make_kneser(5, 2), 3),
+    "N K(9,4) r=1": lambda: neighborhood_complex(make_kneser(9, 4), 1),
+    "N K(6,2) r=1": lambda: neighborhood_complex(make_kneser(6, 2), 1),
+    "N C17 r=7": lambda: neighborhood_complex(make_cycle(17), 7),
+    "N K(7,2) r=1": lambda: neighborhood_complex(make_kneser(7, 2), 1),
+}
+
+
+class TestUnitPass:
+    """The sparse pass pivots the shortest column on its shortest unit row
+    and queues again the columns an elimination touched."""
+
+    def test_touched_column_is_queued_again(self):
+        # column 0 holds no unit until the pivot in column 1 leaves 3 - 2 = 1
+        pivots = set()
+        matrix = {(0, 0): 2, (0, 1): 1, (1, 0): 3, (1, 1): 1}
+        assert smith_normal_form(matrix, (2, 2), pivots) == ((1, 1), 2)
+        assert pivots == {0, 1}
+
+    @staticmethod
+    def dense_shapes(monkeypatch, K):
+        module = sys.modules["nbhd.homology"]
+        shapes = []
+
+        def recording(a):
+            shapes.append((len(a), len(a[0]) if a else 0))
+            return _snf_dense(a)
+
+        monkeypatch.setattr(module, "_snf_dense", recording)
+        h = homology(K)
+        monkeypatch.undo()
+        return h, shapes
+
+    @pytest.mark.parametrize("name", sorted(UNIT_PASS_CASES))
+    def test_no_dense_endgame(self, monkeypatch, name):
+        _, shapes = self.dense_shapes(monkeypatch, UNIT_PASS_CASES[name]())
+        assert all(rows == 0 for rows, _ in shapes)
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CASES))
+    def test_torsion_endgame_is_one_column(self, monkeypatch, name):
+        build, groups = TORSION_CASES[name]
+        h, shapes = self.dense_shapes(monkeypatch, build())
+        assert h.groups == groups
+        assert all(cols <= 1 for _, cols in shapes)
 
 
 class TestConnectivity:

@@ -161,6 +161,18 @@ class TestCollapse:
             collapse(K, matching)
 
 
+    def test_string_labels_out_of_index_order(self):
+        # vertex indices follow c, a, b, d, not the label order; the result
+        # is re-indexed in sorted label order
+        K = SimplicialComplex(("c", "a", "b", "d"), [(0, 1, 2), (2, 3)])
+        pairs = ((("a", "b"), ("c", "a", "b")), (("d",), ("b", "d")))
+        matching = MorseMatching(pairs, frozenset(f for p in pairs for f in p))
+        final = collapse(K, matching)
+        assert final.vertices == ("a", "b", "c")
+        assert final.facet_label_sets() == frozenset(
+            {frozenset({"c", "a"}), frozenset({"c", "b"})})
+
+
 class TestTower:
     @pytest.mark.parametrize("m,r", [(9, 3), (11, 2)])
     def test_tower_reaches_the_rim(self, m, r):
