@@ -1,7 +1,7 @@
 """Walk-neighborhood complexes of finite graphs: exact-length walk
 neighborhoods, linked-pair posets, integral homology via Smith normal form,
-mod-2 cup products and involution heights, discrete Morse collapses, and
-graph-homomorphism obstruction certificates."""
+involution heights, discrete Morse collapses, and graph-homomorphism
+obstruction certificates."""
 
 from .errors import (
     CollapseError,
@@ -53,24 +53,18 @@ from .homology import (
     smith_normal_form,
 )
 from .z2 import (
-    CochainZ2,
     FreenessReport,
     HeightBounds,
     Involution,
     KneserReport,
     ObstructionReport,
     check_free_involution,
-    coboundary,
-    cup_product,
     height_bounds,
-    is_coboundary,
     kneser_certificate,
     obstruction_check,
     pair_space_height,
     pair_swap_involution,
-    unit_cochain,
     z2_height,
-    zero_cochain,
 )
 from .morse import (
     AcyclicityReport,

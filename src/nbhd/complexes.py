@@ -83,16 +83,16 @@ class SimplicialComplex:
     def from_faces(cls, faces):
         """Build from arbitrary faces (iterables of labels), keeping only the
         maximal ones.  Vertices are the labels that occur, in sorted order."""
-        face_sets = {frozenset(f) for f in faces if f}
+        faces = [frozenset(f) for f in faces]
+        vertices = sorted_labels(set().union(*faces))
+        slot = {v: i for i, v in enumerate(vertices)}
+        masks = {sum(1 << slot[v] for v in f): f for f in faces if f}
         kept = []
-        for f in sorted(face_sets, key=len, reverse=True):
-            if not any(f <= g for g in kept):
-                kept.append(f)
-        vertex_set = set().union(*kept) if kept else set()
-        vertices = sorted_labels(vertex_set)
-        index = {v: i for i, v in enumerate(vertices)}
-        facets = [tuple(sorted(index[v] for v in f)) for f in kept]
-        return cls(vertices, facets)
+        for m in sorted(masks, key=int.bit_count, reverse=True):
+            if all(m & k != m for k in kept):
+                kept.append(m)
+        return cls._from_indexed(
+            vertices, (sorted(slot[v] for v in masks[m]) for m in kept))
 
     @classmethod
     def _from_indexed(cls, vertices, facets):
@@ -222,23 +222,6 @@ class Poset:
         self._topo = tuple(topo)
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._reach = None
-
-    @classmethod
-    def from_leq(cls, elements, leq):
-        """Build from a comparison callable; covers via transitive reduction.
-        Quadratic in the element count, for small posets."""
-        els = list(elements)
-        n = len(els)
-        above = [
-            frozenset(j for j in range(n) if i != j and leq(els[i], els[j]))
-            for i in range(n)
-        ]
-        covers = []
-        for i in range(n):
-            for j in above[i]:
-                if not any(j in above[k] for k in above[i]):
-                    covers.append((i, j))
-        return cls(els, covers)
 
     @property
     def n_elements(self):

@@ -23,12 +23,11 @@ def _reduce(pivots, v):
     return v
 
 
-def in_column_space(n_rows, n_cols, ones, rhs, pivot_rows=None):
-    """Is the 0/1 vector ``rhs`` (length n_rows) a GF(2) combination of the
-    columns of the sparse matrix given by the ``(row, col)`` pairs in
-    ``ones``?  When ``pivot_rows`` is a set, the pivot row of every column
-    the reduction of the matrix keeps is added to it, so their number is the
-    rank."""
+def in_column_space(n_cols, ones, rhs, pivot_rows=None):
+    """Is the 0/1 vector ``rhs`` a GF(2) combination of the columns of the
+    sparse matrix given by the ``(row, col)`` pairs in ``ones``?  When
+    ``pivot_rows`` is a set, the pivot row of every column the reduction of
+    the matrix keeps is added to it, so their number is the rank."""
     cols = [set() for _ in range(n_cols)]
     for r, c in ones:
         cols[c].add(r)

@@ -176,21 +176,26 @@ def verify_acyclic(matching):
     return AcyclicityReport(True)
 
 
-def collapse(K, matching, limit=None):
+def _indexed(K, matching, limit):
+    # K's index faces, and each matched label face as an index tuple (a label
+    # outside K maps to -1, so its tuple is no face)
+    faces = {f for lst in K.faces(limit).values() for f in lst}
+    index = {f: tuple(K._index.get(v, -1) for v in f)
+             for pair in matching.pairs for f in pair}
+    return faces, index
+
+
+def collapse(K, matching, limit=None, indexed=None):
     """Run elementary collapses: repeatedly remove a matched pair whose lower
     face is free, in lexicographic face order, until only unmatched faces
-    remain.  Raises :class:`CollapseError` if the matching gets stuck."""
-    faces = {f for lst in K.faces(limit).values() for f in lst}
-
-    def indexed(labels):
-        f = tuple(K._index.get(v, -1) for v in labels)
+    remain.  Raises :class:`CollapseError` if the matching gets stuck.
+    ``indexed`` is ``_indexed(K, matching, limit)`` when the caller has built
+    it already; its face set is consumed."""
+    faces, index = indexed or _indexed(K, matching, limit)
+    for labels, f in index.items():
         if f not in faces:
             raise ValueError(f"matching mentions a face outside the complex: {labels}")
-        return f
-
-    by_labels = matching.partner()
-    index = {f: indexed(f) for f in by_labels}
-    partner = {index[f]: index[g] for f, g in by_labels.items()}
+    partner = {index[f]: index[g] for f, g in matching.partner().items()}
     up = {f: s for f, s in partner.items() if len(s) == len(f) + 1 and set(f) < set(s)}
     cofacets = dict.fromkeys(faces, 0)  # live cofacets of each face
     for f in faces:
@@ -235,11 +240,14 @@ def collapse_cycle_tower(m, r, limit=None):
     stages = []
     for rr in range(r, 1, -1):
         matching = cycle_matching(m, rr)
-        report = verify_matching(current.all_faces_label_set(limit), matching)
+        # the matched faces present in the complex stand in for all its faces:
+        # verify_matching only tests the matched ones for membership
+        faces, index = indexed = _indexed(current, matching, limit)
+        report = verify_matching([f for f, i in index.items() if i in faces], matching)
         acyclic = verify_acyclic(matching)
         if not (report.perfect and acyclic):
             raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
-        current = collapse(current, matching, limit)
+        current = collapse(current, matching, limit, indexed)
         stages.append({"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
                        "verification": report.to_json_obj()})
     return current, stages

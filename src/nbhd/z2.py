@@ -1,6 +1,5 @@
-"""Free simplicial involutions, mod-2 cochains and cup products, involution
-height, and the homomorphism obstruction verdicts built from cheap height
-bounds.
+"""Free simplicial involutions, involution height, and the homomorphism
+obstruction verdicts built from cheap height bounds.
 
 Height uses the sup convention: the largest n with the n-th cup power of the
 cover's class nonzero (0 when the class itself is trivial).  It is computed on
@@ -26,13 +25,7 @@ from .graphs import hom_search, make_cycle, odd_girth, walk_ball
 __all__ = [
     "Involution",
     "FreenessReport",
-    "CochainZ2",
     "check_free_involution",
-    "zero_cochain",
-    "unit_cochain",
-    "coboundary",
-    "cup_product",
-    "is_coboundary",
     "z2_height",
     "pair_swap_involution",
     "pair_space_height",
@@ -139,9 +132,6 @@ class _OrbitComplex:
             self._next = next(self._source, None)
         return self._faces
 
-    def faces(self, limit=None):
-        return self._faces
-
 
 def _facet_faces(facets):
     """Orbit faces of t(v) = v ^ 1 on the complex with these facets (sorted
@@ -193,99 +183,20 @@ def _box_faces(G, r):
         level = nxt
 
 
-# ---------------------------------------------------------------------------
-# mod-2 cochains
-
-@dataclass(frozen=True)
-class CochainZ2:
-    """Bit per p-face of a fixed complex, aligned with its sorted face list."""
-
-    dim: int
-    bits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
-
-    @property
-    def is_zero(self):
-        return not any(self.bits)
-
-    def __xor__(self, other):
-        if self.dim != other.dim or len(self.bits) != len(other.bits):
-            raise ValueError("cochain mismatch")
-        return CochainZ2(self.dim, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-
-def zero_cochain(Q, d, limit=None):
-    return CochainZ2(d, (0,) * len(Q.faces(limit).get(d, [])))
-
-
-def unit_cochain(Q, limit=None):
-    return CochainZ2(0, (1,) * len(Q.faces(limit).get(0, [])))
-
-
-def _positions(Q, faces):
-    """Face -> its index in ``faces``; on an orbit complex, both faces of an
-    orbit map to the orbit's index."""
+def _positions(faces):
+    """Face -> its index in ``faces``, a list of orbit faces: both faces of
+    an orbit map to the orbit's index."""
     pos = {f: i for i, f in enumerate(faces)}
-    if isinstance(Q, _OrbitComplex):
-        pos.update({tuple([v ^ 1 for v in f]): i for i, f in enumerate(faces)})
+    pos.update({tuple([v ^ 1 for v in f]): i for i, f in enumerate(faces)})
     return pos
-
-
-def coboundary(Q, c, limit=None):
-    faces = Q.faces(limit)
-    pos = _positions(Q, faces.get(c.dim, []))
-    bits = []
-    for f in faces.get(c.dim + 1, []):
-        total = 0
-        for i in range(len(f)):
-            total ^= c.bits[pos[f[:i] + f[i + 1:]]]
-        bits.append(total)
-    return CochainZ2(c.dim + 1, tuple(bits))
-
-
-def cup_product(Q, a, b, limit=None):
-    """Front-face/back-face product in the complex's fixed vertex order.
-    Bilinear, and satisfies the mod-2 Leibniz rule with the coboundary."""
-    faces = Q.faces(limit)
-    d = a.dim + b.dim
-    target = faces.get(d, [])
-    if not target:
-        return CochainZ2(d, ())
-    pos_a = _positions(Q, faces.get(a.dim, []))
-    pos_b = _positions(Q, faces.get(b.dim, []))
-    p = a.dim
-    bits = [a.bits[pos_a[f[: p + 1]]] & b.bits[pos_b[f[p:]]] for f in target]
-    return CochainZ2(d, tuple(bits))
-
-
-def is_coboundary(Q, c, limit=None):
-    """Membership of a cochain in the image of the mod-2 coboundary."""
-    if c.dim == 0:
-        return c.is_zero
-    faces = Q.faces(limit)
-    lower = faces.get(c.dim - 1, [])
-    upper = faces.get(c.dim, [])
-    if len(upper) != len(c.bits):
-        raise ValueError("cochain does not match the complex")
-    return _in_image(upper, lower, _positions(Q, lower), c.bits)
-
-
-def _in_image(upper, lower, pos, bits, cleared=(), pivot_rows=None):
-    """Is ``bits`` on the faces ``upper`` the coboundary of a cochain on the
-    faces ``lower`` (indexed by ``pos``)?  The columns of the lower faces in
-    ``cleared`` are left out, as they lie in the span of the others."""
-    ones = ((r, j) for r, f in enumerate(upper) for i in range(len(f))
-            if (j := pos[f[:i] + f[i + 1:]]) not in cleared)
-    return gf2.in_column_space(len(upper), len(lower), ones, bits, pivot_rows)
 
 
 def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
-    nonzero in cohomology (iterated cup powers plus coboundary membership),
-    computed on the orbit Delta-complex.  ``limit`` guards the faces read,
-    half as many as those of ``K`` up to the dimension the height needs."""
+    nonzero in cohomology (closed-form cup powers plus coboundary
+    membership), computed on the orbit Delta-complex.  ``limit`` guards the
+    faces read, half as many as those of ``K`` up to the dimension the height
+    needs."""
     return _height(_OrbitComplex(_facet_faces(_orbit_labelled(K, t)), limit))
 
 
@@ -308,21 +219,27 @@ def _height(Q, cap=math.inf):
     injects into H^k of the skeleton.  The pivot rows of each reduction are
     cleared columns one dimension up: such a row tops a reduced cocycle, so
     its coboundary lies in the span of the lower rows' (de Silva, Morozov &
-    Vejdemo-Johansson 2011)."""
+    Vejdemo-Johansson 2011).
+
+    w^k is read in closed form.  An orbit edge (a, b) lifts from sheet a & 1
+    of a's orbit to sheet b & 1 of b's, so w(a, b) = (a ^ b) & 1, which t
+    keeps: either member of an orbit gives the same value.  The front/back
+    cup power of w on a k-face f is the product of w over its consecutive
+    vertices, so w^k(f) = 1 exactly when f alternates sheets at every step."""
     height, cleared = 0, set()
     while height < cap:
         k = height + 1
         faces = Q.grow(k)
         if k not in faces:
             break
-        if k == 1:
-            # orbit (a, b) lifts from sheet 0 of a's orbit to sheet b & 1 of b's
-            w = power = CochainZ2(1, tuple(e[1] & 1 for e in faces[1]))
-        else:
-            power = cup_product(Q, power, w)
-        lower = faces[k - 1]
+        upper = faces[k]
+        power = [all((f[i] ^ f[i + 1]) & 1 for i in range(k)) for f in upper]
+        pos = _positions(faces[k - 1])
+        # the coboundary of the (k-1)-faces, less the cleared columns
+        ones = ((r, j) for r, f in enumerate(upper) for i in range(k + 1)
+                if (j := pos[f[:i] + f[i + 1:]]) not in cleared)
         pivots = set()
-        if _in_image(faces[k], lower, _positions(Q, lower), power.bits, cleared, pivots):
+        if gf2.in_column_space(len(faces[k - 1]), ones, power, pivots):
             break
         height, cleared = k, pivots
     return height

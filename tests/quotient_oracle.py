@@ -16,17 +16,91 @@ from collections import deque
 from dataclasses import dataclass
 
 from nbhd import (
-    CochainZ2,
     FreenessError,
     Involution,
     Poset,
     SimplicialComplex,
     check_free_involution,
-    cup_product,
-    is_coboundary,
     order_complex,
 )
+from nbhd import gf2
 from nbhd.complexes import sorted_labels
+
+
+# ---------------------------------------------------------------------------
+# mod-2 cochains on a simplicial complex
+
+@dataclass(frozen=True)
+class CochainZ2:
+    """Bit per p-face of a fixed complex, aligned with its sorted face list."""
+
+    dim: int
+    bits: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
+
+    @property
+    def is_zero(self):
+        return not any(self.bits)
+
+    def __xor__(self, other):
+        if self.dim != other.dim or len(self.bits) != len(other.bits):
+            raise ValueError("cochain mismatch")
+        return CochainZ2(self.dim, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+
+
+def zero_cochain(Q, d, limit=None):
+    return CochainZ2(d, (0,) * len(Q.faces(limit).get(d, [])))
+
+
+def unit_cochain(Q, limit=None):
+    return CochainZ2(0, (1,) * len(Q.faces(limit).get(0, [])))
+
+
+def _positions(faces):
+    return {f: i for i, f in enumerate(faces)}
+
+
+def coboundary(Q, c, limit=None):
+    faces = Q.faces(limit)
+    pos = _positions(faces.get(c.dim, []))
+    bits = []
+    for f in faces.get(c.dim + 1, []):
+        total = 0
+        for i in range(len(f)):
+            total ^= c.bits[pos[f[:i] + f[i + 1:]]]
+        bits.append(total)
+    return CochainZ2(c.dim + 1, tuple(bits))
+
+
+def cup_product(Q, a, b, limit=None):
+    """Front-face/back-face product in the complex's fixed vertex order.
+    Bilinear, and satisfies the mod-2 Leibniz rule with the coboundary."""
+    faces = Q.faces(limit)
+    d = a.dim + b.dim
+    target = faces.get(d, [])
+    if not target:
+        return CochainZ2(d, ())
+    pos_a = _positions(faces.get(a.dim, []))
+    pos_b = _positions(faces.get(b.dim, []))
+    p = a.dim
+    bits = [a.bits[pos_a[f[: p + 1]]] & b.bits[pos_b[f[p:]]] for f in target]
+    return CochainZ2(d, tuple(bits))
+
+
+def is_coboundary(Q, c, limit=None):
+    """Membership of a cochain in the image of the mod-2 coboundary."""
+    if c.dim == 0:
+        return c.is_zero
+    faces = Q.faces(limit)
+    lower = faces.get(c.dim - 1, [])
+    upper = faces.get(c.dim, [])
+    if len(upper) != len(c.bits):
+        raise ValueError("cochain does not match the complex")
+    pos = _positions(lower)
+    ones = ((r, pos[f[:i] + f[i + 1:]]) for r, f in enumerate(upper) for i in range(len(f)))
+    return gf2.in_column_space(len(lower), ones, c.bits)
 
 
 class QuotientStructureError(RuntimeError):

@@ -22,6 +22,17 @@ from nbhd import (
     pair_poset,
     walk_neighborhood,
 )
+from nbhd.complexes import sorted_labels
+
+
+def naive_from_faces(faces):
+    """Oracle: vertices and facets of the complex generated by ``faces``, by
+    frozenset containment."""
+    sets = {frozenset(f) for f in faces if f}
+    kept = {f for f in sets if not any(f < g for g in sets)}
+    vertices = tuple(sorted_labels(set().union(*sets)))
+    index = {v: i for i, v in enumerate(vertices)}
+    return vertices, tuple(sorted(tuple(sorted(index[v] for v in f)) for f in kept))
 
 
 def brute_pair_poset_elements(G, r):
@@ -60,6 +71,14 @@ class TestSimplicialComplex:
     def test_from_faces_maximalizes(self):
         K = SimplicialComplex.from_faces([(0, 1), (0, 1, 2), (2,)])
         assert K.facet_label_sets() == frozenset({frozenset({0, 1, 2})})
+
+    @given(st.lists(st.lists(st.one_of(st.integers(0, 9), st.sampled_from("abcde")),
+                             max_size=5), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_from_faces_keeps_maximal_distinct_faces(self, faces):
+        # mixed int/str labels take sorted_labels' type/repr order
+        K = SimplicialComplex.from_faces(iter(faces))
+        assert (K.vertices, K.facets) == naive_from_faces(faces)
 
     def test_face_enumeration_counts(self):
         K = full_simplex(2)
@@ -137,14 +156,25 @@ class TestNeighborhoodComplex:
         with pytest.raises(ValueError):
             neighborhood_complex(make_cycle(5), 0)
 
-    @given(small_graphs)
+    @given(small_graphs, st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
-    def test_radius1_matches_maximal_open_neighborhoods(self, g):
+    def test_radius1_matches_maximal_open_neighborhoods(self, g, rnd):
         # classical construction: facets are the maximal N(v)
         balls = [frozenset(g.adj[v]) for v in range(g.n_vertices) if g.adj[v]]
         maximal = {b for b in balls if not any(b < c for c in balls)}
         K = neighborhood_complex(g, 1)
         assert K.facet_label_sets() == frozenset(maximal)
+        # at radii 1..3, on labels reshuffled against the vertex order: the
+        # vertices and facets generated by the walk balls
+        n = g.n_vertices
+        labels = rnd.sample(range(100), n)
+        order = rnd.sample(range(n), n)
+        h = Graph([labels[i] for i in order], [(labels[i], labels[j]) for i, j in g.edges()])
+        for r in (1, 2, 3):
+            K = neighborhood_complex(h, r)
+            ref = naive_from_faces(
+                [h.vertices[j] for j in walk_neighborhood(h, v, r)] for v in h.vertices)
+            assert (K.vertices, K.facets) == ref
 
     @given(small_graphs, st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
@@ -233,10 +263,6 @@ class TestPosetsAndOrderComplexes:
     def test_cycle_detection(self):
         with pytest.raises(ValueError):
             Poset(list("ab"), [(0, 1), (1, 0)])
-
-    def test_from_leq_matches_direct_covers(self):
-        P = Poset.from_leq([1, 2, 3, 6], lambda a, b: b % a == 0)
-        assert set(P.covers) == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
     def test_poset_json_export(self):
         P = Poset(list("ab"), [(0, 1)])

@@ -236,7 +236,7 @@ class TestGF2:
     def test_rank_matches_odd_invariant_factors(self, system):
         m, n, ones, _ = system
         pivot_rows = set()
-        gf2.in_column_space(m, n, ones, [0] * m, pivot_rows)
+        gf2.in_column_space(n, ones, [0] * m, pivot_rows)
         assert len(pivot_rows) == snf_rank2(m, n, ones)
 
     @given(gf2_systems())
@@ -246,7 +246,7 @@ class TestGF2:
         # its rank on the pivot rows alone
         m, n, ones, _ = system
         pivot_rows = set()
-        gf2.in_column_space(m, n, ones, [0] * m, pivot_rows)
+        gf2.in_column_space(n, ones, [0] * m, pivot_rows)
         kept = [(i, j) for i, j in ones if i in pivot_rows]
         assert snf_rank2(m, n, kept) == len(pivot_rows)
 
@@ -256,7 +256,7 @@ class TestGF2:
         m, n, ones, rhs = system
         aug = ones + [(i, n) for i, b in enumerate(rhs) if b]
         expected = snf_rank2(m, n + 1, aug) == snf_rank2(m, n, ones)
-        assert gf2.in_column_space(m, n, ones, rhs) == expected
+        assert gf2.in_column_space(n, ones, rhs) == expected
 
 
 class TestBoundaryMatrices:
@@ -316,7 +316,7 @@ class TestHomology:
         for mat in mats:
             ones = [(i, j) for (i, j), v in mat.entries.items() if v % 2]
             pivot_rows = set()
-            gf2.in_column_space(mat.n_rows, mat.n_cols, ones, [0] * mat.n_rows, pivot_rows)
+            gf2.in_column_space(mat.n_cols, ones, [0] * mat.n_rows, pivot_rows)
             rank2[mat.dim] = len(pivot_rows)
         for d in range(len(faces)):
             betti2 = len(faces[d]) - rank2[d] - rank2[d + 1]

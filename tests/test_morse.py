@@ -184,6 +184,17 @@ class TestTower:
         assert final.facet_label_sets() == expected
         assert homology(final).betti_vector == (1, 1)
 
+    @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])
+    def test_stage_reports_match_a_check_against_all_faces(self, m, r):
+        _, stages = collapse_cycle_tower(m, r)
+        assert len(stages) == r - 1
+        K = neighborhood_complex(make_cycle(m), r)
+        for stage, rr in zip(stages, range(r, 1, -1)):
+            matching = cycle_matching(m, rr)
+            expected = verify_matching(K.all_faces_label_set(), matching)
+            assert stage["verification"] == expected.to_json_obj()
+            K = collapse(K, matching)
+
     def test_collapse_preserves_homology(self):
         # same groups in every dimension (the start complex has trivial
         # homology above the circle)

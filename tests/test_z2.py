@@ -14,7 +14,6 @@ from conftest import (
     small_graph_corpus,
 )
 from nbhd import (
-    CochainZ2,
     FreenessError,
     FreenessReport,
     Graph,
@@ -22,12 +21,9 @@ from nbhd import (
     ResourceLimitError,
     SimplicialComplex,
     check_free_involution,
-    coboundary,
-    cup_product,
     height_bounds,
     homology,
     hom_search,
-    is_coboundary,
     kneser_certificate,
     make_cycle,
     make_kneser,
@@ -38,9 +34,7 @@ from nbhd import (
     pair_space_height,
     pair_swap_involution,
     random_connected_graph,
-    unit_cochain,
     z2_height,
-    zero_cochain,
 )
 from nbhd import z2
 from nbhd.complexes import sorted_labels
@@ -53,12 +47,18 @@ from nbhd.z2 import (
     _OrbitComplex,
 )
 from quotient_oracle import (
+    CochainZ2,
     QuotientStructureError,
     build_quotient,
+    coboundary,
+    cup_product,
+    is_coboundary,
     monodromy_bits,
     quotient_complex,
     reference_height,
+    unit_cochain,
     w1_cocycle,
+    zero_cochain,
 )
 
 
