@@ -24,7 +24,15 @@ from .complexes import (
     pair_poset,
 )
 from .errors import ConsistencyError, FreenessError, ResourceLimitError
-from .graphs import hom_search, load_graph, make_kneser, odd_girth, validate_hom
+from .graphs import (
+    graph_from_json_obj,
+    hom_search,
+    load_graph,
+    make_kneser,
+    odd_girth,
+    parse_edge_list,
+    validate_hom,
+)
 from .homology import homology
 from .morse import collapse_cycle_tower, cycle_matching
 from .z2 import obstruction_check
@@ -70,13 +78,12 @@ def _cmd_complex(args):
 def _load_complex_or_graph(path, r):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        if "facets" in obj:
-            return complex_from_json_obj(obj)
+    obj = json.loads(text) if text.lstrip().startswith("{") else None
+    if obj is not None and "facets" in obj:
+        return complex_from_json_obj(obj)
     if r is None:
         raise ValueError("graph input needs -r to pick the neighborhood radius")
-    g = load_graph(path)
+    g = parse_edge_list(text) if obj is None else graph_from_json_obj(obj)
     return neighborhood_complex(g, r)
 
 

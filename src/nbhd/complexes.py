@@ -55,7 +55,7 @@ class SimplicialComplex:
     tuples, pairwise non-nested, in lexicographic order.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "_faces", "_facet_sets")
+    __slots__ = ("vertices", "facets", "_index", "_faces")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -70,6 +70,8 @@ class SimplicialComplex:
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValueError("facet indices must be strictly increasing")
             fs.append(f)
+        if any(set(a) <= set(b) for a, b in itertools.permutations(fs, 2)):
+            raise ValueError("facets must be pairwise non-nested and distinct")
         self._setup(vertices, fs)
 
     def _setup(self, vertices, facets):
@@ -77,7 +79,6 @@ class SimplicialComplex:
         self.facets = tuple(sorted(facets))
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._faces = None
-        self._facet_sets = tuple(frozenset(f) for f in self.facets)
 
     @classmethod
     def from_faces(cls, faces):
@@ -149,8 +150,8 @@ class SimplicialComplex:
         return {self.face_labels(f) for lst in self.faces(limit).values() for f in lst}
 
     def has_face_indices(self, face):
-        s = frozenset(face)
-        return any(s <= fs for fs in self._facet_sets)
+        s = set(face)
+        return any(s.issubset(f) for f in self.facets)
 
     def has_face(self, labels):
         try:

@@ -1,9 +1,10 @@
 """Sparse GF(2) column reduction.
 
-Each column is the set of its nonzero rows, so its size follows its
-nonzeros, not its highest row.  Reduced columns are kept in a pivot table
-keyed by their largest row, as in the standard reduction of persistence
-software (Chen & Kerber 2011; Bauer 2021).
+The caller gives each column, and the right-hand side, as the set of its
+nonzero rows, so its size follows its nonzeros, not its highest row.
+Columns are reduced in the order given, and reduced columns are kept in a
+pivot table keyed by their largest row, as in the standard reduction of
+persistence software (Chen & Kerber 2011; Bauer 2021).
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ def _reduce(pivots, v):
     return v
 
 
-def in_column_space(n_cols, ones, rhs, pivot_rows=None):
-    """Is the 0/1 vector ``rhs`` a GF(2) combination of the columns of the
-    sparse matrix given by the ``(row, col)`` pairs in ``ones``?  When
-    ``pivot_rows`` is a set, the pivot row of every column the reduction of
-    the matrix keeps is added to it, so their number is the rank."""
-    cols = [set() for _ in range(n_cols)]
-    for r, c in ones:
-        cols[c].add(r)
+def in_column_space(columns, rhs, pivot_rows=None):
+    """Is the row set ``rhs`` a GF(2) combination of ``columns``, an iterable
+    of row sets?  Both are reduced in place.  When ``pivot_rows`` is a set,
+    the pivot row of every column the reduction keeps is added to it, so
+    their number is the rank."""
     pivots = {}
-    for col in cols:
+    for col in columns:
         _reduce(pivots, col)
     if pivot_rows is not None:
         pivot_rows.update(pivots)
-    return not _reduce(pivots, {i for i, b in enumerate(rhs) if b & 1})
+    return not _reduce(pivots, rhs)

@@ -6,14 +6,16 @@ cover's class nonzero (0 when the class itself is trivial).  It is computed on
 the orbit Delta-complex K/t, with no subdivision for any free simplicial
 involution (Hatcher, *Algebraic Topology*, sections 2.1 and 3.2), and for
 pair spaces on the Z2-homotopy equivalent box complex (Csorba 2007), whose
-orbit faces come straight from walk-ball bit masks.  The orbit complex is
-grown one dimension at a time, only as far as the cup powers are tested.
+orbit faces come straight from walk-ball bit masks.  The orbit faces are
+read one dimension at a time, only as far as the cup powers are tested, and
+each coboundary is reduced from the two dimensions it joins alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 
@@ -103,34 +105,22 @@ def check_free_involution(K, t):
     return FreenessReport(True)
 
 
-class _OrbitComplex:
-    """Orbit Delta-complex of t(v) = v ^ 1, read lazily from ``source``, an
-    iterator of orbit faces ordered by dimension: each orbit {f, t(f)} of
-    faces is given as the one starting on an even vertex.  t keeps the order
-    in a face, so the i-th, front and back faces of the orbit are those of f,
-    found from either member by :func:`_positions`.  ``limit`` bounds the
-    faces read."""
-
-    __slots__ = ("_source", "_next", "_faces", "_count", "_cap")
-
-    def __init__(self, source, limit=None):
-        self._source = source
-        self._next = next(source, None)
-        self._faces = {}
-        self._count = 0
-        self._cap = DEFAULT_FACE_LIMIT if limit is None else limit
-
-    def grow(self, d):
-        """Read the faces up to dimension ``d``; return all read so far."""
-        while self._next is not None and len(self._next) <= d + 1:
-            self._count += 1
-            if self._count > self._cap:
+def _levels(faces, limit=None):
+    """The orbit faces from ``faces``, an iterator ordered by dimension, as
+    one list per dimension.  ``limit`` bounds the faces read: a level is
+    yielded before any face of the next one is counted."""
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    count = 0
+    for _, group in itertools.groupby(faces, len):
+        level = []
+        for face in group:
+            count += 1
+            if count > cap:
                 raise ResourceLimitError(
-                    f"orbit-face enumeration reached {self._count} faces, above the "
-                    f"limit of {self._cap}", count=self._count, limit=self._cap)
-            self._faces.setdefault(len(self._next) - 1, []).append(self._next)
-            self._next = next(self._source, None)
-        return self._faces
+                    f"orbit-face enumeration reached {count} faces, above the "
+                    f"limit of {cap}", count=count, limit=cap)
+            level.append(face)
+        yield level
 
 
 def _facet_faces(facets):
@@ -183,21 +173,13 @@ def _box_faces(G, r):
         level = nxt
 
 
-def _positions(faces):
-    """Face -> its index in ``faces``, a list of orbit faces: both faces of
-    an orbit map to the orbit's index."""
-    pos = {f: i for i, f in enumerate(faces)}
-    pos.update({tuple([v ^ 1 for v in f]): i for i, f in enumerate(faces)})
-    return pos
-
-
 def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
     nonzero in cohomology (closed-form cup powers plus coboundary
     membership), computed on the orbit Delta-complex.  ``limit`` guards the
     faces read, half as many as those of ``K`` up to the dimension the height
     needs."""
-    return _height(_OrbitComplex(_facet_faces(_orbit_labelled(K, t)), limit))
+    return _height(_levels(_facet_faces(_orbit_labelled(K, t)), limit))
 
 
 def _orbit_labelled(K, t):
@@ -213,35 +195,45 @@ def _orbit_labelled(K, t):
     return [sorted(new[v] for v in f) for f in K.facets]
 
 
-def _height(Q, cap=math.inf):
-    """min(height, cap) on a lazily grown orbit complex.  w^k is tested on
-    the k-skeleton, grown only when the loop reaches it, as H^k of the whole
-    injects into H^k of the skeleton.  The pivot rows of each reduction are
-    cleared columns one dimension up: such a row tops a reduced cocycle, so
-    its coboundary lies in the span of the lower rows' (de Silva, Morozov &
-    Vejdemo-Johansson 2011).
+def _height(levels, cap=math.inf):
+    """min(height, cap) from ``levels``, the orbit faces one dimension at a
+    time, each orbit {f, t(f)} given as its face f that starts on an even
+    vertex; t keeps the order in a face, so the i-th, front and back faces
+    of the orbit are those of f.  w^k is tested on the k-skeleton, read only
+    when the loop reaches it, as H^k of the whole injects into H^k of the
+    skeleton, and only the (k-1)- and k-faces are held.  The pivot rows of
+    each reduction are cleared columns one dimension up: such a row tops a
+    reduced cocycle, so its coboundary lies in the span of the lower rows'
+    (de Silva, Morozov & Vejdemo-Johansson 2011).
 
     w^k is read in closed form.  An orbit edge (a, b) lifts from sheet a & 1
     of a's orbit to sheet b & 1 of b's, so w(a, b) = (a ^ b) & 1, which t
     keeps: either member of an orbit gives the same value.  The front/back
     cup power of w on a k-face f is the product of w over its consecutive
     vertices, so w^k(f) = 1 exactly when f alternates sheets at every step."""
-    height, cleared = 0, set()
-    while height < cap:
+    height, cleared, lower = 0, set(), next(levels, None)
+    while height < cap and (upper := next(levels, None)):
         k = height + 1
-        faces = Q.grow(k)
-        if k not in faces:
-            break
-        upper = faces[k]
-        power = [all((f[i] ^ f[i + 1]) & 1 for i in range(k)) for f in upper]
-        pos = _positions(faces[k - 1])
-        # the coboundary of the (k-1)-faces, less the cleared columns
-        ones = ((r, j) for r, f in enumerate(upper) for i in range(k + 1)
-                if (j := pos[f[:i] + f[i + 1:]]) not in cleared)
+        # the coboundary of the (k-1)-faces less the cleared ones, a row set
+        # per (k-1)-face; only f's front facet can start on an odd vertex, and
+        # then its orbit is given by its image
+        cols = defaultdict(set)
+        for r, f in enumerate(upper):
+            for i in range(k + 1):
+                g = f[:i] + f[i + 1:]
+                if g[0] & 1:
+                    g = tuple(v ^ 1 for v in g)
+                if g not in cleared:
+                    cols[g].add(r)
+        power = {r for r, f in enumerate(upper)
+                 if all((f[i] ^ f[i + 1]) & 1 for i in range(k))}
         pivots = set()
-        if gf2.in_column_space(len(faces[k - 1]), ones, power, pivots):
+        # columns in the (k-1)-faces' order: any order gives the same answer,
+        # but the order the facets are first met in reduced K(9,3) r=1 half
+        # as fast
+        if gf2.in_column_space((cols[g] for g in lower if g in cols), power, pivots):
             break
-        height, cleared = k, pivots
+        height, cleared, lower = k, {upper[p] for p in pivots}, upper
     return height
 
 
@@ -261,7 +253,7 @@ def pair_space_height(G, r, *, limit=None):
     # vertex 2i + 1 is 2i on the other sheet, so the sheet swap is v ^ 1; it
     # is free and simplicial once _require_free holds
     _require_free(G, r)
-    return _height(_OrbitComplex(_box_faces(G, r), limit))
+    return _height(_levels(_box_faces(G, r), limit))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +390,7 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None,
         # when a cheap lower bound already exceeds upper; height_bounds has
         # checked that its swap is free
         if lower is None or lower <= upper:
-            lower = _height(_OrbitComplex(_box_faces(G, r), limit), upper + 1)
+            lower = _height(_levels(_box_faces(G, r), limit), upper + 1)
             lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"

@@ -4,9 +4,9 @@ The quotient of a free involution is validated to have exactly two disjoint
 preimages per face; when it does not, the total complex is barycentrically
 subdivided (with the induced involution) and the construction retried.  The
 monodromy bits of a spanning-forest lift give the Stiefel-Whitney cocycle,
-whose cup powers are tested with nbhd's cochain functions on the quotient.
-The library computes the same heights on the orbit Delta-complex instead;
-the tests compare the two.
+whose cup powers are tested on the quotient with this module's own mod-2
+cochain functions.  The library computes the same heights on the orbit
+Delta-complex instead; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -99,8 +99,11 @@ def is_coboundary(Q, c, limit=None):
     if len(upper) != len(c.bits):
         raise ValueError("cochain does not match the complex")
     pos = _positions(lower)
-    ones = ((r, pos[f[:i] + f[i + 1:]]) for r, f in enumerate(upper) for i in range(len(f)))
-    return gf2.in_column_space(len(lower), ones, c.bits)
+    cols = [set() for _ in lower]
+    for r, f in enumerate(upper):
+        for i in range(len(f)):
+            cols[pos[f[:i] + f[i + 1:]]].add(r)
+    return gf2.in_column_space(cols, {r for r, b in enumerate(c.bits) if b})
 
 
 class QuotientStructureError(RuntimeError):

@@ -100,6 +100,14 @@ class TestHomology:
         assert [r["betti"] for r in rows] == [1, 0, 0, 0, 0, 0, 0, 0, 1]
         assert all(r["torsion"] == [] for r in rows)
 
+    def test_from_edge_list_with_radius(self, capsys, tmp_path):
+        # N(C5) at radius 1 is a 5-cycle
+        path = tmp_path / "c5.txt"
+        path.write_text("# pentagon\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+        code, report = run_json(capsys, ["homology", str(path), "-r", "1"])
+        assert code == 0
+        assert [r["betti"] for r in report["result"]["homology"]] == [1, 1]
+
     def test_graph_without_radius_fails(self, petersen_file):
         assert main(["homology", petersen_file]) == 2
 

@@ -80,6 +80,15 @@ class TestSimplicialComplex:
         K = SimplicialComplex.from_faces(iter(faces))
         assert (K.vertices, K.facets) == naive_from_faces(faces)
 
+    @pytest.mark.parametrize("facets", [
+        [(0, 1), (0, 1, 2)],
+        [(0, 1, 2), (1, 2)],
+        [(0, 1), (0, 1)],
+    ])
+    def test_constructor_rejects_nested_or_repeated_facets(self, facets):
+        with pytest.raises(ValueError):
+            SimplicialComplex(("a", "b", "c"), facets)
+
     def test_face_enumeration_counts(self):
         K = full_simplex(2)
         assert K.face_counts() == (3, 3, 1)

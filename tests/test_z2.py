@@ -43,8 +43,8 @@ from nbhd.z2 import (
     _box_faces,
     _facet_faces,
     _height,
+    _levels,
     _orbit_labelled,
-    _OrbitComplex,
 )
 from quotient_oracle import (
     CochainZ2,
@@ -479,7 +479,7 @@ class TestOrbitHeightAgainstQuotient:
     @settings(max_examples=200, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         K, t = case
-        truncated = _height(_OrbitComplex(_facet_faces(_orbit_labelled(K, t))), k)
+        truncated = _height(_levels(_facet_faces(_orbit_labelled(K, t))), k)
         assert truncated == min(z2_height(K, t), k)
 
 
@@ -544,7 +544,7 @@ class TestBoxHeightAgainstPairSpace:
     @settings(max_examples=100, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         G, r = case
-        assert _height(_OrbitComplex(_box_faces(G, r)), k) == min(pair_space_height(G, r), k)
+        assert _height(_levels(_box_faces(G, r)), k) == min(pair_space_height(G, r), k)
 
 
 
