@@ -174,9 +174,8 @@ def _cmd_kneser_table(args):
                 continue
             cells += comb(n, k)
             if cells > args.limit_cells:
-                raise ResourceLimitError(
-                    f"kneser-table reached {cells} vertices, above the limit of "
-                    f"{args.limit_cells}", count=cells, limit=args.limit_cells)
+                raise ResourceLimitError("kneser-table", cells, "vertices",
+                                         args.limit_cells)
             g = make_kneser(n, k)
             bfs = odd_girth(g)
             formula = 2 * math.ceil(k / (n - 2 * k)) + 1 if n > 2 * k else math.inf

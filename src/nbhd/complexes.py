@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 
-def _face_limit_error(count, cap):
-    return ResourceLimitError(
-        f"face enumeration reached {count} faces, above the limit of {cap}",
-        count=count, limit=cap)
-
-
 def sorted_labels(labels):
     """Deterministic label order: natural when comparable, else type/repr."""
     labels = list(labels)
@@ -131,7 +125,8 @@ class SimplicialComplex:
                         if sub not in seen:
                             seen.add(sub)
                             if len(seen) > cap:
-                                raise _face_limit_error(len(seen), cap)
+                                raise ResourceLimitError(
+                                    "face enumeration", len(seen), "faces", cap)
             by_dim = {}
             for f in seen:
                 by_dim.setdefault(len(f) - 1, []).append(f)
@@ -139,7 +134,7 @@ class SimplicialComplex:
         else:
             count = sum(map(len, self._faces.values()))
             if count > cap:
-                raise _face_limit_error(count, cap)
+                raise ResourceLimitError("face enumeration", count, "faces", cap)
         return self._faces
 
     def face_counts(self, limit=None):
@@ -270,8 +265,7 @@ class Poset:
                 out.append(tuple(path) + (nxt,))
                 if len(out) > cap:
                     raise ResourceLimitError(
-                        f"maximal-chain enumeration reached {len(out)} chains, "
-                        f"above the limit of {cap}", count=len(out), limit=cap)
+                        "maximal-chain enumeration", len(out), "chains", cap)
         return out
 
     def to_json_obj(self):
@@ -322,18 +316,15 @@ def pair_poset(G, r, size_guard=200_000):
             a = prefix + (x,)
             a_sets.append((a, c))
             if len(a_sets) > size_guard:
+                # each first component carries at least one element
                 raise ResourceLimitError(
-                    f"linked-pair poset exceeds {size_guard} elements "
-                    f"(more than {len(a_sets)} first components alone)",
-                    count=len(a_sets), limit=size_guard)
+                    "linked-pair poset", len(a_sets), "elements", size_guard)
             grow(a, c, x + 1)
 
     grow((), None, 0)
     total = sum(2 ** len(c) - 1 for _, c in a_sets)
     if total > size_guard:
-        raise ResourceLimitError(
-            f"linked-pair poset has {total} elements, above the guard of {size_guard}",
-            count=total, limit=size_guard)
+        raise ResourceLimitError("linked-pair poset", total, "elements", size_guard)
 
     a_sets.sort(key=lambda ac: (len(ac[0]), ac[0]))
     elements = []

@@ -2,10 +2,11 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or search exceeded its configured guard."""
+    """An enumeration or search exceeded its configured guard: ``stage``
+    reached ``count`` ``unit``, above ``limit``."""
 
-    def __init__(self, message, count=None, limit=None):
-        super().__init__(message)
+    def __init__(self, stage, count, unit, limit):
+        super().__init__(f"{stage} reached {count} {unit}, above the limit of {limit}")
         self.count = count
         self.limit = limit
 

@@ -154,13 +154,21 @@ def make_kneser(n, k):
 
 def walk_ball(G, i, r):
     """Indices reachable from vertex index ``i`` by walks of length exactly
-    ``r`` (iterated neighbor union)."""
-    cur = {i}
-    for _ in range(r):
+    ``r`` (iterated neighbor union).
+
+    Each step's ball is the neighborhood of the one before, so once a step
+    repeats the ball from two steps earlier the balls alternate, and the
+    parity of the steps left picks the answer.  After the first step the
+    balls grow along each parity, so this happens within about 2n steps.
+    """
+    prev, cur = None, {i}
+    for step in range(r):
         nxt = set()
         for w in cur:
             nxt |= G.adj[w]
-        cur = nxt
+        if nxt == prev:
+            return frozenset(cur if (r - step) % 2 == 0 else nxt)
+        prev, cur = cur, nxt
     return frozenset(cur)
 
 

@@ -1,22 +1,23 @@
 """Integral simplicial homology through exact Smith normal form, homological
 connectivity, and edge-path group presentations with abelianization.
 
-The Smith reduction runs on arbitrary-precision integers: a sparse pass
-eliminates unit pivots, taking the shortest column from a queue keyed by
+The Smith reduction runs on arbitrary-precision integers: a sparse unit
+pass eliminates unit pivots, taking the shortest column from a queue keyed by
 column length and, in it, the shortest row holding a +-1; only the columns
 an elimination touched are queued again, and a column with no unit waits
-until one does.  The textbook dense algorithm finishes whatever is left.
-No modular shortcuts, so torsion coefficients are exact.
+until one does.  A non-unit pass reduces whatever is left in the same rows
+and columns, with the same row operation.  No modular shortcuts, so torsion
+coefficients are exact.
 
 ``homology`` reduces the boundary matrices from the top dimension down and
 clears as it goes (Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).
-A unit pivot of the sparse pass at (row s, column t) of the boundary of
+A pivot of the unit pass at (row s, column t) of the boundary of
 dimension d + 1 is an elementary reduction over Z: s plus a combination of
 the d-faces not yet paired is a boundary, so the boundary of s lies in the
 span of those faces' boundaries.  Column s of the boundary of dimension d
 is therefore never built: that matrix is assembled only after the one above
 is reduced, and its image, and with it its rank and invariant factors, stay
-the same.  Pivots of the dense endgame are not units and clear nothing.
+the same.  Pivots of the non-unit pass are not units and clear nothing.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def smith_normal_form(matrix, shape=None, pivot_rows=None):
     ``{(i, j): value}`` dict with an explicit ``(rows, cols)`` shape.
     Returns ``(factors, rank)``: the factors are the nonzero diagonal
     entries, positive and divisibility-chained, so ``rank == len(factors)``.
-    When ``pivot_rows`` is a set, the row of every unit pivot the sparse
-    pass takes is added to it; the dense endgame's rows are not.
+    When ``pivot_rows`` is a set, the row of every pivot the unit pass
+    takes is added to it; the non-unit pass's rows are not.
     """
     if isinstance(matrix, dict):
         if shape is None:
@@ -131,17 +132,7 @@ def _snf_factors(entries, pivot_rows):
                 heapq.heappush(heap, (len(cols[jj]), jj))
         pivot_rows.add(i)
         unit_count += 1
-    dense_factors = []
-    if rows:
-        row_ids = sorted(rows)
-        col_ids = sorted({j for r in rows.values() for j in r})
-        cpos = {j: a for a, j in enumerate(col_ids)}
-        dense = [[0] * len(col_ids) for _ in row_ids]
-        for a, i in enumerate(row_ids):
-            for j, v in rows[i].items():
-                dense[a][cpos[j]] = v
-        dense_factors = _snf_dense(dense)
-    return [1] * unit_count + [f for f in dense_factors if f]
+    return [1] * unit_count + _non_unit_pass(rows, cols)
 
 
 def _eliminate_unit(rows, cols, pi, pj):
@@ -155,91 +146,61 @@ def _eliminate_unit(rows, cols, pi, pj):
         if not s:
             del cols[jj]
     for ii in col_rows:
-        r = rows[ii]
-        f = r.pop(pj) * v  # row_ii -= f * piv_row
-        for jj, pv in piv_row.items():
-            cur = r.get(jj)
-            nv = (cur or 0) - f * pv
-            if nv:
-                if cur is None:
-                    cols.setdefault(jj, set()).add(ii)
-                r[jj] = nv
-            elif cur is not None:
-                del r[jj]
-                s = cols[jj]
-                s.discard(ii)
-                if not s:
-                    del cols[jj]
-        if not r:
-            del rows[ii]
+        _add_row(rows, cols, ii, piv_row, rows[ii].pop(pj) * v)
 
 
-def _snf_dense(a):
-    """Textbook Smith reduction of a small dense block; returns the nonzero
-    diagonal entries (absolute, divisibility-chained)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
+def _add_row(rows, cols, ii, src, f):
+    # row ii -= f * src, with cols kept in step; an emptied row is dropped
+    r = rows[ii]
+    for jj, pv in src.items():
+        cur = r.get(jj)
+        nv = (cur or 0) - f * pv
+        if nv:
+            if cur is None:
+                cols.setdefault(jj, set()).add(ii)
+            r[jj] = nv
+        elif cur is not None:
+            del r[jj]
+            s = cols[jj]
+            s.discard(ii)
+            if not s:
+                del cols[jj]
+    if not r:
+        del rows[ii]
+
+
+def _non_unit_pass(rows, cols):
+    """Invariant factors of what the unit pass leaves, reduced in place.
+
+    The pivot is an entry of least absolute value.  Row operations clear its
+    column first; only then is its row reduced modulo the pivot, by column
+    operations that touch no other row.  A remainder is smaller than the
+    pivot and becomes the next one, so the loop ends.  The gcd/lcm pass
+    chains the diagonal it leaves.
+    """
     factors = []
-    t = 0
-    while t < m and t < n:
-        pi = pj = -1
-        pv = 0
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (not pv or abs(v) < abs(pv)):
-                    pi, pj, pv = i, j, v
-        if not pv:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
+    while rows:
+        _, pi, pj = min((abs(v), i, j) for i, r in rows.items() for j, v in r.items())
         while True:
-            p = a[t][t]
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        at = a[t]
-                        a[i] = [x - q * y for x, y in zip(a[i], at)]
-                    if a[i][t]:
-                        # remainder strictly smaller than |p|: promote it
-                        a[t], a[i] = a[i], a[t]
-                        restart = True
-                        break
-            if restart:
+            p = rows[pi][pj]
+            for ii in sorted(cols[pj] - {pi}):
+                if q := rows[ii][pj] // p:
+                    _add_row(rows, cols, ii, rows[pi], q)
+            rest = cols[pj] - {pi}
+            if rest:
+                pi = min(rest, key=lambda ii: (abs(rows[ii][pj]), ii))
                 continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        a[t][j] -= q * p  # column is clear below the pivot
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            p = a[t][t]
-            bad = -1
-            for i in range(t + 1, m):
-                row = a[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad >= 0:
-                    break
-            if bad < 0:
+            row = rows[pi]
+            _add_row(rows, cols, pi, {x: v - v % p for x, v in row.items() if x != pj}, 1)
+            if len(row) == 1:
                 break
-            at = a[t]
-            a[t] = [x + y for x, y in zip(at, a[bad])]
-        factors.append(abs(a[t][t]))
-        t += 1
+            pj = min((x for x in row if x != pj), key=lambda x: (abs(row[x]), x))
+        del rows[pi], cols[pj]
+        factors.append(abs(p))
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            g = math.gcd(factors[a], factors[b])
+            factors[a], factors[b] = g, factors[a] * factors[b] // g
     return factors
 
 

@@ -40,6 +40,9 @@ __all__ = [
     "kneser_certificate",
 ]
 
+# the longest odd cycle C_m that height_bounds tries as a target
+ODD_CYCLE_SCAN = 15
+
 
 @dataclass(frozen=True)
 class Involution:
@@ -116,9 +119,7 @@ def _levels(faces, limit=None):
         for face in group:
             count += 1
             if count > cap:
-                raise ResourceLimitError(
-                    f"orbit-face enumeration reached {count} faces, above the "
-                    f"limit of {cap}", count=count, limit=cap)
+                raise ResourceLimitError("orbit-face enumeration", count, "faces", cap)
             level.append(face)
         yield level
 
@@ -291,7 +292,7 @@ class HeightBounds:
         }
 
 
-def height_bounds(G, r, *, odd_cycle_scan=15, budget=10_000_000):
+def height_bounds(G, r, *, budget=10_000_000):
     """Cheap bounds on the swap height of the linked-pair space at odd radius
     ``r``, without building its order complex.
 
@@ -299,16 +300,16 @@ def height_bounds(G, r, *, odd_cycle_scan=15, budget=10_000_000):
     parameters put the pair space on a sphere; the exact value ``r`` for the
     tagged (r+2)-cycle; the lower bound ``r`` whenever the odd girth is
     exactly ``r + 2``; and the upper bound 1 when the graph maps to some odd
-    cycle longer than ``2r`` (scanned up to ``odd_cycle_scan``).  The bounds
-    are kept in the graph's memo, per ``(r, odd_cycle_scan, budget)``.
+    cycle longer than ``2r`` (scanned up to ``ODD_CYCLE_SCAN``).  The bounds
+    are kept in the graph's memo, per ``(r, budget)``.
     """
-    key = ("height_bounds", r, odd_cycle_scan, budget)
+    key = ("height_bounds", r, budget)
     if key not in G._memo:
-        G._memo[key] = _height_bounds(G, r, odd_cycle_scan, budget)
+        G._memo[key] = _height_bounds(G, r, budget)
     return G._memo[key]
 
 
-def _height_bounds(G, r, odd_cycle_scan, budget):
+def _height_bounds(G, r, budget):
     g0 = _require_free(G, r)
     rules = []
     tag = G.tag or ()
@@ -323,7 +324,7 @@ def _height_bounds(G, r, odd_cycle_scan, budget):
     if g0 == r + 2:
         rules.append(HeightBound("lower", r, "girth-sphere"))
     if not any(b.kind == "exact" for b in rules):
-        for m in range(2 * r + 1, odd_cycle_scan + 1, 2):
+        for m in range(2 * r + 1, ODD_CYCLE_SCAN + 1, 2):
             status = hom_search(G, make_cycle(m), budget).status
             if status == "found":
                 rules.append(HeightBound("upper", 1, f"maps-to-odd-cycle-C{m}"))
@@ -363,8 +364,7 @@ class ObstructionReport:
         }
 
 
-def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None,
-                      odd_cycle_scan=15):
+def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
     """Compare a height lower bound for the source against an upper bound for
     the target: NO-MAP when the source height provably exceeds the target's.
 
@@ -376,8 +376,8 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None,
     already exceeds ``upper`` (that bound is reported).  Requires ``r`` odd
     and both odd girths above ``r``.
     """
-    lb = height_bounds(G, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
-    ub = height_bounds(H, r, odd_cycle_scan=odd_cycle_scan, budget=budget)
+    lb = height_bounds(G, r, budget=budget)
+    ub = height_bounds(H, r, budget=budget)
     lower, lrule = _best_bound(lb.rules, "lower")
     upper, urule = _best_bound(ub.rules, "upper")
     # a cheap rule may only bound the height; exact mode replaces anything
@@ -414,7 +414,7 @@ class KneserReport:
         return {"verdict": self.verdict, "rule": self.rule, "detail": dict(self.detail)}
 
 
-def kneser_certificate(n, k, G, *, odd_cycle_scan=15, budget=10_000_000):
+def kneser_certificate(n, k, G, *, budget=10_000_000):
     """Nonexistence certificate for maps out of the (n, k) Kneser graph when
     its pair space is a sphere (requires ``k - 1 = r(n - 2k)`` with integer
     ``r >= 1``): NO-MAP when the target has odd girth above ``2r + 1`` and
@@ -439,7 +439,7 @@ def kneser_certificate(n, k, G, *, odd_cycle_scan=15, budget=10_000_000):
     if g0 > 2 * r + 1:
         if G.n_vertices < comb(n, k):
             return KneserReport("NO-MAP", "vertex-count", detail)
-        hb = height_bounds(G, 2 * r + 1, odd_cycle_scan=odd_cycle_scan, budget=budget)
+        hb = height_bounds(G, 2 * r + 1, budget=budget)
         if hb.upper is not None and hb.upper < sphere_dim:
             detail["height_upper"] = hb.upper
             return KneserReport("NO-MAP", "height-upper", detail)

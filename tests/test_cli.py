@@ -230,6 +230,7 @@ def test_malformed_json_shape_is_an_input_error(tmp_path, capsys, command, obj):
      "orbit-face enumeration"),
     (["complex", "{petersen}", "3", "--limit-faces", "50"], "face enumeration"),
     (["kneser-table", "10", "14", "2", "5", "--limit-cells", "100"], "kneser-table"),
+    (["bposet", "{petersen}", "1", "--guard", "10"], "linked-pair poset"),
 ])
 def test_resource_limit_names_stage_and_count(tmp_path, capsys, petersen_file, c5_file,
                                               argv, stage):

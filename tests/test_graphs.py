@@ -146,6 +146,18 @@ class TestWalkNeighborhood:
         for v in range(g.n_vertices):
             assert walk_neighborhood(g, v, r) == brute_walk_endpoints(g, v, r)
 
+    @given(graphs_with_loops(7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_long_walks_match_plain_iteration(self, g, data):
+        # the balls alternate once a step repeats the ball two steps back
+        r = data.draw(st.integers(min_value=0, max_value=3 * g.n_vertices))
+        for v in range(g.n_vertices):
+            assert walk_neighborhood(g, v, r) == brute_walk_endpoints(g, v, r)
+
+    def test_huge_radius_stops_once_the_balls_alternate(self):
+        g = make_cycle(5)
+        assert walk_neighborhood(g, 0, 10 ** 12) == brute_walk_endpoints(g, 0, 12)
+
     @given(small_graphs, st.integers(min_value=0, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_steps_of_two(self, g, r):

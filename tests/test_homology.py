@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from nbhd import (
     smith_normal_form,
 )
 from nbhd import HomologyResult, gf2
-from nbhd.homology import _snf_dense
+from snf_oracle import textbook_snf
 
 
 def rational_rank(rows):
@@ -164,18 +165,12 @@ class TestSmithNormalForm:
 @st.composite
 def int_matrices(draw, max_side=10):
     """Shape and row-major entries in -3..3, about half of them zero, so that
-    non-unit entries survive the unit pass into the dense endgame."""
+    non-unit entries survive the unit pass into the non-unit pass."""
     m = draw(st.integers(0, max_side))
     n = draw(st.integers(0, max_side))
     entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
     vals = draw(st.lists(entry, min_size=m * n, max_size=m * n))
     return m, n, vals
-
-
-def textbook_snf(rows):
-    """Oracle: the dense textbook reduction alone, with no sparse unit pass."""
-    factors = [f for f in _snf_dense([list(r) for r in rows]) if f]
-    return tuple(factors), len(factors)
 
 
 class TestUnitPassAgainstTextbook:
@@ -184,6 +179,18 @@ class TestUnitPassAgainstTextbook:
     def test_random_integer_matrices(self, matrix):
         m, n, vals = matrix
         rows = [vals[i * n:(i + 1) * n] for i in range(m)]
+        entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+        assert smith_normal_form(entries, (m, n)) == textbook_snf(rows)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=2000)
+    def test_unit_free_matrices(self, seed):
+        # no unit, so all of it goes to the non-unit pass; its entries stay
+        # small only while column operations wait for a cleared column
+        rng = random.Random(seed)
+        m, n = rng.randint(0, 30), rng.randint(0, 30)
+        rows = [[rng.choice((0, 2, -2, 3, -3, 4, -4, 6, -6)) for _ in range(n)]
+                for _ in range(m)]
         entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
         assert smith_normal_form(entries, (m, n)) == textbook_snf(rows)
 
@@ -422,8 +429,8 @@ def klein_bottle():
     return SimplicialComplex.from_faces(triangles)
 
 
-# the unit pass yields only 1s, so each torsion factor comes from a non-unit
-# factor of the dense endgame, whose rows must clear nothing
+# the unit pass yields only 1s, so each torsion factor comes from the
+# non-unit pass, whose rows must clear nothing
 TORSION_CASES = {
     "rp2": (rp2_complex, ((1, ()), (0, (2,)), (0, ()))),
     "moore3": (lambda: moore_space(3), ((1, ()), (0, (3,)), (0, ()))),
@@ -494,14 +501,16 @@ class TestUnitPass:
 
     @staticmethod
     def dense_shapes(monkeypatch, K):
+        # (rows, columns) left to the non-unit pass by each reduction
         module = sys.modules["nbhd.homology"]
+        non_unit_pass = module._non_unit_pass
         shapes = []
 
-        def recording(a):
-            shapes.append((len(a), len(a[0]) if a else 0))
-            return _snf_dense(a)
+        def recording(rows, cols):
+            shapes.append((len(rows), len(cols)))
+            return non_unit_pass(rows, cols)
 
-        monkeypatch.setattr(module, "_snf_dense", recording)
+        monkeypatch.setattr(module, "_non_unit_pass", recording)
         h = homology(K)
         monkeypatch.undo()
         return h, shapes

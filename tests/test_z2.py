@@ -641,10 +641,9 @@ class TestHeightBounds:
         assert searches == [(3, 10_000_000)]  # no second scan search
         height_bounds(g, 3)
         height_bounds(g, 1, budget=1_000)
-        height_bounds(g, 1, odd_cycle_scan=13)
-        assert searches[1:] == [(7, 10_000_000), (3, 1_000), (3, 10_000_000)]
+        assert searches[1:] == [(7, 10_000_000), (3, 1_000)]
         height_bounds(g, 1, budget=1_000)
-        assert len(searches) == 4
+        assert len(searches) == 3
         fresh = make_cycle(9)
         assert g == fresh and hash(g) == hash(fresh)
 
