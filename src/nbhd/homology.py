@@ -1,31 +1,35 @@
 """Integral simplicial homology through exact Smith normal form, homological
 connectivity, and edge-path group presentations with abelianization.
 
-The Smith reduction runs on arbitrary-precision integers: a sparse unit
-pass eliminates unit pivots, taking the shortest column from a queue keyed by
-column length and, in it, the shortest row holding a +-1; only the columns
-an elimination touched are queued again, and a column with no unit waits
-until one does.  A non-unit pass reduces whatever is left in the same rows
-and columns, with the same row operation.  No modular shortcuts, so torsion
-coefficients are exact.
+The Smith reduction runs on arbitrary-precision integers.  Free rows go
+first, from a queue: a row holding a single +-1 is a pivot that only deletes
+its column, and a row left single is queued in turn.  A sparse unit pass
+then takes the shortest column from a queue keyed by column length and, in
+it, the shortest row holding a +-1; only the columns an elimination touched
+are queued again, and a column with no unit waits until one does.  A
+non-unit pass reduces what is left in the same rows and columns, with the
+same row operation.  No modular shortcuts: torsion coefficients are exact.
 
 ``homology`` reduces the boundary matrices from the top dimension down and
-clears as it goes (Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).
-A pivot of the unit pass at (row s, column t) of the boundary of
-dimension d + 1 is an elementary reduction over Z: s plus a combination of
-the d-faces not yet paired is a boundary, so the boundary of s lies in the
-span of those faces' boundaries.  Column s of the boundary of dimension d
-is therefore never built: that matrix is assembled only after the one above
-is reduced, and its image, and with it its rank and invariant factors, stay
-the same.  Pivots of the non-unit pass are not units and clear nothing.
+clears as it goes (Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).  A
+unit pivot at (row s, column t) of the boundary of dimension d + 1 is an
+elementary reduction over Z: s plus a combination of the d-faces not yet
+paired is a boundary, so the boundary of s lies in the span of those faces'
+boundaries.  Column s of the boundary of dimension d is therefore never
+built: that matrix is assembled once, into the reduction's rows and columns,
+after the one above is reduced, and its image, and with it its rank and
+invariant factors, stay the same.  Pivots of the non-unit pass are not units
+and clear nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import neighborhood_complex
 from .graphs import odd_girth
@@ -59,19 +63,26 @@ def boundary_matrices(K, limit=None):
     """Boundary operators for d = 1..dim(K); the column for a d-face gets sign
     (-1)^i at the row dropping its i-th vertex (vertices sorted)."""
     faces = K.faces(limit)
-    return [BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), _boundary(faces, d))
-            for d in range(1, len(faces))]
+    return [BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), {
+        (i, j): v for i, r in _boundary(faces, d)[0].items() for j, v in r.items()})
+        for d in range(1, len(faces))]
 
 
 def _boundary(faces, d, cleared=()):
-    # entries of the boundary of dimension d, leaving out the cleared columns
-    rows = {f: i for i, f in enumerate(faces[d - 1])}
-    entries = {}
+    # the boundary of dimension d without the cleared columns, as the
+    # reduction's rows {row: {col: +-1}} and columns {col: {rows}}
+    index = {f: i for i, f in enumerate(faces[d - 1])}
+    # combinations drop the last vertex first: the k-th drops vertex d - k
+    signs = [-1 if (d - k) % 2 else 1 for k in range(d + 1)]
+    rows = [{} for _ in faces[d - 1]]
+    cols = {}
     for c, f in enumerate(faces[d]):
         if c not in cleared:
-            for i in range(len(f)):
-                entries[(rows[f[:i] + f[i + 1:]], c)] = -1 if i % 2 else 1
-    return entries
+            rs = list(map(index.__getitem__, combinations(f, d)))
+            cols[c] = set(rs)
+            for s, r in zip(signs, rs):
+                rows[r][c] = s
+    return {i: r for i, r in enumerate(rows) if r}, cols
 
 
 # ---------------------------------------------------------------------------
@@ -81,41 +92,69 @@ def smith_normal_form(matrix, shape=None, pivot_rows=None):
     """Invariant factors and rank of an integer matrix.
 
     Accepts a dense matrix as any sequence of rows, or a sparse
-    ``{(i, j): value}`` dict with an explicit ``(rows, cols)`` shape.
+    ``{(i, j): value}`` dict with an explicit ``(rows, cols)`` shape.  A
+    non-integer index or value, or an index outside the shape, raises
+    ``ValueError``.
     Returns ``(factors, rank)``: the factors are the nonzero diagonal
     entries, positive and divisibility-chained, so ``rank == len(factors)``.
-    When ``pivot_rows`` is a set, the row of every pivot the unit pass
-    takes is added to it; the non-unit pass's rows are not.
+    When ``pivot_rows`` is a set, the row of every unit pivot, free rows
+    included, is added to it; the non-unit pass's rows are not.
     """
     if isinstance(matrix, dict):
         if shape is None:
             raise ValueError("sparse input needs an explicit shape")
+        m, n = shape
         entries = matrix.items()
     else:
         dense = [list(r) for r in matrix]
-        n = len(dense[0]) if dense else 0
+        m, n = len(dense), len(dense[0]) if dense else 0
         if any(len(r) != n for r in dense):
             raise ValueError("ragged matrix")
         entries = (((i, j), v) for i, r in enumerate(dense) for j, v in enumerate(r))
-    factors = _snf_factors(entries, set() if pivot_rows is None else pivot_rows)
+    rows, cols = {}, {}
+    for (i, j), v in entries:
+        try:
+            i, j, v = operator.index(i), operator.index(j), operator.index(v)
+        except TypeError:
+            raise ValueError(f"entry {(i, j)!r} = {v!r} is not integral") from None
+        if not (0 <= i < m and 0 <= j < n):
+            raise ValueError(f"entry at {(i, j)} lies outside the shape {(m, n)}")
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+    factors = _snf_factors(rows, cols, set() if pivot_rows is None else pivot_rows)
     return tuple(factors), len(factors)
 
 
-def _snf_factors(entries, pivot_rows):
-    rows = {}
-    cols = {}
-    for (i, j), v in entries:
-        if v := int(v):
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-    # queue of columns by length, ties by index: the shortest column is
-    # pivoted on its shortest row holding a +-1 (ties by index).  Only the
+def _snf_factors(rows, cols, pivot_rows):
+    # invariant factors of rows {row: {col: value}} and columns {col: {rows}},
+    # reduced in place.  Free rows first: a row's single +-1 clears its column
+    # by deletion alone; a row left single is queued, a single non-unit stays.
+    queue = deque(i for i, r in rows.items() if len(r) == 1)
+    unit_count = 0
+    while queue:
+        i = queue.popleft()
+        if len(r := rows.get(i, ())) != 1:
+            continue
+        ((j, v),) = r.items()
+        if v != 1 and v != -1:
+            continue
+        for ii in cols.pop(j):
+            rr = rows[ii]
+            del rr[j]
+            if len(rr) == 1:
+                queue.append(ii)
+            elif not rr:
+                del rows[ii]
+        pivot_rows.add(i)
+        unit_count += 1
+    # then a queue of columns by length, ties by index: the shortest column
+    # is pivoted on its shortest row holding a +-1 (ties by index).  Only the
     # pivot row's columns change, so only they are queued again, and an entry
     # whose length no longer matches its column's is stale.  A column with no
     # unit leaves the queue until an elimination touches it.
     heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
-    unit_count = 0
     while heap:
         n, j = heapq.heappop(heap)
         col = cols.get(j)
@@ -244,10 +283,10 @@ def homology(K, limit=None):
     torsion = [()] * (top + 2)
     paired = set()  # rows of the unit pivots of the matrix one dimension up
     for d in range(top, 0, -1):
-        entries = _boundary(faces, d, paired)
+        rows, cols = _boundary(faces, d, paired)
         paired = set()
-        factors, rank[d] = smith_normal_form(entries, (counts[d - 1], counts[d]), paired)
-        torsion[d] = tuple(f for f in factors if f > 1)
+        factors = _snf_factors(rows, cols, paired)
+        rank[d], torsion[d] = len(factors), tuple(f for f in factors if f > 1)
     groups = []
     for d in range(top + 1):
         groups.append((counts[d] - rank[d] - rank[d + 1], torsion[d + 1]))

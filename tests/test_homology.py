@@ -97,6 +97,30 @@ class TestSmithNormalForm:
         assert smith_normal_form({(0, 0): 2, (1, 1): 1}, (2, 2), pivots) == ((1, 2), 2)
         assert pivots == {1}
 
+    def test_integer_and_bool_entries_are_accepted(self):
+        assert smith_normal_form([[True, 0], [0, 2]]) == ((1, 2), 2)
+        assert smith_normal_form({(0, 0): False, (1, 1): 3}, (2, 2)) == ((3,), 1)
+
+    def test_float_entry_is_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form({(0, 0): 1.5}, (1, 1))
+
+    def test_string_entry_is_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form([["2"]])
+
+    def test_index_outside_the_shape_is_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form({(5, 5): 1}, (2, 2))
+
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form({(-1, 0): 1}, (2, 2))
+
+    def test_entry_of_an_empty_shape_is_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form({(0, 0): 1}, (0, 0))
+
     @given(small_int_matrices)
     @settings(max_examples=120, deadline=None)
     def test_rank_matches_rational_elimination(self, rows):
@@ -173,7 +197,32 @@ def int_matrices(draw, max_side=10):
     return m, n, vals
 
 
+@st.composite
+def free_row_matrices(draw, max_side=10):
+    """Shape and sparse entries of a matrix rich in rows of one entry: each
+    row holds one to three entries, mostly +-1 but also 2, -2 or 3, so that
+    non-unit singletons occur and deleting a free row's column leaves other
+    rows single in turn."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(1, max_side))
+    value = st.sampled_from((1, -1, 1, -1, 2, -2, 3))
+    entries = {}
+    for i in range(m):
+        for j in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+            entries[(i, j)] = draw(value)
+    return m, n, entries
+
+
 class TestUnitPassAgainstTextbook:
+    @given(free_row_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_free_row_matrices(self, matrix):
+        m, n, entries = matrix
+        expected = textbook_snf([[entries.get((i, j), 0) for j in range(n)]
+                                 for i in range(m)])
+        assert smith_normal_form(entries, (m, n)) == expected
+        assert smith_normal_form(entries, (m, n), pivot_rows=set()) == expected
+
     @given(int_matrices())
     @settings(max_examples=300, deadline=None)
     def test_random_integer_matrices(self, matrix):
@@ -463,15 +512,16 @@ class TestClearing:
 
     def test_paired_columns_are_not_reduced(self, monkeypatch):
         # the full 4-simplex is acyclic and pairs only by units, so every
-        # matrix reaches the Smith form with exactly its rank in columns
+        # matrix reaches the reduction with exactly its rank in columns
         module = sys.modules["nbhd.homology"]
+        snf_factors = module._snf_factors
         seen = []
 
-        def recording(matrix, shape=None, pivot_rows=None):
-            seen.append(len({j for _, j in matrix}))
-            return smith_normal_form(matrix, shape, pivot_rows)
+        def recording(rows, cols, pivot_rows):
+            seen.append(len(cols))
+            return snf_factors(rows, cols, pivot_rows)
 
-        monkeypatch.setattr(module, "smith_normal_form", recording)
+        monkeypatch.setattr(module, "_snf_factors", recording)
         assert homology(full_simplex(4)).betti_vector == (1, 0, 0, 0, 0)
         assert seen == [1, 4, 6, 4]
 
@@ -489,8 +539,30 @@ UNIT_PASS_CASES = {
 
 
 class TestUnitPass:
-    """The sparse pass pivots the shortest column on its shortest unit row
-    and queues again the columns an elimination touched."""
+    """Unit pivots come in two phases.  Rows holding a single +-1 are
+    pivoted first, from a queue, by deleting their column from the other
+    rows; a row left single is queued in turn.  On what remains, the unit
+    pass pivots the shortest column on its shortest unit row and queues
+    again the columns an elimination touched."""
+
+    @pytest.mark.parametrize("K, betti", [
+        # each pivot's row is single from the start, in every dimension
+        (full_simplex(4), (1, 0, 0, 0, 0)),
+        # only the two ends are single; each pivot leaves the next row single
+        (SimplicialComplex.from_faces([(k, k + 1) for k in range(6)]), (1, 0)),
+    ], ids=["full 4-simplex", "path"])
+    def test_free_rows_take_every_pivot(self, monkeypatch, K, betti):
+        module = sys.modules["nbhd.homology"]
+        eliminate_unit = module._eliminate_unit
+        calls = []
+
+        def recording(rows, cols, pi, pj):
+            calls.append((pi, pj))
+            return eliminate_unit(rows, cols, pi, pj)
+
+        monkeypatch.setattr(module, "_eliminate_unit", recording)
+        assert homology(K).betti_vector == betti
+        assert calls == []
 
     def test_touched_column_is_queued_again(self):
         # column 0 holds no unit until the pivot in column 1 leaves 3 - 2 = 1
