@@ -60,19 +60,23 @@ def _cmd_complex(args):
     g = load_graph(args.graph)
     K = neighborhood_complex(g, args.r)
     K.faces(args.limit_faces)  # enforce the guard before reporting
-    obj = complex_to_json_obj(K)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     params = {"graph": args.graph, "r": args.r, "out": args.out}
     result = {"facet_count": len(K.facets), "dim": K.dim}
-    if not args.out:
-        result["complex"] = obj
     lines = [f"facets: {len(K.facets)}", f"dimension: {K.dim}"]
-    if args.out:
-        lines.append(f"wrote {args.out}")
+    _write_or_embed(complex_to_json_obj(K), args.out, result, "complex", lines)
     return params, result, lines
+
+
+def _write_or_embed(obj, out, result, key, lines):
+    """Write ``obj`` as JSON to the file ``out`` and say so in ``lines``, or
+    without ``out`` embed it in ``result`` under ``key``."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        lines.append(f"wrote {out}")
+    else:
+        result[key] = obj
 
 
 def _load_complex_or_graph(path, r):
@@ -102,18 +106,10 @@ def _cmd_homology(args):
 def _cmd_bposet(args):
     g = load_graph(args.graph)
     P = pair_poset(g, args.r, size_guard=args.guard)
-    obj = P.to_json_obj()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     params = {"graph": args.graph, "r": args.r, "guard": args.guard, "out": args.out}
     result = {"element_count": P.n_elements, "cover_count": len(P.covers)}
-    if not args.out:
-        result["poset"] = obj
     lines = [f"elements: {P.n_elements}", f"covers: {len(P.covers)}"]
-    if args.out:
-        lines.append(f"wrote {args.out}")
+    _write_or_embed(P.to_json_obj(), args.out, result, "poset", lines)
     return params, result, lines
 
 

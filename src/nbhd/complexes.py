@@ -3,15 +3,18 @@ builders: walk-neighborhood complexes, linked-pair posets and order
 complexes.
 
 Complexes are stored by facets; full face enumeration is on demand, cached,
-and guarded by a face-count limit (default 5,000,000).  Constructed values
-are immutable apart from that cache and are safe to share between readers.
+and guarded by a face-count limit (default 5,000,000).  It grows each face
+once, in lexicographic order, from per-vertex facet bit masks, and counts it
+as it is made.  Constructed values are immutable apart from that cache and
+are safe to share between readers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+import operator
+from collections import defaultdict, deque
 
 from .errors import ResourceLimitError
 from .graphs import _decode_label, _encode_label, _json_list, walk_ball
@@ -31,6 +34,16 @@ __all__ = [
     "save_complex",
     "load_complex",
 ]
+
+
+def _integers(values):
+    # plain ints, a bool as 0 or 1; a float or a string is refused, not
+    # truncated or parsed
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{values!r} holds a non-integer") from None
 
 
 def sorted_labels(labels):
@@ -58,7 +71,7 @@ class SimplicialComplex:
             raise ValueError("vertex labels must be pairwise distinct")
         fs = []
         for f in facets:
-            f = tuple(f)
+            f = _integers(f)
             if any(not (0 <= i < n) for i in f):
                 raise ValueError("facet vertex index out of range")
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
@@ -118,28 +131,15 @@ class SimplicialComplex:
         Raises :class:`ResourceLimitError` past the face-count guard."""
         cap = DEFAULT_FACE_LIMIT if limit is None else limit
         if self._faces is None:
-            seen = set()
-            for facet in self.facets:
-                for k in range(1, len(facet) + 1):
-                    for sub in itertools.combinations(facet, k):
-                        if sub not in seen:
-                            seen.add(sub)
-                            if len(seen) > cap:
-                                raise ResourceLimitError(
-                                    "face enumeration", len(seen), "faces", cap)
-            by_dim = {}
-            for f in seen:
-                by_dim.setdefault(len(f) - 1, []).append(f)
-            self._faces = {d: sorted(v) for d, v in sorted(by_dim.items())}
-        else:
-            count = sum(map(len, self._faces.values()))
-            if count > cap:
-                raise ResourceLimitError("face enumeration", count, "faces", cap)
+            self._faces = dict(enumerate(_face_levels(
+                self.facets, range(self.n_vertices), cap, "face enumeration")))
+        count = sum(map(len, self._faces.values()))
+        if count > cap:
+            raise ResourceLimitError("face enumeration", count, "faces", cap)
         return self._faces
 
     def face_counts(self, limit=None):
-        faces = self.faces(limit)
-        return tuple(len(faces[d]) for d in range(len(faces)))
+        return tuple(map(len, self.faces(limit).values()))
 
     def all_faces_label_set(self, limit=None):
         return {self.face_labels(f) for lst in self.faces(limit).values() for f in lst}
@@ -177,6 +177,56 @@ class SimplicialComplex:
         )
 
 
+def _face_levels(facets, seeds, limit, stage):
+    """The faces of the complex with these ``facets`` (increasing index
+    tuples) that start on a vertex in ``seeds``, one list per dimension, each
+    yielded before a face of the next is counted; past ``limit``, a
+    :class:`ResourceLimitError` names ``stage``."""
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    # spans[v]: the vertex masks of the facets containing v; holds[v][w]:
+    # those holding a later w too, as a bit mask over spans[v]; link[v]: those
+    # w.  A face's mask is over its first vertex's facets: a mask over all
+    # facets would make each stored face as wide as the facet count
+    spans, holds = defaultdict(list), defaultdict(dict)
+    for f in facets:
+        span = sum(1 << v for v in f)
+        for p, v in enumerate(f):
+            bit = 1 << len(spans[v])
+            spans[v].append(span)
+            h = holds[v]
+            for w in f[p + 1:]:
+                h[w] = h.get(w, 0) | bit
+    link = {v: sum(1 << w for w in h) for v, h in holds.items()}
+    # a level is its faces, the facets holding each and the later vertices
+    # that may extend each, the last two as bit masks
+    faces, held_by, cands, room = [], [], [], cap
+    for v in filter(spans.__contains__, seeds):
+        faces.append((v,))
+        held_by.append((1 << len(spans[v])) - 1)
+        cands.append(link[v])
+        if len(faces) > room:
+            raise ResourceLimitError(stage, cap + 1, "faces", cap)
+    while faces:
+        yield faces
+        room -= len(faces)
+        level, faces, held_by, cands = zip(faces, held_by, cands), [], [], []
+        for face, m, cand in level:
+            holds0, spans0 = holds[face[0]], spans[face[0]]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                held = m & holds0[v]
+                if held:
+                    faces.append(face + (v,))
+                    held_by.append(held)
+                    # a face in one facet extends only within that facet
+                    cands.append(cand & (link[v] if held & (held - 1)
+                                         else spans0[held.bit_length() - 1]))
+                    if len(faces) > room:
+                        raise ResourceLimitError(stage, cap + 1, "faces", cap)
+
+
 class Poset:
     """Finite poset stored by its covering relation; the order is the
     reflexive-transitive closure (acyclicity is validated, which gives
@@ -190,8 +240,8 @@ class Poset:
         if len(set(self.elements)) != n:
             raise ValueError("poset elements must be pairwise distinct")
         cov = set()
-        for a, b in covers:
-            a, b = int(a), int(b)
+        for pair in covers:
+            a, b = _integers(pair)
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad cover pair ({a}, {b})")
             cov.add((a, b))

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import neighborhood_complex
+from .complexes import _integers, neighborhood_complex
 from .graphs import odd_girth
 
 __all__ = [
@@ -88,7 +87,7 @@ def _boundary(faces, d, cleared=()):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def smith_normal_form(matrix, shape=None, pivot_rows=None):
+def smith_normal_form(matrix, shape=None):
     """Invariant factors and rank of an integer matrix.
 
     Accepts a dense matrix as any sequence of rows, or a sparse
@@ -97,8 +96,6 @@ def smith_normal_form(matrix, shape=None, pivot_rows=None):
     ``ValueError``.
     Returns ``(factors, rank)``: the factors are the nonzero diagonal
     entries, positive and divisibility-chained, so ``rank == len(factors)``.
-    When ``pivot_rows`` is a set, the row of every unit pivot, free rows
-    included, is added to it; the non-unit pass's rows are not.
     """
     if isinstance(matrix, dict):
         if shape is None:
@@ -113,23 +110,22 @@ def smith_normal_form(matrix, shape=None, pivot_rows=None):
         entries = (((i, j), v) for i, r in enumerate(dense) for j, v in enumerate(r))
     rows, cols = {}, {}
     for (i, j), v in entries:
-        try:
-            i, j, v = operator.index(i), operator.index(j), operator.index(v)
-        except TypeError:
-            raise ValueError(f"entry {(i, j)!r} = {v!r} is not integral") from None
+        i, j, v = _integers((i, j, v))
         if not (0 <= i < m and 0 <= j < n):
             raise ValueError(f"entry at {(i, j)} lies outside the shape {(m, n)}")
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
-    factors = _snf_factors(rows, cols, set() if pivot_rows is None else pivot_rows)
+    factors = _snf_factors(rows, cols, set())
     return tuple(factors), len(factors)
 
 
 def _snf_factors(rows, cols, pivot_rows):
     # invariant factors of rows {row: {col: value}} and columns {col: {rows}},
-    # reduced in place.  Free rows first: a row's single +-1 clears its column
-    # by deletion alone; a row left single is queued, a single non-unit stays.
+    # reduced in place; the row of every unit pivot, free rows included, goes
+    # into pivot_rows, the non-unit pass's rows do not.  Free rows first: a
+    # row's single +-1 clears its column by deletion alone; a row left single
+    # is queued, a single non-unit stays.
     queue = deque(i for i, r in rows.items() if len(r) == 1)
     unit_count = 0
     while queue:
@@ -275,10 +271,7 @@ def homology(K, limit=None):
     the boundary matrices reduced from the top down and the columns that a
     unit pivot one dimension up already paired cleared."""
     faces = K.faces(limit)
-    if not faces:
-        return HomologyResult(())
-    top = max(faces)
-    counts = [len(faces[d]) for d in range(top + 1)]
+    top = len(faces) - 1
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
     paired = set()  # rows of the unit pivots of the matrix one dimension up
@@ -289,7 +282,7 @@ def homology(K, limit=None):
         rank[d], torsion[d] = len(factors), tuple(f for f in factors if f > 1)
     groups = []
     for d in range(top + 1):
-        groups.append((counts[d] - rank[d] - rank[d + 1], torsion[d + 1]))
+        groups.append((len(faces[d]) - rank[d] - rank[d + 1], torsion[d + 1]))
     return HomologyResult(tuple(groups))
 
 

@@ -180,18 +180,16 @@ def _indexed(K, matching, limit):
     # K's index faces, and each matched label face as an index tuple (a label
     # outside K maps to -1, so its tuple is no face)
     faces = {f for lst in K.faces(limit).values() for f in lst}
-    index = {f: tuple(K._index.get(v, -1) for v in f)
+    index = {f: tuple([K._index.get(v, -1) for v in f])
              for pair in matching.pairs for f in pair}
     return faces, index
 
 
-def collapse(K, matching, limit=None, indexed=None):
+def collapse(K, matching, limit=None):
     """Run elementary collapses: repeatedly remove a matched pair whose lower
     face is free, in lexicographic face order, until only unmatched faces
-    remain.  Raises :class:`CollapseError` if the matching gets stuck.
-    ``indexed`` is ``_indexed(K, matching, limit)`` when the caller has built
-    it already; its face set is consumed."""
-    faces, index = indexed or _indexed(K, matching, limit)
+    remain.  Raises :class:`CollapseError` if the matching gets stuck."""
+    faces, index = _indexed(K, matching, limit)
     for labels, f in index.items():
         if f not in faces:
             raise ValueError(f"matching mentions a face outside the complex: {labels}")
@@ -242,12 +240,12 @@ def collapse_cycle_tower(m, r, limit=None):
         matching = cycle_matching(m, rr)
         # the matched faces present in the complex stand in for all its faces:
         # verify_matching only tests the matched ones for membership
-        faces, index = indexed = _indexed(current, matching, limit)
+        faces, index = _indexed(current, matching, limit)
         report = verify_matching([f for f, i in index.items() if i in faces], matching)
         acyclic = verify_acyclic(matching)
         if not (report.perfect and acyclic):
             raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
-        current = collapse(current, matching, limit, indexed)
+        current = collapse(current, matching, limit)
         stages.append({"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
                        "verification": report.to_json_obj()})
     return current, stages

@@ -13,14 +13,13 @@ each coboundary is reduced from the two dimensions it joins alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
 
 from . import gf2
-from .complexes import DEFAULT_FACE_LIMIT
+from .complexes import DEFAULT_FACE_LIMIT, _face_levels, _integers
 from .errors import FreenessError, ResourceLimitError
 from .graphs import hom_search, make_cycle, odd_girth, walk_ball
 
@@ -51,7 +50,7 @@ class Involution:
     perm: tuple
 
     def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
+        perm = _integers(self.perm)
         object.__setattr__(self, "perm", perm)
         n = len(perm)
         if sorted(perm) != list(range(n)):
@@ -108,52 +107,25 @@ def check_free_involution(K, t):
     return FreenessReport(True)
 
 
-def _levels(faces, limit=None):
-    """The orbit faces from ``faces``, an iterator ordered by dimension, as
-    one list per dimension.  ``limit`` bounds the faces read: a level is
-    yielded before any face of the next one is counted."""
-    cap = DEFAULT_FACE_LIMIT if limit is None else limit
-    count = 0
-    for _, group in itertools.groupby(faces, len):
-        level = []
-        for face in group:
-            count += 1
-            if count > cap:
-                raise ResourceLimitError("orbit-face enumeration", count, "faces", cap)
-            level.append(face)
-        yield level
-
-
-def _facet_faces(facets):
-    """Orbit faces of t(v) = v ^ 1 on the complex with these facets (sorted
-    tuples, t free and simplicial on them), one dimension at a time."""
-    for d in itertools.count():
-        seen = set()
-        # a face starting on an odd vertex is the image of one in t(f), also a
-        # facet, that starts on an even vertex
-        for face in ((v,) + rest for f in facets for i, v in enumerate(f) if not v & 1
-                     for rest in itertools.combinations(f[i + 1:], d)):
-            if face not in seen:
-                seen.add(face)
-                yield face
-        if not seen:
-            return
-
-
-def _box_faces(G, r):
-    """Orbit faces of the box complex B(G_r) under its sheet swap, by
-    dimension, each in lexicographic order (Matousek & Ziegler 2004): A x {0}
-    + B x {1} with B in the exact-r walk ball of each member of A and both
+def _box_faces(G, r, limit=None):
+    """Orbit faces of the box complex B(G_r) under its sheet swap, one
+    lexicographic list per dimension (Matousek & Ziegler 2004): A x {0} +
+    B x {1} with B in the exact-r walk ball of each member of A and both
     common balls CN(A), CN(B) nonempty (CN of no vertex is every vertex).
     Vertex 2i + s is the i-th vertex with a nonempty ball, on sheet s; each
-    orbit is its face starting on an even vertex, reached once."""
+    orbit is its face starting on an even vertex, made and counted once."""
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
     balls = [walk_ball(G, x, r) for x in range(G.n_vertices)]
     slot = {x: i for i, x in enumerate(x for x in range(G.n_vertices) if balls[x])}
     masks = [sum(1 << slot[y] for y in balls[x]) for x in slot]
     # a level holds (face, CN of sheet 0, CN of sheet 1) as bit masks
     level = [((2 * i,), m, (1 << len(masks)) - 1) for i, m in enumerate(masks)]
-    yield from (face for face, _, _ in level)
+    if len(level) > cap:
+        raise ResourceLimitError("orbit-face enumeration", cap + 1, "faces", cap)
+    room = cap
     while level:
+        yield [face for face, _, _ in level]
+        room -= len(level)
         nxt = []
         for face, c0, c1 in level:
             v = face[-1]
@@ -167,20 +139,21 @@ def _box_faces(G, r):
                 m = masks[i]
                 if 2 * i > v and c1 & low and c0 & m:
                     nxt.append((face + (2 * i,), c0 & m, c1))
-                    yield nxt[-1][0]
                 if 2 * i + 1 > v and c0 & low and c1 & m:
                     nxt.append((face + (2 * i + 1,), c0, c1 & m))
-                    yield nxt[-1][0]
+                if len(nxt) > room:
+                    raise ResourceLimitError("orbit-face enumeration", cap + 1, "faces", cap)
         level = nxt
 
 
 def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
     nonzero in cohomology (closed-form cup powers plus coboundary
-    membership), computed on the orbit Delta-complex.  ``limit`` guards the
-    faces read, half as many as those of ``K`` up to the dimension the height
-    needs."""
-    return _height(_levels(_facet_faces(_orbit_labelled(K, t)), limit))
+    membership), computed on the orbit Delta-complex: the faces of ``K`` on
+    an even first vertex once t is v ^ 1.  ``limit`` guards the faces read,
+    half as many as those of ``K`` up to the dimension the height needs."""
+    return _height(_face_levels(_orbit_labelled(K, t), range(0, K.n_vertices, 2), limit,
+                                "orbit-face enumeration"))
 
 
 def _orbit_labelled(K, t):
@@ -254,7 +227,7 @@ def pair_space_height(G, r, *, limit=None):
     # vertex 2i + 1 is 2i on the other sheet, so the sheet swap is v ^ 1; it
     # is free and simplicial once _require_free holds
     _require_free(G, r)
-    return _height(_levels(_box_faces(G, r), limit))
+    return _height(_box_faces(G, r, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +363,7 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
         # when a cheap lower bound already exceeds upper; height_bounds has
         # checked that its swap is free
         if lower is None or lower <= upper:
-            lower = _height(_levels(_box_faces(G, r), limit), upper + 1)
+            lower = _height(_box_faces(G, r, limit), upper + 1)
             lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"

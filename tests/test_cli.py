@@ -130,6 +130,20 @@ class TestBposet:
         assert len(obj["elements"]) == 12
         assert all(len(c) == 2 for c in obj["covers"])
 
+    def test_writes_poset(self, capsys, c5_file, tmp_path):
+        out = tmp_path / "p.json"
+        code, report = run_json(capsys, ["bposet", c5_file, "1", "--out", str(out)])
+        assert code == 0
+        result = report["result"]
+        assert "poset" not in result
+        text = out.read_text()
+        assert text.endswith("}\n")
+        obj = json.loads(text)
+        assert len(obj["elements"]) == result["element_count"] > 0
+        assert len(obj["covers"]) == result["cover_count"] > 0
+        assert main(["bposet", c5_file, "1", "--out", str(out)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+
     def test_guard(self, petersen_file):
         assert main(["bposet", petersen_file, "1", "--guard", "5"]) == 3
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from nbhd import (
     pair_poset,
     walk_neighborhood,
 )
-from nbhd.complexes import sorted_labels
+from nbhd.complexes import _face_levels, sorted_labels
 
 
 def naive_from_faces(faces):
@@ -99,6 +100,27 @@ class TestSimplicialComplex:
         with pytest.raises(ResourceLimitError):
             K.faces(limit=10)
 
+    def test_face_limit_inside_a_level(self):
+        # 6 vertices, then the 11th face is the 5th of 15 edges
+        with pytest.raises(ResourceLimitError) as err:
+            simplex_boundary(5).faces(limit=10)
+        assert (err.value.count, err.value.limit) == (11, 10)
+        assert "face enumeration" in str(err.value)
+
+    @pytest.mark.parametrize("facets", [
+        [(0.5, 1), (1, 2)],
+        [("0", "1")],
+        [(0, None)],
+    ])
+    def test_constructor_rejects_non_integer_indices(self, facets):
+        with pytest.raises(ValueError):
+            SimplicialComplex(("a", "b", "c"), facets)
+
+    def test_constructor_stores_plain_int_indices(self):
+        K = SimplicialComplex(("a", "b", "c"), [(False, True), (True, 2)])
+        assert K.facets == ((0, 1), (1, 2))
+        assert all(type(i) is int for f in K.facets for i in f)
+
     def test_face_limit_holds_on_cached_faces(self):
         K = neighborhood_complex(make_cycle(9), 3)
         assert sum(map(len, K.faces().values())) == 72
@@ -124,6 +146,50 @@ class TestSimplicialComplex:
         K = neighborhood_complex(make_kneser(4, 2), 1)
         back = complex_from_json_obj(json.loads(json.dumps(complex_to_json_obj(K))))
         assert back == K
+
+
+def subsets_by_dim(facets, seeds):
+    """Oracle: every nonempty subset of a facet that starts on a seed,
+    deduplicated and sorted, one list per dimension."""
+    faces = {sub for f in facets for k in range(1, len(f) + 1)
+             for sub in itertools.combinations(f, k) if sub[0] in seeds}
+    top = max(map(len, faces), default=0)
+    return [sorted(f for f in faces if len(f) == k) for k in range(1, top + 1)]
+
+
+facet_sets = st.one_of(
+    st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=6), max_size=8),
+    st.integers(0, 5).map(lambda k: [set(f) for f in simplex_boundary(k).facets]),
+    st.lists(st.integers(0, 9).map(lambda v: {v}), max_size=6),
+).map(lambda fs: [tuple(sorted(f)) for f in fs])
+
+
+class TestFaceLevels:
+    @pytest.mark.parametrize("step", [1, 2], ids=["all", "even"])
+    @given(facets=facet_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_against_all_subsets(self, step, facets):
+        # facets may be nested, repeated or singletons; with even seeds the
+        # levels are the orbit faces z2_height reads
+        seeds = range(0, 10, step)
+        got = list(_face_levels(facets, seeds, None, "face enumeration"))
+        assert got == subsets_by_dim(facets, set(seeds))
+
+    def test_stops_inside_a_level(self):
+        # the full 23-simplex has 24 / 276 / 2,024 / 10,626 faces in
+        # dimensions 0-3: past the limit, the rest of dimension 3 is not made
+        levels = _face_levels([tuple(range(24))], range(24), 24 + 276 + 2024 + 10, "stage")
+        assert [len(next(levels)) for _ in range(3)] == [24, 276, 2024]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                next(levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.count, err.value.limit) == (2335, 2334)
+        assert "stage" in str(err.value)
+        assert peak < 100_000
 
 
 class TestNeighborhoodComplex:
@@ -272,6 +338,13 @@ class TestPosetsAndOrderComplexes:
     def test_cycle_detection(self):
         with pytest.raises(ValueError):
             Poset(list("ab"), [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("covers", [[(0.9, 1.2)], [("0", 1)], [(0, 1.0)]])
+    def test_rejects_non_integer_cover_indices(self, covers):
+        # int() would truncate 0.9 and 1.2 to the valid pair (0, 1)
+        with pytest.raises(ValueError):
+            Poset(["a", "b"], covers)
+        assert Poset(["a", "b"], [(False, True)]).covers == ((0, 1),)
 
     def test_poset_json_export(self):
         P = Poset(list("ab"), [(0, 1)])

@@ -37,13 +37,11 @@ from nbhd import (
     z2_height,
 )
 from nbhd import z2
-from nbhd.complexes import sorted_labels
+from nbhd.complexes import _face_levels, sorted_labels
 from nbhd.z2 import (
     HeightBound,
     _box_faces,
-    _facet_faces,
     _height,
-    _levels,
     _orbit_labelled,
 )
 from quotient_oracle import (
@@ -75,6 +73,14 @@ class TestInvolution:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             Involution((0, 0))
+
+    @pytest.mark.parametrize("perm", [(1.7, 0.2), ("1", "0"), (1, 0.0)])
+    def test_rejects_non_integer_indices(self, perm):
+        # int() would truncate (1.7, 0.2) to the valid swap (1, 0)
+        with pytest.raises(ValueError):
+            Involution(perm)
+        perm = Involution((True, False)).perm
+        assert perm == (1, 0) and all(type(i) is int for i in perm)
 
     def test_identity_is_an_involution_but_not_free(self):
         K = hexagon_complex()
@@ -461,25 +467,12 @@ class TestOrbitHeightAgainstQuotient:
         assert quotient_complex(K, t).subdivisions >= 1
         assert z2_height(K, t) == reference_height(K, t) == K.dim
 
-    @given(free_double_covers())
-    @settings(max_examples=200, deadline=None)
-    def test_facet_source_gives_the_faces_on_even_vertices(self, case):
-        # each orbit once, by dimension, as its member starting on an even
-        # vertex once the orbits are renamed {2o, 2o + 1}
-        K, t = case
-        facets = _orbit_labelled(K, t)
-        got = list(_facet_faces(facets))
-        assert [len(f) for f in got] == sorted(len(f) for f in got)
-        expected = {f for g in facets for k in range(1, len(g) + 1)
-                    for f in itertools.combinations(g, k) if f[0] % 2 == 0}
-        assert len(got) == len(expected) == sum(map(len, K.faces().values())) // 2
-        assert set(got) == expected
-
     @given(free_double_covers(), st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         K, t = case
-        truncated = _height(_levels(_facet_faces(_orbit_labelled(K, t))), k)
+        truncated = _height(_face_levels(_orbit_labelled(K, t), range(0, K.n_vertices, 2),
+                                         None, "orbit-face enumeration"), k)
         assert truncated == min(z2_height(K, t), k)
 
 
@@ -520,7 +513,8 @@ class TestBoxFaces:
         # loops and even radii included: the sheet swap need not be free
         n, edges, r = case
         G = Graph(range(n), edges)
-        assert list(_box_faces(G, r)) == box_orbit_faces_oracle(G, r)
+        by_dim = [list(level) for _, level in itertools.groupby(box_orbit_faces_oracle(G, r), len)]
+        assert list(_box_faces(G, r)) == by_dim
 
 
 class TestBoxHeightAgainstPairSpace:
@@ -544,7 +538,7 @@ class TestBoxHeightAgainstPairSpace:
     @settings(max_examples=100, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         G, r = case
-        assert _height(_levels(_box_faces(G, r)), k) == min(pair_space_height(G, r), k)
+        assert _height(_box_faces(G, r), k) == min(pair_space_height(G, r), k)
 
 
 
