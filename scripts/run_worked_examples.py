@@ -58,6 +58,14 @@ def main():
         K = order_complex(pair_poset(g, r))
         print(f"  {g!r} r={r}: height {z2_height(K, pair_swap_involution(K))}")
 
+    section("pair-space homology, reduced on the poset's product cells")
+    for g, r in ((make_cycle(5), 3), (make_cycle(7), 5)):
+        K = order_complex(pair_poset(g, r, size_guard=10**6))
+        print(
+            f"  {g!r} r={r}: {len(K.vertices)} cells, {len(K.facets)} facets, "
+            f"betti {homology(K).betti_vector}"
+        )
+
     section("obstruction verdicts vs exhaustive search")
     cases = [
         (petersen, make_cycle(5), 3),

@@ -62,7 +62,7 @@ class SimplicialComplex:
     tuples, pairwise non-nested, in lexicographic order.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "_faces")
+    __slots__ = ("vertices", "facets", "_index", "_faces", "_cells")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -85,7 +85,7 @@ class SimplicialComplex:
         self.vertices = tuple(vertices)
         self.facets = tuple(sorted(facets))
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._faces = None
+        self._faces = self._cells = None
 
     @classmethod
     def from_faces(cls, faces):
@@ -232,7 +232,8 @@ class Poset:
     reflexive-transitive closure (acyclicity is validated, which gives
     antisymmetry)."""
 
-    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_topo", "_reach")
+    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_topo", "_reach",
+                 "_cells")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -267,7 +268,7 @@ class Poset:
             raise ValueError("covering relation has a cycle")
         self._topo = tuple(topo)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._reach = None
+        self._reach = self._cells = None
 
     @property
     def n_elements(self):
@@ -350,7 +351,10 @@ def pair_poset(G, r, size_guard=200_000):
     ``B`` an exact-r walk from every member of ``A``, ordered by componentwise
     inclusion.  Elements carry label tuples; Hasse edges are the one-vertex
     extensions.  Raises :class:`ResourceLimitError` (naming the count) when
-    the element count exceeds ``size_guard``."""
+    the element count exceeds ``size_guard``.  A pair is also the cell
+    Delta^A x Delta^B of dimension |A| + |B| - 2; its cover from (A - a_i, B)
+    or (A, B - b_j) carries the incidence sign (-1)^i or (-1)^(|A| - 1 + j),
+    with i and j positions in the sorted tuples, for ``homology``."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     n = G.n_vertices
@@ -378,37 +382,37 @@ def pair_poset(G, r, size_guard=200_000):
 
     a_sets.sort(key=lambda ac: (len(ac[0]), ac[0]))
     elements = []
-    common_of = {}
     for a, c in a_sets:
-        common_of[a] = c
         cs = tuple(sorted(c))
         for size in range(1, len(cs) + 1):
             for b in itertools.combinations(cs, size):
                 elements.append((a, b))
     index = {e: i for i, e in enumerate(elements)}
 
-    covers = []
+    signs = {}  # each cover drops one vertex; pairs are down-closed
     for (a, b), i in index.items():
-        bset = set(b)
-        for y in sorted(common_of[a] - bset):
-            covers.append((i, index[(a, tuple(sorted(bset | {y})))]))
-        aset = set(a)
-        for x in range(n):
-            if x not in aset and bset <= balls[x]:
-                covers.append((i, index[(tuple(sorted(aset | {x})), b)]))
+        for k in range(len(a) if len(a) > 1 else 0):
+            signs[index[(a[:k] + a[k + 1:], b)], i] = (-1) ** k
+        for k in range(len(b) if len(b) > 1 else 0):
+            signs[index[(a, b[:k] + b[k + 1:])], i] = (-1) ** (len(a) - 1 + k)
 
     payloads = [
         (tuple(G.vertices[i] for i in a), tuple(G.vertices[j] for j in b))
         for a, b in elements
     ]
-    return Poset(payloads, covers)
+    P = Poset(payloads, signs)
+    P._cells = (tuple(len(a) + len(b) - 2 for a, b in elements), signs)
+    return P
 
 
 def order_complex(P, limit=None):
     """Simplicial complex of the chains of ``P``: vertices are the elements,
-    facets the maximal chains."""
+    facets the maximal chains.  A ``pair_poset``'s signed cells are passed on,
+    for ``homology``; a complex rebuilt from its facets carries none."""
     facets = [tuple(sorted(c)) for c in P.maximal_chains(limit)]
-    return SimplicialComplex._from_indexed(P.elements, facets)
+    K = SimplicialComplex._from_indexed(P.elements, facets)
+    K._cells = P._cells
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,26 @@ built: that matrix is assembled once, into the reduction's rows and columns,
 after the one above is reduced, and its image, and with it its rank and
 invariant factors, stay the same.  Pivots of the non-unit pass are not units
 and clear nothing.
+
+The linked-pair poset is the face poset of a regular cell complex of
+products of simplices, and its order complex is that complex's barycentric
+subdivision (Bjorner 1984, "Posets, regular CW complexes and Bruhat
+order").  ``homology`` reduces it on the poset's cells, with the signs of
+d(s x t) = ds x t + (-1)^dim s  s x dt that ``pair_poset`` records, and
+never lists its faces.  Every other complex is reduced on its faces.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import _integers, neighborhood_complex
+from .complexes import DEFAULT_FACE_LIMIT, _integers, neighborhood_complex
+from .errors import ResourceLimitError
 from .graphs import odd_girth
 
 __all__ = [
@@ -60,7 +69,8 @@ class BoundaryMatrix:
 
 def boundary_matrices(K, limit=None):
     """Boundary operators for d = 1..dim(K); the column for a d-face gets sign
-    (-1)^i at the row dropping its i-th vertex (vertices sorted)."""
+    (-1)^i at the row dropping its i-th vertex (vertices sorted).  These are
+    always the simplicial ones, on faces, pair spaces included."""
     faces = K.faces(limit)
     return [BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), {
         (i, j): v for i, r in _boundary(faces, d)[0].items() for j, v in r.items()})
@@ -269,21 +279,44 @@ class HomologyResult:
 def homology(K, limit=None):
     """Unreduced integral homology of ``K`` in every dimension 0..dim, with
     the boundary matrices reduced from the top down and the columns that a
-    unit pivot one dimension up already paired cleared."""
-    faces = K.faces(limit)
-    top = len(faces) - 1
+    unit pivot one dimension up already paired cleared.  The order complex
+    of a linked-pair poset is reduced on the poset's product cells, whose
+    count ``limit`` bounds; its faces are never listed."""
+    if K._cells is None:
+        faces = K.faces(limit)
+        counts = list(map(len, faces.values()))
+        boundary = functools.partial(_boundary, faces)
+    else:
+        dims, signs = K._cells
+        cap = DEFAULT_FACE_LIMIT if limit is None else limit
+        if len(dims) > cap:
+            raise ResourceLimitError("cell enumeration", len(dims), "cells", cap)
+        counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
+        boundary = functools.partial(_cell_boundary, dims, signs)
+    top = len(counts) - 1
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
     paired = set()  # rows of the unit pivots of the matrix one dimension up
     for d in range(top, 0, -1):
-        rows, cols = _boundary(faces, d, paired)
+        rows, cols = boundary(d, paired)
         paired = set()
         factors = _snf_factors(rows, cols, paired)
         rank[d], torsion[d] = len(factors), tuple(f for f in factors if f > 1)
     groups = []
     for d in range(top + 1):
-        groups.append((len(faces[d]) - rank[d] - rank[d + 1], torsion[d + 1]))
+        groups.append((counts[d] - rank[d] - rank[d + 1], torsion[d + 1]))
     return HomologyResult(tuple(groups))
+
+
+def _cell_boundary(dims, signs, d, cleared):
+    # _boundary for cells of these dimensions with cover signs
+    # {(face, cell): +-1}; rows and columns are keyed by poset element
+    rows, cols = {}, {}
+    for (f, e), s in signs.items():
+        if dims[e] == d and e not in cleared:
+            rows.setdefault(f, {})[e] = s
+            cols.setdefault(e, set()).add(f)
+    return rows, cols
 
 
 def homology_connectivity(K, limit=None):

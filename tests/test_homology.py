@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import full_simplex, rp2_complex, simplex_boundary
 from nbhd import (
+    Graph,
+    ResourceLimitError,
     SimplicialComplex,
     abelianize,
     boundary_matrices,
@@ -539,10 +543,79 @@ class TestClearing:
         assert seen == [1, 4, 6, 4]
 
 
-# the complexes of the homology benchmark workload, unshuffled, with K(7,2)
+def chain_model(K):
+    """``K`` rebuilt from its facets, which carries no cells, so that
+    ``homology`` reduces its faces."""
+    return SimplicialComplex(K.vertices, K.facets)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    return Graph(range(n), edges)
+
+
+class TestPairCells:
+    """The order complex of a linked-pair poset is reduced on the poset's
+    product cells; the chains of the same complex are the reference."""
+
+    @given(small_graphs(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_cells_match_chains(self, G, r):
+        try:
+            K = order_complex(pair_poset(G, r, size_guard=300), limit=300)
+        except ResourceLimitError:
+            return
+        assert K._cells is not None
+        assert homology(K).groups == homology(chain_model(K)).groups
+
+    @pytest.mark.parametrize("G, r", [(make_cycle(5), 3), (make_kneser(5, 2), 1)],
+                             ids=["C5 r=3", "Petersen r=1"])
+    def test_boundary_squares_to_zero(self, G, r):
+        P = pair_poset(G, r)
+        dims, signs = P._cells
+        assert dims == tuple(len(a) + len(b) - 2 for a, b in P.elements)
+        assert set(signs) == set(P.covers)
+        faces = {}
+        for (f, e), s in signs.items():
+            assert dims[e] == dims[f] + 1
+            faces.setdefault(e, []).append((f, s))
+        squared = {}
+        for e, fs in faces.items():
+            for f, s in fs:
+                for g, t in faces.get(f, ()):
+                    squared[g, e] = squared.get((g, e), 0) + s * t
+        assert squared and not any(squared.values())
+
+    def test_limit_bounds_the_cells(self):
+        # 180 cells against 4,200 faces: the faces are never listed
+        K = order_complex(pair_poset(make_cycle(5), 3))
+        assert len(K.vertices) == 180
+        assert homology(K, 180).betti_vector == (1, 0, 0, 1)
+        with pytest.raises(ResourceLimitError) as err:
+            homology(K, 179)
+        assert (err.value.count, err.value.limit) == (180, 179)
+        assert "cell enumeration" in str(err.value)
+        assert K._faces is None
+
+    def test_c7_r5_reach(self):
+        # 1,932 cells against 1,468,824 faces of the order complex
+        K = order_complex(pair_poset(make_cycle(7), 5, size_guard=10**6))
+        start = time.process_time()
+        h = homology(K)
+        assert time.process_time() - start < 1.0
+        assert h.groups == ((1, ()), (0, ()), (0, ()), (0, ()), (0, ()), (1, ()))
+
+
+# the complexes of the homology benchmark workload, unshuffled, with K(7,2);
+# the pair spaces reduce their cells, and their chain models their faces
 UNIT_PASS_CASES = {
     "pair C5 r=3": lambda: order_complex(pair_poset(make_cycle(5), 3)),
     "pair C7 r=3": lambda: order_complex(pair_poset(make_cycle(7), 3)),
+    "pair C5 r=3 chains": lambda: chain_model(order_complex(pair_poset(make_cycle(5), 3))),
+    "pair C7 r=3 chains": lambda: chain_model(order_complex(pair_poset(make_cycle(7), 3))),
     "N Petersen r=3": lambda: neighborhood_complex(make_kneser(5, 2), 3),
     "N K(9,4) r=1": lambda: neighborhood_complex(make_kneser(9, 4), 1),
     "N K(6,2) r=1": lambda: neighborhood_complex(make_kneser(6, 2), 1),
