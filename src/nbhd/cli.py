@@ -34,7 +34,7 @@ from .graphs import (
     validate_hom,
 )
 from .homology import homology
-from .morse import collapse_cycle_tower, cycle_matching
+from .morse import _tower
 from .z2 import obstruction_check
 
 EXIT_OK = 0
@@ -143,8 +143,11 @@ def _cmd_obstruct(args):
 
 
 def _cmd_morse(args):
-    matching = cycle_matching(args.m, args.r)  # rejects even m and r < 2 up front
-    final, stages = collapse_cycle_tower(args.m, args.r, args.limit_faces)
+    run = _tower(args.m, args.r, args.limit_faces)  # checks m, r and limits before building
+    matching, stage, final = next(run)  # the top matching, kept for the report
+    stages = [stage]
+    for _, stage, final in run:
+        stages.append(stage)
     report = stages[0]["verification"]
     h = homology(final, args.limit_faces)
     params = {"m": args.m, "r": args.r}

@@ -15,6 +15,7 @@ import itertools
 import json
 import operator
 from collections import defaultdict, deque
+from functools import reduce
 
 from .errors import ResourceLimitError
 from .graphs import _decode_label, _encode_label, _json_list, walk_ball
@@ -77,7 +78,9 @@ class SimplicialComplex:
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValueError("facet indices must be strictly increasing")
             fs.append(f)
-        if any(set(a) <= set(b) for a, b in itertools.permutations(fs, 2)):
+        # a facet lies in another, or repeats, iff another one holds its vertices
+        held, every = _held(fs, n), (1 << len(fs)) - 1
+        if any(reduce(operator.and_, map(held.__getitem__, f), every).bit_count() > 1 for f in fs):
             raise ValueError("facets must be pairwise non-nested and distinct")
         self._setup(vertices, fs)
 
@@ -175,6 +178,15 @@ class SimplicialComplex:
             f"SimplicialComplex({self.n_vertices} vertices, "
             f"{len(self.facets)} facets, dim {self.dim})"
         )
+
+
+def _held(facets, n):
+    # held[v]: the facets holding vertex v, as a bit mask over facet numbers
+    held = [0] * n
+    for j, f in enumerate(facets):
+        for v in f:
+            held[v] |= 1 << j
+    return held
 
 
 def _face_levels(facets, seeds, limit, stage):

@@ -2,18 +2,22 @@
 construction of the radius-shrinking matching, well-formedness and acyclicity
 checks, and collapse execution down to the radius-1 rim.
 
-Faces are handled as sorted tuples of vertex labels throughout; ``collapse``
-works on the complex's index tuples inside.
+Matchings name faces as sorted tuples of vertex labels.  ``collapse`` reads
+only the matched faces, as vertex masks against per-vertex facet masks, and
+never lists the complex's faces; the tower passes facets between stages.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
-from .complexes import SimplicialComplex, neighborhood_complex, sorted_labels
-from .errors import CollapseError
+from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _held, neighborhood_complex,
+                        sorted_labels)
+from .errors import CollapseError, ResourceLimitError
 from .graphs import make_cycle
 
 __all__ = [
@@ -36,13 +40,6 @@ class MorseMatching:
     pairs: tuple
     domain: frozenset
 
-    def partner(self):
-        out = {}
-        for tau, sigma in self.pairs:
-            out[tau] = sigma
-            out[sigma] = tau
-        return out
-
     def to_json_obj(self):
         return [[list(tau), list(sigma)] for tau, sigma in self.pairs]
 
@@ -56,10 +53,7 @@ def cycle_matching(m, r):
     full window; any other face pairs across membership of the predecessor of
     its largest missing entry.  The result is a perfect matching per stratum.
     """
-    if r < 2:
-        raise ValueError("radius must be at least 2")
-    if m % 2 == 0 or m <= 2 * r:
-        raise ValueError("m must be odd and larger than 2r")
+    _check_cycle(m, r)
     pairs = []
     domain = set()
     for x in range(m):
@@ -140,8 +134,7 @@ class AcyclicityReport:
 def verify_acyclic(matching):
     """Cycle detection on the modified Hasse digraph of the matched faces:
     matched edges point up, every other codimension-1 incidence points down."""
-    partner = matching.partner()
-    nodes = set(partner)
+    nodes = set(itertools.chain.from_iterable(matching.pairs))
     succ = {f: [] for f in nodes}
     for tau, sigma in matching.pairs:
         succ[tau].append(sigma)
@@ -176,76 +169,121 @@ def verify_acyclic(matching):
     return AcyclicityReport(True)
 
 
-def _indexed(K, matching, limit):
-    # K's index faces, and each matched label face as an index tuple (a label
-    # outside K maps to -1, so its tuple is no face)
-    faces = {f for lst in K.faces(limit).values() for f in lst}
-    index = {f: tuple([K._index.get(v, -1) for v in f])
-             for pair in matching.pairs for f in pair}
-    return faces, index
+def _bits(x):
+    # the vertex indices in mask x, in increasing order
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _matched(K, matching):
+    # each face the matching names, as (vertex mask, mask of the facets
+    # holding it; 0 for a label outside K or labels out of K's order), and
+    # the facets holding each vertex
+    held, every, out = _held(K.facets, K.n_vertices), (1 << len(K.facets)) - 1, {}
+    for labels in itertools.chain.from_iterable(matching.pairs):
+        mask, hold, last = 0, every, -1
+        for v in labels:
+            i = K._index.get(v, -1)
+            if i <= last:
+                mask = 0
+                break
+            mask, hold, last = mask | 1 << i, hold & held[i], i
+        out[labels] = (mask, hold if mask else 0)
+    return out, held
 
 
 def collapse(K, matching, limit=None):
-    """Run elementary collapses: repeatedly remove a matched pair whose lower
-    face is free, in lexicographic face order, until only unmatched faces
-    remain.  Raises :class:`CollapseError` if the matching gets stuck."""
-    faces, index = _indexed(K, matching, limit)
-    for labels, f in index.items():
-        if f not in faces:
+    """Remove matched pairs whose lower face is free, in any order (the
+    result is the same), until only unmatched faces remain.  Faces are vertex
+    masks read against per-vertex facet masks, so only the matched faces and
+    the boundaries of removed ones are visited; ``limit`` bounds the matched
+    faces.  Raises :class:`ValueError` for a face outside K or named twice,
+    and :class:`CollapseError` if the matching gets stuck."""
+    named = list(itertools.chain.from_iterable(matching.pairs))
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    if len(named) > cap:
+        raise ResourceLimitError("collapse matching", len(named), "faces", cap)
+    faces, held = _matched(K, matching)
+    if len(faces) < len(named):
+        raise ValueError(f"matching names a face twice: {Counter(named).most_common(1)[0][0]}")
+    for labels, (_, hold) in faces.items():
+        if not hold:
             raise ValueError(f"matching mentions a face outside the complex: {labels}")
-    partner = {index[f]: index[g] for f, g in matching.partner().items()}
-    up = {f: s for f, s in partner.items() if len(s) == len(f) + 1 and set(f) < set(s)}
-    cofacets = dict.fromkeys(faces, 0)  # live cofacets of each face
-    for f in faces:
-        if len(f) >= 2:
-            for i in range(len(f)):
-                cofacets[f[:i] + f[i + 1:]] += 1
+    spans = [sum(1 << v for v in f) for f in K.facets]
 
-    def free_tau(f):
-        return cofacets[f] == 1 and up.get(f) in faces
+    def cofacets(x, hold):  # x + w is a face for each w in the link of x
+        return (reduce(operator.or_, map(spans.__getitem__, _bits(hold))) & ~x).bit_count()
 
-    heap = [f for f in partner if free_tau(f)]
-    heapq.heapify(heap)
-    while heap:
-        tau = heapq.heappop(heap)
-        if tau not in faces or not free_tau(tau):
-            continue
+    up, live = {}, {}  # lower face -> its partner; live cofacets of each lower face
+    for a, b in matching.pairs:
+        (tau, hold), (sigma, _) = sorted((faces[a], faces[b]))  # a face's mask is the lesser
+        if tau & sigma == tau and sigma.bit_count() == tau.bit_count() + 1:
+            up[tau], live[tau] = sigma, cofacets(tau, hold)
+    free = [tau for tau, n in live.items() if n == 1]
+    gone, lost = set(), {}  # removed faces; removed cofacets of the other faces
+    while free:
+        tau = free.pop()
         for g in (up[tau], tau):
-            faces.discard(g)
-            if len(g) >= 2:
-                for i in range(len(g)):
-                    sub = g[:i] + g[i + 1:]
-                    cofacets[sub] -= 1
-                    if sub in faces and free_tau(sub):
-                        heapq.heappush(heap, sub)
-    leftovers = sum(1 for f in partner if f in faces)
-    if leftovers:
-        raise CollapseError(f"{leftovers} matched faces could not be collapsed")
-    facets = [f for f in faces if not cofacets[f]]
-    labels = K.vertices
-    vertices = sorted_labels({labels[i] for f in facets for i in f})
+            gone.add(g)
+            rest = g if g & (g - 1) else 0  # a vertex has no boundary
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = g ^ low
+                if sub not in live:
+                    lost[sub] = lost.get(sub, 0) + 1
+                else:
+                    live[sub] -= 1
+                    if live[sub] == 1:
+                        free.append(sub)
+    if len(gone) < len(faces):
+        raise CollapseError(f"{len(faces) - len(gone)} matched faces could not be collapsed")
+    every = (1 << len(spans)) - 1
+    facets = [s for s in spans if s not in gone] + [  # and faces left with no cofacet
+        x for x, n in lost.items() if x not in gone
+        and n == cofacets(x, reduce(operator.and_, map(held.__getitem__, _bits(x)), every))]
+    facets = [[K.vertices[i] for i in _bits(x)] for x in facets]
+    vertices = sorted_labels({v for f in facets for v in f})
     new = {v: i for i, v in enumerate(vertices)}
-    return SimplicialComplex._from_indexed(
-        vertices, (sorted(new[labels[i]] for i in f) for f in facets))
+    return SimplicialComplex._from_indexed(vertices, (sorted(map(new.get, f)) for f in facets))
+
+
+def _check_cycle(m, r):
+    if r < 2:
+        raise ValueError("radius must be at least 2")
+    if m % 2 == 0 or m <= 2 * r:
+        raise ValueError("m must be odd and larger than 2r")
+
+
+def _tower(m, r, limit):
+    # collapse_cycle_tower one stage at a time: (matching, report, complex after)
+    _check_cycle(m, r)
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    current = neighborhood_complex(make_cycle(m), r)
+    for rr in range(r, 1, -1):
+        named = m << (rr - 1)  # a perfect matching on the radius difference
+        if named > cap:
+            raise ResourceLimitError(f"stage r={rr} matching", named, "faces", cap)
+        matching = cycle_matching(m, rr)
+        present = [f for f, (_, hold) in _matched(current, matching)[0].items() if hold]
+        report = verify_matching(present, matching)
+        if not (report.perfect and verify_acyclic(matching)):
+            raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
+        current = collapse(current, matching, limit)
+        yield matching, {"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
+                         "verification": report.to_json_obj()}, current
 
 
 def collapse_cycle_tower(m, r, limit=None):
     """Collapse the radius-r complex of the m-cycle down the radius tower to
     radius 1.  Each stage's matching is verified (perfect and acyclic) before
-    collapsing.  Returns the final complex and one report dict per stage,
+    collapsing; only facets pass between stages, and no stage lists faces.
+    ``limit`` bounds each stage's matched faces, checked before its matching
+    is built.  Returns the final complex and one report dict per stage,
     each carrying its matching's verification report."""
-    current = neighborhood_complex(make_cycle(m), r)
     stages = []
-    for rr in range(r, 1, -1):
-        matching = cycle_matching(m, rr)
-        # the matched faces present in the complex stand in for all its faces:
-        # verify_matching only tests the matched ones for membership
-        faces, index = _indexed(current, matching, limit)
-        report = verify_matching([f for f, i in index.items() if i in faces], matching)
-        acyclic = verify_acyclic(matching)
-        if not (report.perfect and acyclic):
-            raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
-        current = collapse(current, matching, limit)
-        stages.append({"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
-                       "verification": report.to_json_obj()})
-    return current, stages
+    for _, stage, final in _tower(m, r, limit):
+        stages.append(stage)
+    return final, stages

@@ -1,0 +1,89 @@
+"""Reference oracle: discrete Morse collapse over the complex's full face list.
+
+``collapse`` lists every face of the complex, counts the cofacets of each,
+and removes free matched pairs in lexicographic order of their index tuples;
+``tower`` runs the radius tower of an odd cycle on it, checking presence of
+the matched faces against that same face list.  The library reads only the
+matched faces, through per-vertex facet masks, instead; the tests compare
+the two.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+from nbhd import (CollapseError, SimplicialComplex, cycle_matching, make_cycle,
+                  neighborhood_complex, verify_acyclic, verify_matching)
+from nbhd.complexes import sorted_labels
+
+
+def _indexed(K, matching, limit):
+    # K's index faces, and each matched label face as an index tuple (a label
+    # outside K maps to -1, so its tuple is no face)
+    faces = {f for lst in K.faces(limit).values() for f in lst}
+    index = {f: tuple([K._index.get(v, -1) for v in f])
+             for pair in matching.pairs for f in pair}
+    return faces, index
+
+
+def collapse(K, matching, limit=None):
+    """Run elementary collapses: repeatedly remove a matched pair whose lower
+    face is free, in lexicographic face order, until only unmatched faces
+    remain.  Raises :class:`CollapseError` if the matching gets stuck."""
+    faces, index = _indexed(K, matching, limit)
+    for labels, f in index.items():
+        if f not in faces:
+            raise ValueError(f"matching mentions a face outside the complex: {labels}")
+    partner = {}  # both ways; a face named twice keeps its last pair
+    for tau, sigma in matching.pairs:
+        partner[index[tau]], partner[index[sigma]] = index[sigma], index[tau]
+    up = {f: s for f, s in partner.items() if len(s) == len(f) + 1 and set(f) < set(s)}
+    cofacets = dict.fromkeys(faces, 0)  # live cofacets of each face
+    for f in faces:
+        if len(f) >= 2:
+            for i in range(len(f)):
+                cofacets[f[:i] + f[i + 1:]] += 1
+
+    def free_tau(f):
+        return cofacets[f] == 1 and up.get(f) in faces
+
+    heap = [f for f in partner if free_tau(f)]
+    heapq.heapify(heap)
+    while heap:
+        tau = heapq.heappop(heap)
+        if tau not in faces or not free_tau(tau):
+            continue
+        for g in (up[tau], tau):
+            faces.discard(g)
+            if len(g) >= 2:
+                for i in range(len(g)):
+                    sub = g[:i] + g[i + 1:]
+                    cofacets[sub] -= 1
+                    if sub in faces and free_tau(sub):
+                        heapq.heappush(heap, sub)
+    leftovers = sum(1 for f in partner if f in faces)
+    if leftovers:
+        raise CollapseError(f"{leftovers} matched faces could not be collapsed")
+    facets = [f for f in faces if not cofacets[f]]
+    labels = K.vertices
+    vertices = sorted_labels({labels[i] for f in facets for i in f})
+    new = {v: i for i, v in enumerate(vertices)}
+    return SimplicialComplex._from_indexed(
+        vertices, (sorted(new[labels[i]] for i in f) for f in facets))
+
+
+def tower(m, r, limit=None):
+    """The radius tower of the m-cycle from r down to 1 on the face-listing
+    collapse: the final complex and one report dict per stage."""
+    current = neighborhood_complex(make_cycle(m), r)
+    stages = []
+    for rr in range(r, 1, -1):
+        matching = cycle_matching(m, rr)
+        faces, index = _indexed(current, matching, limit)
+        report = verify_matching([f for f, i in index.items() if i in faces], matching)
+        if not (report.perfect and verify_acyclic(matching)):
+            raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
+        current = collapse(current, matching, limit)
+        stages.append({"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
+                       "verification": report.to_json_obj()})
+    return current, stages

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,7 @@ def test_malformed_json_shape_is_an_input_error(tmp_path, capsys, command, obj):
     (["complex", "{petersen}", "3", "--limit-faces", "50"], "face enumeration"),
     (["kneser-table", "10", "14", "2", "5", "--limit-cells", "100"], "kneser-table"),
     (["bposet", "{petersen}", "1", "--guard", "10"], "linked-pair poset"),
+    (["morse", "31", "14", "--limit-faces", "100"], "stage r=14 matching"),
 ])
 def test_resource_limit_names_stage_and_count(tmp_path, capsys, petersen_file, c5_file,
                                               argv, stage):
@@ -270,6 +272,23 @@ class TestMorse:
 
     def test_even_m_rejected(self):
         assert main(["morse", "6", "2"]) == 2
+
+    @pytest.mark.parametrize("argv", [["6", "2"], ["7", "1"], ["9", "5"]])
+    def test_bad_parameters_exit_2_before_the_limit(self, argv):
+        assert main(["morse", *argv, "--limit-faces", "0"]) == 2
+
+    def test_limit_trips_before_the_top_matching_is_built(self, capsys):
+        # the top stage names 31 * 2^13 matched faces; the guard reads that
+        # count in closed form, so the matching is never built
+        tracemalloc.start()
+        try:
+            code = main(["morse", "31", "14", "--limit-faces", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "stage r=14 matching reached 253952 faces" in capsys.readouterr().err
+        assert peak < 2 * 2 ** 20
 
 
 class TestKneserTable:

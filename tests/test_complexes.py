@@ -90,6 +90,23 @@ class TestSimplicialComplex:
         with pytest.raises(ValueError):
             SimplicialComplex(("a", "b", "c"), facets)
 
+    @given(st.lists(st.sets(st.integers(0, 5), max_size=4), max_size=9),
+           st.lists(st.integers(0, 8), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_nesting_check_matches_pairwise_check(self, sets, repeats):
+        # the mask check accepts exactly the facet lists that no ordered
+        # pair nests or repeats in; repeats copy earlier facets, and the
+        # empty facet is nested in any other
+        facets = [tuple(sorted(s)) for s in sets]
+        facets += [facets[i] for i in repeats if i < len(facets)]
+        nested = any(set(a) <= set(b) for a, b in itertools.permutations(facets, 2))
+        try:
+            K = SimplicialComplex(range(6), facets)
+        except ValueError:
+            assert nested
+        else:
+            assert not nested and sorted(K.facets) == sorted(facets)
+
     def test_face_enumeration_counts(self):
         K = full_simplex(2)
         assert K.face_counts() == (3, 3, 1)

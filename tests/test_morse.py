@@ -1,8 +1,14 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import collapse_oracle
 from nbhd import (
     CollapseError,
     MorseMatching,
+    ResourceLimitError,
     SimplicialComplex,
     collapse,
     collapse_cycle_tower,
@@ -160,6 +166,38 @@ class TestCollapse:
         with pytest.raises(ValueError):
             collapse(K, matching)
 
+    def test_lower_face_with_two_cofacets_in_one_facet_is_stuck(self):
+        # once the triangle goes, vertex 0 still has the edges 01 and 02: it
+        # lies in one facet but is not free
+        K = SimplicialComplex.from_faces([(0, 1, 2)])
+        pairs = (((1, 2), (0, 1, 2)), ((0,), (0, 1)))
+        with pytest.raises(CollapseError, match="2 matched faces"):
+            collapse(K, MorseMatching(pairs, frozenset()))
+
+    def test_face_named_twice_rejected(self):
+        # a partner map would keep only the last pair of (0, 1) and collapse
+        # the path 0-1-2 to the vertex 2
+        K = SimplicialComplex.from_faces([(0, 1), (1, 2)])
+        pairs = (((0,), (0, 1)), ((1,), (0, 1)), ((1,), (1, 2)))
+        matching = MorseMatching(pairs, frozenset(f for p in pairs for f in p))
+        with pytest.raises(ValueError, match=r"twice: \(0, 1\)"):
+            collapse(K, matching)
+
+    @pytest.mark.parametrize("face", [("d", "b"), ("a", "a"), ()])
+    def test_label_tuple_out_of_index_order_is_foreign(self, face):
+        # indices follow c, a, b, d: ("d", "b") is (3, 2), not a face tuple
+        K = SimplicialComplex(("c", "a", "b", "d"), [(0, 1, 2), (2, 3)])
+        matching = MorseMatching(((face, ("c", "a", "b")),), frozenset())
+        with pytest.raises(ValueError, match="outside the complex"):
+            collapse(K, matching)
+
+    def test_limit_bounds_the_matched_faces(self):
+        K = neighborhood_complex(make_cycle(9), 3)
+        matching = cycle_matching(9, 3)
+        assert collapse(K, matching, limit=36) == collapse(K, matching)
+        with pytest.raises(ResourceLimitError, match="collapse matching") as err:
+            collapse(K, matching, limit=35)
+        assert (err.value.count, err.value.limit) == (36, 35)
 
     def test_string_labels_out_of_index_order(self):
         # vertex indices follow c, a, b, d, not the label order; the result
@@ -205,3 +243,102 @@ class TestTower:
             assert ha.betti(d) == hb.betti(d)
             assert ha.torsion(d) == hb.torsion(d)
         assert hb.betti_vector == (1, 1)
+
+
+@st.composite
+def complexes_with_matchings(draw):
+    """A complex whose index order differs from its label order, and a
+    matching on it: a random run of elementary collapses, some pairs
+    reversed, then pairs that may get stuck or cycle (cofacet pairs of
+    unused faces), non-cofacet pairs, a face named twice, and faces outside
+    the complex (unknown labels, labels out of index order, a repeated
+    label, the empty tuple)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 6))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+                         min_size=1, max_size=6))
+    K = SimplicialComplex(draw(st.permutations("abcdef"[:n])),
+                          SimplicialComplex.from_faces(sets).facets)
+    faces = sorted(K.all_faces_label_set(), key=lambda f: (len(f), f))
+    live, pairs = set(faces), []
+    for _ in range(draw(st.integers(1, len(faces)))):
+        free = [(t, s) for t in sorted(live) for s in faces
+                if s in live and len(s) == len(t) + 1 and set(t) < set(s)
+                and sum(1 for c in live if len(c) == len(t) + 1 and set(t) < set(c)) == 1]
+        if not free:
+            break
+        tau, sigma = rnd.choice(free)
+        live -= {tau, sigma}
+        pairs.append((sigma, tau) if rnd.random() < 0.2 else (tau, sigma))
+    unused = [f for f in faces if not any(f in p for p in pairs)]
+    for kind in draw(st.lists(st.sampled_from(["cofacet", "cofacet", "any", "twice", "none"]),
+                              min_size=1, max_size=2)):
+        if kind == "none":
+            continue
+        if kind == "twice" and pairs:
+            unused.append(rnd.choice(rnd.choice(pairs)))
+        sigma = rnd.choice(unused or faces)
+        subs = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))] if len(sigma) > 1 else []
+        if kind == "cofacet" and subs:
+            tau = rnd.choice([t for t in subs if t in unused] or subs)
+        else:
+            tau = rnd.choice(unused or faces)
+        if tau != sigma:
+            pairs.append((tau, sigma))
+            unused = [f for f in unused if f not in (tau, sigma)]
+    f = rnd.choice(unused or faces)
+    foreign = draw(st.sampled_from(["none"] * 4 + ["unknown", "order", "repeat", "empty"]))
+    if foreign == "order":  # a named face gets its labels out of index order
+        f = rnd.choice([g for p in pairs for g in p if len(g) > 1] or [f])
+        pairs = [tuple(g[::-1] if g == f else g for g in p) for p in pairs]
+    elif foreign != "none":
+        pairs.append({"unknown": (("z",), ("z",) + f), "repeat": (f[:1] * 2, f),
+                      "empty": ((), f)}[foreign])
+    rnd.shuffle(pairs)
+    return K, MorseMatching(tuple(pairs), frozenset())
+
+
+def outcome(run, K, matching):
+    try:
+        L = run(K, matching)
+    except (ValueError, CollapseError) as exc:
+        return type(exc)
+    return L.vertices, L.facets
+
+
+class TestAgainstFaceListingOracle:
+    @given(complexes_with_matchings())
+    @settings(max_examples=400, deadline=None)
+    def test_collapse_matches_oracle(self, case):
+        K, matching = case
+        named = list(itertools.chain.from_iterable(matching.pairs))
+        got = outcome(collapse, K, matching)
+        if len(set(named)) < len(named):
+            assert got is ValueError
+        else:
+            assert got == outcome(collapse_oracle.collapse, K, matching)
+
+    @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])
+    def test_tower_matches_oracle_tower(self, m, r):
+        final, stages = collapse_cycle_tower(m, r)
+        want_final, want_stages = collapse_oracle.tower(m, r)
+        assert stages == want_stages
+        assert (final.vertices, final.facets) == (want_final.vertices, want_final.facets)
+
+
+class TestTowerGuards:
+    def test_stage_limit_trips_before_the_matching_is_built(self):
+        # C31 at r=14 names 31 * 2^13 matched faces; building them would take
+        # seconds
+        with pytest.raises(ResourceLimitError, match=r"stage r=14 matching") as err:
+            collapse_cycle_tower(31, 14, limit=100)
+        assert (err.value.count, err.value.limit) == (31 * 2 ** 13, 100)
+
+    def test_limit_at_the_top_stage_count_passes(self):
+        final, stages = collapse_cycle_tower(9, 3, limit=9 * 4)
+        assert len(stages) == 2 and len(final.facets) == 9
+
+    @pytest.mark.parametrize("m,r", [(7, 1), (8, 3), (7, 4)])
+    def test_parameters_refused_up_front(self, m, r):
+        with pytest.raises(ValueError):
+            collapse_cycle_tower(m, r, limit=0)
