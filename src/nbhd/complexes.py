@@ -439,11 +439,19 @@ def complex_to_json_obj(K):
 
 def complex_from_json_obj(obj):
     vertices = [_decode_label(v) for v in _json_list(obj, "vertices")]
+    listed = set(vertices)
+    if len(listed) != len(vertices):
+        raise ValueError("vertex labels must be pairwise distinct")
     faces = []
     for f in _json_list(obj, "facets"):
         if not isinstance(f, list):
             raise ValueError(f"a facet must be a list of vertices, got {f!r}")
-        faces.append(tuple(_decode_label(v) for v in f))
+        face = tuple(_decode_label(v) for v in f)
+        if not listed.issuperset(face):
+            raise ValueError(f"facet {f!r} names a vertex that is not listed")
+        if len(set(face)) != len(face):
+            raise ValueError(f"facet {f!r} repeats a vertex")
+        faces.append(face)
     # listed vertices survive as 0-faces even when isolated
     faces.extend((v,) for v in vertices)
     return SimplicialComplex.from_faces(faces)

@@ -24,14 +24,13 @@ def _reduce(pivots, v):
     return v
 
 
-def in_column_space(columns, rhs, pivot_rows=None):
+def in_column_space(columns, rhs, pivot_rows):
     """Is the row set ``rhs`` a GF(2) combination of ``columns``, an iterable
-    of row sets?  Both are reduced in place.  When ``pivot_rows`` is a set,
-    the pivot row of every column the reduction keeps is added to it, so
-    their number is the rank."""
+    of row sets?  Both are reduced in place.  The pivot row of every column
+    the reduction keeps is added to the set ``pivot_rows``, so their number
+    is the rank."""
     pivots = {}
     for col in columns:
         _reduce(pivots, col)
-    if pivot_rows is not None:
-        pivot_rows.update(pivots)
+    pivot_rows.update(pivots)
     return not _reduce(pivots, rhs)

@@ -3,8 +3,9 @@ construction of the radius-shrinking matching, well-formedness and acyclicity
 checks, and collapse execution down to the radius-1 rim.
 
 Matchings name faces as sorted tuples of vertex labels.  ``collapse`` reads
-only the matched faces, as vertex masks against per-vertex facet masks, and
-never lists the complex's faces; the tower passes facets between stages.
+only the matched faces, as vertex masks against per-vertex facet masks; its
+return proves the matching acyclic and present, so a tower stage adds only
+``verify_matching``, and only facets pass between stages.
 """
 
 from __future__ import annotations
@@ -106,20 +107,13 @@ class MatchingReport:
 def verify_matching(faces, matching):
     """Diagnostic report: duplicates, non-cofacet pairs, faces outside the
     ambient set, and the critical (unmatched) part of the domain."""
-    faces = set(faces)
-    count = {}
-    bad = []
-    missing = []
-    for tau, sigma in matching.pairs:
-        for f in (tau, sigma):
-            count[f] = count.get(f, 0) + 1
-            if f not in faces:
-                missing.append(f)
-        if len(sigma) != len(tau) + 1 or not set(tau) < set(sigma):
-            bad.append((tau, sigma))
+    faces, named = set(faces), list(itertools.chain.from_iterable(matching.pairs))
+    count = Counter(named)
     dup = sorted(f for f, c in count.items() if c > 1)
+    bad = [(t, s) for t, s in matching.pairs if len(s) != len(t) + 1 or not set(t) < set(s)]
+    missing = sorted(f for f in named if f not in faces)
     critical = sorted(matching.domain - set(count))
-    return MatchingReport(tuple(dup), tuple(bad), tuple(sorted(missing)), tuple(critical))
+    return MatchingReport(tuple(dup), tuple(bad), tuple(missing), tuple(critical))
 
 
 @dataclass(frozen=True)
@@ -179,18 +173,20 @@ def _bits(x):
 
 def _matched(K, matching):
     # each face the matching names, as (vertex mask, mask of the facets
-    # holding it; 0 for a label outside K or labels out of K's order), and
-    # the facets holding each vertex
+    # holding it), and the facets holding each vertex; a face no facet holds
+    # (a label outside K, labels out of K's order, no labels) is refused
     held, every, out = _held(K.facets, K.n_vertices), (1 << len(K.facets)) - 1, {}
     for labels in itertools.chain.from_iterable(matching.pairs):
         mask, hold, last = 0, every, -1
         for v in labels:
             i = K._index.get(v, -1)
             if i <= last:
-                mask = 0
+                hold = 0
                 break
             mask, hold, last = mask | 1 << i, hold & held[i], i
-        out[labels] = (mask, hold if mask else 0)
+        if not (mask and hold):
+            raise ValueError(f"matching mentions a face outside the complex: {labels}")
+        out[labels] = (mask, hold)
     return out, held
 
 
@@ -200,7 +196,15 @@ def collapse(K, matching, limit=None):
     masks read against per-vertex facet masks, so only the matched faces and
     the boundaries of removed ones are visited; ``limit`` bounds the matched
     faces.  Raises :class:`ValueError` for a face outside K or named twice,
-    and :class:`CollapseError` if the matching gets stuck."""
+    and :class:`CollapseError` if the matching gets stuck.
+
+    A return proves the matching acyclic (Forman 1998, "Morse theory for cell
+    complexes"): a pair (tau, sigma) goes only when sigma is tau's one live
+    cofacet, so sigma is maximal then.  On a gradient path tau0 < sigma0 >
+    tau1 < sigma1 ..., sigma_i's facet tau_(i+1) is present when (tau_i,
+    sigma_i) goes, and being matched it goes later; removal times rise along
+    the path, so none closes.  Pairs are oriented by size here:
+    ``verify_matching`` reports a reversed one."""
     named = list(itertools.chain.from_iterable(matching.pairs))
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
     if len(named) > cap:
@@ -208,9 +212,6 @@ def collapse(K, matching, limit=None):
     faces, held = _matched(K, matching)
     if len(faces) < len(named):
         raise ValueError(f"matching names a face twice: {Counter(named).most_common(1)[0][0]}")
-    for labels, (_, hold) in faces.items():
-        if not hold:
-            raise ValueError(f"matching mentions a face outside the complex: {labels}")
     spans = [sum(1 << v for v in f) for f in K.facets]
 
     def cofacets(x, hold):  # x + w is a face for each w in the link of x
@@ -267,22 +268,21 @@ def _tower(m, r, limit):
         if named > cap:
             raise ResourceLimitError(f"stage r={rr} matching", named, "faces", cap)
         matching = cycle_matching(m, rr)
-        present = [f for f, (_, hold) in _matched(current, matching)[0].items() if hold]
-        report = verify_matching(present, matching)
-        if not (report.perfect and verify_acyclic(matching)):
-            raise CollapseError(f"stage r={rr}: matching not perfect/acyclic")
-        current = collapse(current, matching, limit)
+        report = verify_matching(itertools.chain.from_iterable(matching.pairs), matching)
+        if not report.perfect:
+            raise CollapseError(f"stage r={rr}: matching not perfect")
+        current = collapse(current, matching, limit)  # certifies acyclic and present
         yield matching, {"radius": rr, "pairs": len(matching.pairs), "acyclic": True,
                          "verification": report.to_json_obj()}, current
 
 
 def collapse_cycle_tower(m, r, limit=None):
     """Collapse the radius-r complex of the m-cycle down the radius tower to
-    radius 1.  Each stage's matching is verified (perfect and acyclic) before
-    collapsing; only facets pass between stages, and no stage lists faces.
-    ``limit`` bounds each stage's matched faces, checked before its matching
-    is built.  Returns the final complex and one report dict per stage,
-    each carrying its matching's verification report."""
+    radius 1.  Each stage's matching must be perfect by ``verify_matching``,
+    and its complete collapse proves it acyclic and present; only facets pass
+    between stages.  ``limit`` bounds each stage's matched faces, checked
+    before its matching is built.  Returns the final complex and one report
+    dict per stage, each carrying its matching's verification report."""
     stages = []
     for _, stage, final in _tower(m, r, limit):
         stages.append(stage)

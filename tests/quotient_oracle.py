@@ -103,7 +103,7 @@ def is_coboundary(Q, c, limit=None):
     for r, f in enumerate(upper):
         for i in range(len(f)):
             cols[pos[f[:i] + f[i + 1:]]].add(r)
-    return gf2.in_column_space(cols, {r for r, b in enumerate(c.bits) if b})
+    return gf2.in_column_space(cols, {r for r, b in enumerate(c.bits) if b}, set())
 
 
 class QuotientStructureError(RuntimeError):

@@ -230,6 +230,9 @@ def test_malformed_tag_is_an_input_error(tmp_path, capsys, c5_file, tag):
     ("girth", {"vertices": [1, 2], "edges": [[1, 2, 1]]}),
     ("girth", {"vertices": [{"a": 1}], "edges": []}),
     ("hom-search", {"vertices": [{"a": 1}], "edges": []}),
+    ("homology", {"vertices": [1, 2], "facets": [[1, 3]]}),
+    ("homology", {"vertices": [1, 1], "facets": [[1]]}),
+    ("homology", {"vertices": [1, 2], "facets": [[1, 1, 2]]}),
 ])
 def test_malformed_json_shape_is_an_input_error(tmp_path, capsys, command, obj):
     path = tmp_path / "bad.json"

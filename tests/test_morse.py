@@ -19,6 +19,7 @@ from nbhd import (
     verify_acyclic,
     verify_matching,
 )
+from nbhd.morse import _tower
 
 
 def radius_difference_faces(m, r):
@@ -233,6 +234,13 @@ class TestTower:
             assert stage["verification"] == expected.to_json_obj()
             K = collapse(K, matching)
 
+    @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])
+    def test_each_stage_leaves_the_next_radius_complex(self, m, r):
+        stages = list(_tower(m, r, None))
+        assert [stage["radius"] for _, stage, _ in stages] == list(range(r, 1, -1))
+        for _, stage, K in stages:
+            assert K == neighborhood_complex(make_cycle(m), stage["radius"] - 1)
+
     def test_collapse_preserves_homology(self):
         # same groups in every dimension (the start complex has trivial
         # homology above the circle)
@@ -317,6 +325,20 @@ class TestAgainstFaceListingOracle:
             assert got is ValueError
         else:
             assert got == outcome(collapse_oracle.collapse, K, matching)
+
+    @given(complexes_with_matchings())
+    @settings(max_examples=400, deadline=None)
+    def test_complete_collapse_certifies_presence_and_acyclicity(self, case):
+        # the tower checks neither presence nor acyclicity apart from collapse
+        K, matching = case
+        try:
+            collapse(K, matching)
+        except (ValueError, CollapseError):
+            return
+        pairs = tuple(tuple(sorted(p, key=len)) for p in matching.pairs)
+        oriented = MorseMatching(pairs, matching.domain)
+        assert verify_matching(K.all_faces_label_set(), oriented).well_formed
+        assert verify_acyclic(oriented)
 
     @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])
     def test_tower_matches_oracle_tower(self, m, r):
