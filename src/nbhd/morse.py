@@ -2,8 +2,9 @@
 construction of the radius-shrinking matching, well-formedness and acyclicity
 checks, and collapse execution down to the radius-1 rim.
 
-Matchings name faces as sorted tuples of vertex labels.  ``collapse`` reads
-only the matched faces, as vertex masks against per-vertex facet masks; its
+Matchings name faces as sorted tuples of vertex labels, which
+``cycle_matching`` reads from window position masks.  ``collapse`` reads only
+the matched faces, as vertex masks against per-vertex facet masks; its
 return proves the matching acyclic and present, so a tower stage adds only
 ``verify_matching``, and only facets pass between stages.
 """
@@ -53,28 +54,24 @@ def cycle_matching(m, r):
     contains both endpoints.  The face missing only ``x+2`` pairs with the
     full window; any other face pairs across membership of the predecessor of
     its largest missing entry.  The result is a perfect matching per stratum.
+    Each face is a mask over window positions 0..r, read once in label order;
+    ``gap`` is its highest clear inner bit, and its partner flips bit gap-1.
     """
     _check_cycle(m, r)
-    pairs = []
-    domain = set()
+    ends, inner = 1 | 1 << r, (1 << r) - 2  # positions 0 and r; positions 1..r-1
+    pairs, domain = [], []
     for x in range(m):
         window = [(x + 2 * i) % m for i in range(r + 1)]
-        full = tuple(sorted(window))
-        special = tuple(sorted(window[:1] + window[2:]))  # drop x+2
-        pairs.append((special, full))
-        domain.add(full)
-        domain.add(special)
-        for size in range(r):
-            for chosen in itertools.combinations(range(1, r), size):
-                members = {0, r} | set(chosen)
-                sigma = tuple(sorted(window[i] for i in members))
-                if sigma == full or sigma == special:
-                    continue
-                domain.add(sigma)
-                gap = max(i for i in range(1, r) if i not in members)
-                if gap - 1 in members:
-                    tau = tuple(sorted(set(sigma) - {window[gap - 1]}))
-                    pairs.append((tau, sigma))
+        order = sorted(range(r + 1), key=window.__getitem__)
+        # faces[s >> 1] is the face with inner mask s
+        faces = [tuple([window[p] for p in order if s >> p & 1])
+                 for s in range(ends, ends + inner + 1, 2)]
+        domain += faces
+        pairs.append((faces[inner - 2 >> 1], faces[inner >> 1]))  # drop x+2
+        for s in range(0, inner - 2, 2):  # the rest, below those two masks
+            gap = (inner & ~s).bit_length() - 1
+            if s >> gap - 1 & 1:
+                pairs.append((faces[s >> 1 ^ 1 << gap - 2], faces[s >> 1]))
     return MorseMatching(tuple(sorted(pairs)), frozenset(domain))
 
 
@@ -173,8 +170,8 @@ def _bits(x):
 
 def _matched(K, matching):
     # each face the matching names, as (vertex mask, mask of the facets
-    # holding it), and the facets holding each vertex; a face no facet holds
-    # (a label outside K, labels out of K's order, no labels) is refused
+    # holding it); a face no facet holds (a label outside K, labels out of
+    # K's order, no labels) is refused
     held, every, out = _held(K.facets, K.n_vertices), (1 << len(K.facets)) - 1, {}
     for labels in itertools.chain.from_iterable(matching.pairs):
         mask, hold, last = 0, every, -1
@@ -187,7 +184,7 @@ def _matched(K, matching):
         if not (mask and hold):
             raise ValueError(f"matching mentions a face outside the complex: {labels}")
         out[labels] = (mask, hold)
-    return out, held
+    return out
 
 
 def collapse(K, matching, limit=None):
@@ -204,26 +201,30 @@ def collapse(K, matching, limit=None):
     tau1 < sigma1 ..., sigma_i's facet tau_(i+1) is present when (tau_i,
     sigma_i) goes, and being matched it goes later; removal times rise along
     the path, so none closes.  Pairs are oriented by size here:
-    ``verify_matching`` reports a reversed one."""
+    ``verify_matching`` reports a reversed one.
+
+    A lower face's link is the union of its holding facets' spans, less
+    itself, formed once per holding set.  A present face lies in a maximal
+    one: a surviving old facet, or a face that lost a cofacet and is not gone
+    (a matched lower face still present keeps its partner).  So the new
+    facets are the maximal faces of those kinds, read largest first."""
     named = list(itertools.chain.from_iterable(matching.pairs))
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
     if len(named) > cap:
         raise ResourceLimitError("collapse matching", len(named), "faces", cap)
-    faces, held = _matched(K, matching)
+    faces = _matched(K, matching)
     if len(faces) < len(named):
         raise ValueError(f"matching names a face twice: {Counter(named).most_common(1)[0][0]}")
     spans = [sum(1 << v for v in f) for f in K.facets]
-
-    def cofacets(x, hold):  # x + w is a face for each w in the link of x
-        return (reduce(operator.or_, map(spans.__getitem__, _bits(hold))) & ~x).bit_count()
-
-    up, live = {}, {}  # lower face -> its partner; live cofacets of each lower face
+    up, live, unions = {}, {}, {}  # lower face -> its partner, its live cofacets
     for a, b in matching.pairs:
         (tau, hold), (sigma, _) = sorted((faces[a], faces[b]))  # a face's mask is the lesser
         if tau & sigma == tau and sigma.bit_count() == tau.bit_count() + 1:
-            up[tau], live[tau] = sigma, cofacets(tau, hold)
+            if hold not in unions:  # the spans of a holding set, united once
+                unions[hold] = reduce(operator.or_, map(spans.__getitem__, _bits(hold)))
+            up[tau], live[tau] = sigma, (unions[hold] & ~tau).bit_count()  # tau's link
     free = [tau for tau, n in live.items() if n == 1]
-    gone, lost = set(), {}  # removed faces; removed cofacets of the other faces
+    gone, lost = set(), set()  # removed faces; other faces that lost a cofacet
     while free:
         tau = free.pop()
         for g in (up[tau], tau):
@@ -234,17 +235,20 @@ def collapse(K, matching, limit=None):
                 rest ^= low
                 sub = g ^ low
                 if sub not in live:
-                    lost[sub] = lost.get(sub, 0) + 1
+                    lost.add(sub)
                 else:
                     live[sub] -= 1
                     if live[sub] == 1:
                         free.append(sub)
     if len(gone) < len(faces):
         raise CollapseError(f"{len(faces) - len(gone)} matched faces could not be collapsed")
-    every = (1 << len(spans)) - 1
-    facets = [s for s in spans if s not in gone] + [  # and faces left with no cofacet
-        x for x, n in lost.items() if x not in gone
-        and n == cofacets(x, reduce(operator.and_, map(held.__getitem__, _bits(x)), every))]
+    facets, inside = [], [0] * K.n_vertices  # new facets; those holding each vertex
+    for x in sorted([s for s in spans if s not in gone] + list(lost - gone),
+                    key=int.bit_count, reverse=True):
+        if not reduce(operator.and_, map(inside.__getitem__, _bits(x))):
+            for i in _bits(x):
+                inside[i] |= 1 << len(facets)
+            facets.append(x)
     facets = [[K.vertices[i] for i in _bits(x)] for x in facets]
     vertices = sorted_labels({v for f in facets for v in f})
     new = {v: i for i, v in enumerate(vertices)}
@@ -268,7 +272,7 @@ def _tower(m, r, limit):
         if named > cap:
             raise ResourceLimitError(f"stage r={rr} matching", named, "faces", cap)
         matching = cycle_matching(m, rr)
-        report = verify_matching(itertools.chain.from_iterable(matching.pairs), matching)
+        report = verify_matching(matching.domain, matching)  # collapse checks presence
         if not report.perfect:
             raise CollapseError(f"stage r={rr}: matching not perfect")
         current = collapse(current, matching, limit)  # certifies acyclic and present

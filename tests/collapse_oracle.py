@@ -2,19 +2,49 @@
 
 ``collapse`` lists every face of the complex, counts the cofacets of each,
 and removes free matched pairs in lexicographic order of their index tuples;
-``tower`` runs the radius tower of an odd cycle on it, checking presence of
-the matched faces against that same face list.  The library reads only the
-matched faces, through per-vertex facet masks, instead; the tests compare
-the two.
+``cycle_matching`` builds each window's faces as sorted label tuples from
+sets of chosen positions; ``tower`` runs the radius tower of an odd cycle on
+the two, checking presence of the matched faces against the face list.  The
+library reads only the matched faces, through per-vertex facet masks, and
+builds its matchings from position masks instead; the tests compare the two.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 
-from nbhd import (CollapseError, SimplicialComplex, cycle_matching, make_cycle,
+from nbhd import (CollapseError, MorseMatching, SimplicialComplex, make_cycle,
                   neighborhood_complex, verify_acyclic, verify_matching)
 from nbhd.complexes import sorted_labels
+
+
+def cycle_matching(m, r):
+    """The radius-shrinking matching on the faces of the radius-r complex of
+    the m-cycle that span a full window ``{x, x+2, ..., x+2r}``: the face
+    missing only ``x+2`` pairs with the full window; any other face pairs
+    across membership of the predecessor of its largest missing entry."""
+    pairs = []
+    domain = set()
+    for x in range(m):
+        window = [(x + 2 * i) % m for i in range(r + 1)]
+        full = tuple(sorted(window))
+        special = tuple(sorted(window[:1] + window[2:]))  # drop x+2
+        pairs.append((special, full))
+        domain.add(full)
+        domain.add(special)
+        for size in range(r):
+            for chosen in itertools.combinations(range(1, r), size):
+                members = {0, r} | set(chosen)
+                sigma = tuple(sorted(window[i] for i in members))
+                if sigma == full or sigma == special:
+                    continue
+                domain.add(sigma)
+                gap = max(i for i in range(1, r) if i not in members)
+                if gap - 1 in members:
+                    tau = tuple(sorted(set(sigma) - {window[gap - 1]}))
+                    pairs.append((tau, sigma))
+    return MorseMatching(tuple(sorted(pairs)), frozenset(domain))
 
 
 def _indexed(K, matching, limit):

@@ -442,18 +442,24 @@ class TestHomology:
 
 def uncleared_homology(K):
     """Oracle: homology from the Smith form of every full boundary matrix,
-    each reduced on its own with no column cleared."""
-    faces = K.faces()
-    if not faces:
-        return HomologyResult(())
-    rank = [0] * (len(faces) + 1)
-    torsion = [()] * (len(faces) + 1)
-    for mat in boundary_matrices(K):
-        factors, rank[mat.dim] = smith_normal_form(mat.entries, (mat.n_rows, mat.n_cols))
-        torsion[mat.dim] = tuple(f for f in factors if f > 1)
+    each reduced on its own with no column cleared: on K's product cells,
+    with their cover signs, when it has them, and on its faces otherwise."""
+    if K._cells is None:
+        counts = [len(f) for f in K.faces().values()]
+        mats = [(m.dim, m.entries, (m.n_rows, m.n_cols)) for m in boundary_matrices(K)]
+    else:
+        dims, signs = K._cells
+        counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
+        mats = [(d, {fe: s for fe, s in signs.items() if dims[fe[1]] == d}, (len(dims),) * 2)
+                for d in range(1, len(counts))]
+    rank = [0] * (len(counts) + 1)
+    torsion = [()] * (len(counts) + 1)
+    for d, entries, shape in mats:
+        factors, rank[d] = smith_normal_form(entries, shape)
+        torsion[d] = tuple(f for f in factors if f > 1)
     return HomologyResult(tuple(
-        (len(faces[d]) - rank[d] - rank[d + 1], torsion[d + 1])
-        for d in range(len(faces))
+        (counts[d] - rank[d] - rank[d + 1], torsion[d + 1])
+        for d in range(len(counts))
     ))
 
 
@@ -570,6 +576,16 @@ class TestPairCells:
             return
         assert K._cells is not None
         assert homology(K).groups == homology(chain_model(K)).groups
+
+    @given(small_graphs(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_match_uncleared(self, G, r):
+        # the clearing on cells against every full cell boundary reduced alone
+        try:
+            K = order_complex(pair_poset(G, r, size_guard=300), limit=300)
+        except ResourceLimitError:
+            return
+        assert homology(K) == uncleared_homology(K)
 
     @pytest.mark.parametrize("G, r", [(make_cycle(5), 3), (make_kneser(5, 2), 1)],
                              ids=["C5 r=3", "Petersen r=1"])

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import operator
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,10 @@ def window_gap(m, x, r, sigma):
     return max(missing) if missing else None
 
 
+# every odd m <= 31 with every radius 2 <= r, 2r < m
+ODD_CYCLE_RADII = [(m, r) for m in range(5, 32, 2) for r in range(2, (m + 1) // 2)]
+
+
 class TestCycleMatching:
     @pytest.mark.parametrize("m,r", [(7, 2), (9, 2), (9, 3), (11, 4)])
     def test_domain_is_radius_difference(self, m, r):
@@ -55,6 +62,12 @@ class TestCycleMatching:
         for m, r in [(7, 2), (9, 3), (11, 4)]:
             matching = cycle_matching(m, r)
             assert len(matching.domain) == m * 2 ** (r - 1)
+
+    @pytest.mark.parametrize("m,r", ODD_CYCLE_RADII)
+    def test_matches_oracle(self, m, r):
+        got, want = cycle_matching(m, r), collapse_oracle.cycle_matching(m, r)
+        assert got.pairs == want.pairs
+        assert got.domain == want.domain
 
     @pytest.mark.parametrize("m,r", [(9, 3), (11, 4)])
     def test_gap_statistic_properties(self, m, r):
@@ -191,6 +204,26 @@ class TestCollapse:
         matching = MorseMatching(((face, ("c", "a", "b")),), frozenset())
         with pytest.raises(ValueError, match="outside the complex"):
             collapse(K, matching)
+
+    def test_one_span_union_per_holding_set(self, monkeypatch):
+        # the 544 lower faces of the C17 r=7 matching lie in only 17 distinct
+        # sets of facets; a lower face's link is united once per set
+        module = sys.modules["nbhd.morse"]
+        unions = []
+
+        def recording(fn, *args):
+            if fn is operator.or_:
+                unions.append(args)
+            return functools.reduce(fn, *args)
+
+        K = neighborhood_complex(make_cycle(17), 7)
+        matching = cycle_matching(17, 7)
+        facets = K.facet_label_sets()
+        holding = {frozenset(F for F in facets if set(tau) <= F) for tau, _ in matching.pairs}
+        assert (len(matching.pairs), len(holding)) == (544, 17)
+        monkeypatch.setattr(module, "reduce", recording)
+        assert collapse(K, matching) == neighborhood_complex(make_cycle(17), 6)
+        assert len(unions) == len(holding)
 
     def test_limit_bounds_the_matched_faces(self):
         K = neighborhood_complex(make_cycle(9), 3)
