@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Drive the library end to end on the worked desk-scale examples and print a
 compact report: sphere complexes from tight odd cycles, the Kneser sphere,
-matching/collapse towers, swap heights, and obstruction verdicts with the
-exhaustive search as the cross-oracle."""
+matching/collapse towers, swap heights (box-complex heights read up to a
+colouring's cap), and obstruction verdicts with the exhaustive search as the
+cross-oracle."""
 
 import time
 
@@ -19,9 +20,11 @@ from nbhd import (
     odd_girth,
     order_complex,
     pair_poset,
+    pair_space_height,
     pair_swap_involution,
     z2_height,
 )
+from nbhd.z2 import _box_faces, _colour_cap, _height
 
 
 def section(title):
@@ -62,6 +65,18 @@ def main():
     for g, r in ((make_cycle(3), 1), (make_cycle(5), 3)):
         K = order_complex(pair_poset(g, r))
         print(f"  {g!r} r={r}: height {z2_height(K, pair_swap_involution(K))}")
+
+    section("swap heights on the box complex")
+    for name, g, r in (("K(7,2)", make_kneser(7, 2), 1), ("K(8,3)", make_kneser(8, 3), 1),
+                       ("Petersen", petersen, 3)):
+        t = time.perf_counter()
+        h = pair_space_height(g, r)
+        elapsed = time.perf_counter() - t
+        cap = _colour_cap(g, r)
+        read = []  # orbit faces per level, as far as the capped height reads
+        _height((read.append(len(level)) or level for level in _box_faces(g, r)), cap)
+        print(f"  {name} r={r}: height {h} in {elapsed:.3f}s; {cap + 2} colours cap it "
+              f"at {cap}; orbit faces read per level {read}")
 
     section("pair-space homology, reduced on the poset's product cells")
     for g, r in ((make_cycle(5), 3), (make_cycle(7), 5)):

@@ -244,8 +244,7 @@ class Poset:
     reflexive-transitive closure (acyclicity is validated, which gives
     antisymmetry)."""
 
-    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_topo", "_reach",
-                 "_cells")
+    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_cells")
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
@@ -278,9 +277,8 @@ class Poset:
                     queue.append(j)
         if len(topo) != n:
             raise ValueError("covering relation has a cycle")
-        self._topo = tuple(topo)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._reach = self._cells = None
+        self._cells = None
 
     @property
     def n_elements(self):
@@ -294,21 +292,6 @@ class Poset:
 
     def minimal_elements(self):
         return [i for i in range(self.n_elements) if self._pred_count[i] == 0]
-
-    def _ensure_reach(self):
-        if self._reach is None:
-            reach = [1 << i for i in range(self.n_elements)]
-            for i in reversed(self._topo):
-                acc = reach[i]
-                for j in self._succ[i]:
-                    acc |= reach[j]
-                reach[i] = acc
-            self._reach = reach
-
-    def leq(self, i, j):
-        """``i <= j`` in the generated order (element indices)."""
-        self._ensure_reach()
-        return bool((self._reach[i] >> j) & 1)
 
     def maximal_chains(self, limit=None):
         """All maximal chains as index tuples, depth-first in element order."""

@@ -9,6 +9,10 @@ pair spaces on the Z2-homotopy equivalent box complex (Csorba 2007), whose
 orbit faces come straight from walk-ball bit masks.  The orbit faces are
 read one dimension at a time, only as far as the cup powers are tested, and
 each coboundary is reduced from the two dimensions it joins alone.
+A box complex's height stops at m - 2 for a proper m-colouring of G_r:
+height is monotone under Z2-maps, and B(K_m) is Z2-homotopy equivalent to
+the antipodal S^(m-2) (Matousek & Ziegler 2004, "Topological lower bounds
+for the chromatic number"; Lovasz 1978).
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from . import gf2
 from .complexes import DEFAULT_FACE_LIMIT, _face_levels, _integers
 from .errors import FreenessError, ResourceLimitError
-from .graphs import hom_search, make_cycle, odd_girth, walk_ball
+from .graphs import Graph, hom_search, make_cycle, odd_girth, validate_hom, walk_ball
 
 __all__ = [
     "Involution",
@@ -223,11 +228,45 @@ def pair_space_height(G, r, *, limit=None):
     sheet swap: it is Z2-homotopy equivalent to Hom(K2, G_r) (Csorba 2007),
     whose face poset is the linked-pair poset (Babson & Kozlov 2006).  Its
     orbit faces are read from the walk balls only up to the dimension the
-    height needs; ``limit`` bounds the faces read."""
+    height needs, and no further than a colouring of G_r caps it (see
+    :func:`_colour_cap`); ``limit`` bounds the faces read."""
     # vertex 2i + 1 is 2i on the other sheet, so the sheet swap is v ^ 1; it
     # is free and simplicial once _require_free holds
     _require_free(G, r)
-    return _height(_box_faces(G, r, limit))
+    return _height(_box_faces(G, r, limit), _colour_cap(G, r))
+
+
+def _colour_cap(G, r):
+    """m - 2 for a proper colouring c: G_r -> K_m, which bounds the swap
+    height of B(G_r); x ~ y in G_r when y is in x's exact-r walk ball, with
+    no loops once :func:`_require_free` holds.  c sends A x {0} + B x {1} to
+    the face c(A) x {0} + c(B) x {1} of B(K_m), as c(a) != c(b) across the
+    sides and a common neighbour of a side has a colour outside its image: a
+    simplicial Z2-map, so the swap class pulls back to the swap class.
+    Height is monotone under Z2-maps, and B(K_m) is Z2-homotopy equivalent
+    to the antipodal S^(m-2) (Matousek & Ziegler 2004, "Topological lower
+    bounds for the chromatic number"; Lovasz 1978).  m is DSATUR's count,
+    proper by construction, then one fewer while ``hom_search`` finds, within
+    4 expansions per vertex, a colouring with one colour fewer that
+    ``validate_hom`` passes."""
+    n = G.n_vertices
+    balls = [walk_ball(G, x, r) for x in range(n)]
+    colour, seen = [-1] * n, [0] * n  # seen[x]: the colours on x's ball, a mask
+    for _ in range(n):
+        x = max((x for x in range(n) if colour[x] < 0),
+                key=lambda x: (seen[x].bit_count(), len(balls[x])))
+        colour[x] = c = (~seen[x] & (seen[x] + 1)).bit_length() - 1  # lowest free
+        for y in balls[x]:
+            seen[y] |= 1 << c
+    m = max(colour, default=-1) + 1
+    Gr = Graph(range(n), [(x, y) for x in range(n) for y in balls[x] if x < y])
+    while m > 2:
+        K = Graph(range(m - 1), combinations(range(m - 1), 2))
+        out = hom_search(Gr, K, 4 * n)
+        if not (out.found and validate_hom(out.mapping, Gr, K)):
+            break
+        m -= 1
+    return max(m - 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +385,8 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
     ``limit``).  The target's comes first; only "source height > upper" decides
     the verdict, so the source's is computed up to ``upper + 1`` and reported
     as min(height, upper + 1), or not at all when its cheap lower bound
-    already exceeds ``upper`` (that bound is reported).  Requires ``r`` odd
+    already exceeds ``upper`` (that bound is reported).  Both are read only
+    up to a colouring's cap, as in :func:`pair_space_height`.  Requires ``r`` odd
     and both odd girths above ``r``.
     """
     lb = height_bounds(G, r, budget=budget)
@@ -363,7 +403,7 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
         # when a cheap lower bound already exceeds upper; height_bounds has
         # checked that its swap is free
         if lower is None or lower <= upper:
-            lower = _height(_box_faces(G, r, limit), upper + 1)
+            lower = _height(_box_faces(G, r, limit), min(upper + 1, _colour_cap(G, r)))
             lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"

@@ -19,6 +19,7 @@ from nbhd import (
     Graph,
     Involution,
     ResourceLimitError,
+    SearchOutcome,
     SimplicialComplex,
     check_free_involution,
     height_bounds,
@@ -540,6 +541,61 @@ class TestBoxHeightAgainstPairSpace:
         G, r = case
         assert _height(_box_faces(G, r), k) == min(pair_space_height(G, r), k)
 
+
+@st.composite
+def graphs_and_odd_radii(draw):
+    """A graph on at most 9 vertices, perhaps around an odd cycle through all
+    of them, and the largest of r = 1, 3, 5 up to the drawn one that its odd
+    girth allows."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=n)) if pairs else set()
+    if n >= 3 and draw(st.booleans()):
+        edges |= {(i, (i + 1) % n) for i in range(n)}
+    G = Graph(range(n), edges)
+    top = draw(st.sampled_from((1, 3, 5)))
+    return G, max(r for r in (1, 3, 5) if r <= top and odd_girth(G) > r)
+
+
+class TestColourCap:
+    @given(graphs_and_odd_radii())
+    @settings(max_examples=150, deadline=None)
+    def test_capped_height_is_the_uncapped_height(self, case):
+        G, r = case
+        assert pair_space_height(G, r) == _height(_box_faces(G, r))
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_complete_graphs(self, m):
+        assert pair_space_height(make_kneser(m, 1), 1) == m - 2
+
+    def test_the_level_above_the_cap_is_not_read(self):
+        # the Groetzsch graph is 4-chromatic, with height 2 at r=1: its orbit
+        # levels 11/55/90 are read, its 55 3-faces are not
+        grotzsch = mycielskian(make_cycle(5))
+        assert pair_space_height(grotzsch, 1, limit=156) == 2
+        with pytest.raises(ResourceLimitError):
+            _height(_box_faces(grotzsch, 1, limit=156))
+
+    def test_a_colour_fewer_is_searched_for(self):
+        # DSATUR colours K(8,3) with 5 colours; the search finds 4
+        assert z2._colour_cap(make_kneser(8, 3), 1) == 2
+
+    def test_a_cap_one_too_low_is_caught(self, monkeypatch):
+        cap = z2._colour_cap
+        monkeypatch.setattr(z2, "_colour_cap", lambda G, r: cap(G, r) - 1)
+        for m in range(3, 8):
+            assert pair_space_height(make_kneser(m, 1), 1) == m - 3
+            assert _height(_box_faces(make_kneser(m, 1), 1)) == m - 2
+
+    def test_an_improper_colouring_gives_no_cap(self, monkeypatch):
+        # a search that returns one colour for every vertex: validate_hom
+        # rejects it, so the cap stays DSATUR's m - 2 on K_m
+        monkeypatch.setattr(z2, "hom_search", lambda G, H, budget: SearchOutcome(
+            "found", (0,) * G.n_vertices, 1))
+        for m in range(3, 8):
+            assert z2._colour_cap(make_kneser(m, 1), 1) == m - 2
+            assert pair_space_height(make_kneser(m, 1), 1) == m - 2
+        assert z2._colour_cap(make_kneser(8, 3), 1) == 3
 
 
 def untagged(G):
