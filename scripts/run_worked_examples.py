@@ -24,6 +24,7 @@ from nbhd import (
     pair_swap_involution,
     z2_height,
 )
+from nbhd.graphs import walk_ball
 from nbhd.z2 import _box_faces, _colour_cap, _height
 
 
@@ -72,19 +73,27 @@ def main():
         t = time.perf_counter()
         h = pair_space_height(g, r)
         elapsed = time.perf_counter() - t
-        cap = _colour_cap(g, r)
+        balls = [walk_ball(g, x, r) for x in range(g.n_vertices)]
+        cap = _colour_cap(balls)
         read = []  # orbit faces per level, as far as the capped height reads
-        _height((read.append(len(level)) or level for level in _box_faces(g, r)), cap)
+        _height((read.append(len(level)) or level for level in _box_faces(balls)), cap)
         print(f"  {name} r={r}: height {h} in {elapsed:.3f}s; {cap + 2} colours cap it "
               f"at {cap}; orbit faces read per level {read}")
 
     section("pair-space homology, reduced on the poset's product cells")
-    for g, r in ((make_cycle(5), 3), (make_cycle(7), 5)):
-        K = order_complex(pair_poset(g, r, size_guard=10**6))
-        print(
-            f"  {g!r} r={r}: {len(K.vertices)} cells, {len(K.facets)} facets, "
-            f"betti {homology(K).betti_vector}"
-        )
+    # the order complex's facets, its maximal chains, are never listed: C7 r=5
+    # has 161,280 of them, and C9 r=7 and K(7,2) r=1 too many for 3 GB
+    for name, g, r in (("C5", make_cycle(5), 3), ("C7", make_cycle(7), 5),
+                       ("C9", make_cycle(9), 7), ("K(7,2)", make_kneser(7, 2), 1)):
+        t = time.perf_counter()
+        P = pair_poset(g, r, size_guard=10**6)
+        h = homology(order_complex(P))
+        elapsed = time.perf_counter() - t
+        cells = [0] * len(h.groups)  # A x B is a cell of dimension |A| + |B| - 2
+        for a, b in P.elements:
+            cells[len(a) + len(b) - 2] += 1
+        print(f"  {name} r={r}: cells per dimension {cells}, betti {h.betti_vector} "
+              f"in {elapsed:.3f}s")
 
     section("obstruction verdicts vs exhaustive search")
     cases = [

@@ -5,16 +5,19 @@ complexes.
 Complexes are stored by facets; full face enumeration is on demand, cached,
 and guarded by a face-count limit (default 5,000,000).  It grows each face
 once, in lexicographic order, from per-vertex facet bit masks, and counts it
-as it is made.  Constructed values are immutable apart from that cache and
-are safe to share between readers.
+as it is made; an order complex lists its maximal chains, its facets, when
+they are first read.  Values are immutable apart from those caches, which a
+repeated fill leaves the same, and are safe to share between readers.
 """
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import json
+import math
 import operator
-from collections import defaultdict, deque
+from collections import defaultdict
 from functools import reduce
 
 from .errors import ResourceLimitError
@@ -63,7 +66,7 @@ class SimplicialComplex:
     tuples, pairwise non-nested, in lexicographic order.
     """
 
-    __slots__ = ("vertices", "facets", "_index", "_faces", "_cells")
+    __slots__ = ("vertices", "_facets", "_index", "_faces", "_cells")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -86,7 +89,7 @@ class SimplicialComplex:
 
     def _setup(self, vertices, facets):
         self.vertices = tuple(vertices)
-        self.facets = tuple(sorted(facets))
+        self._facets = facets if callable(facets) else tuple(sorted(map(tuple, facets)))
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._faces = self._cells = None
 
@@ -107,10 +110,17 @@ class SimplicialComplex:
 
     @classmethod
     def _from_indexed(cls, vertices, facets):
-        # trusted path for builders whose facets are known maximal and valid
+        # trusted path for builders whose facets are known maximal and valid;
+        # a function given as the facets is called when they are first read
         obj = cls.__new__(cls)
-        obj._setup(vertices, (tuple(f) for f in facets))
+        obj._setup(vertices, facets)
         return obj
+
+    @property
+    def facets(self):
+        if callable(self._facets):
+            self._facets = tuple(sorted(map(tuple, self._facets())))
+        return self._facets
 
     @property
     def n_vertices(self):
@@ -141,12 +151,6 @@ class SimplicialComplex:
             raise ResourceLimitError("face enumeration", count, "faces", cap)
         return self._faces
 
-    def face_counts(self, limit=None):
-        return tuple(map(len, self.faces(limit).values()))
-
-    def all_faces_label_set(self, limit=None):
-        return {self.face_labels(f) for lst in self.faces(limit).values() for f in lst}
-
     def has_face_indices(self, face):
         s = set(face)
         return any(s.issubset(f) for f in self.facets)
@@ -160,9 +164,6 @@ class SimplicialComplex:
 
     def facet_label_sets(self):
         return frozenset(frozenset(self.face_labels(f)) for f in self.facets)
-
-    def euler_characteristic(self, limit=None):
-        return sum((-1) ** d * len(lst) for d, lst in self.faces(limit).items())
 
     def __eq__(self, other):
         return (
@@ -244,12 +245,12 @@ class Poset:
     reflexive-transitive closure (acyclicity is validated, which gives
     antisymmetry)."""
 
-    __slots__ = ("elements", "covers", "_index", "_succ", "_pred_count", "_cells")
+    __slots__ = ("elements", "covers", "_cells")
 
     def __init__(self, elements, covers):
-        self.elements = tuple(elements)
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
+        elements = tuple(elements)
+        n = len(elements)
+        if len(set(elements)) != n:
             raise ValueError("poset elements must be pairwise distinct")
         cov = set()
         for pair in covers:
@@ -257,46 +258,37 @@ class Poset:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad cover pair ({a}, {b})")
             cov.add((a, b))
-        self.covers = tuple(sorted(cov))
-        succ = [[] for _ in range(n)]
-        indeg = [0] * n
-        for a, b in self.covers:
-            succ[a].append(b)
-            indeg[b] += 1
-        self._succ = tuple(tuple(sorted(s)) for s in succ)
-        self._pred_count = tuple(indeg)
-        # Kahn's algorithm: a topological order exists iff there is no cycle
-        topo = []
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        while queue:
-            i = queue.popleft()
-            topo.append(i)
-            for j in self._succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(topo) != n:
-            raise ValueError("covering relation has a cycle")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._cells = None
+        order = graphlib.TopologicalSorter()
+        for a, b in cov:
+            order.add(b, a)
+        try:
+            order.prepare()
+        except graphlib.CycleError:
+            raise ValueError("covering relation has a cycle") from None
+        self.elements, self.covers, self._cells = elements, tuple(sorted(cov)), None
+
+    @classmethod
+    def _from_covers(cls, elements, covers):
+        # trusted path for builders whose elements are distinct and whose
+        # covers are known sorted, distinct, in range and acyclic
+        obj = cls.__new__(cls)
+        obj.elements, obj.covers, obj._cells = tuple(elements), tuple(covers), None
+        return obj
 
     @property
     def n_elements(self):
         return len(self.elements)
 
-    def index_of(self, element):
-        try:
-            return self._index[element]
-        except KeyError:
-            raise ValueError(f"{element!r} is not a poset element") from None
-
     def minimal_elements(self):
-        return [i for i in range(self.n_elements) if self._pred_count[i] == 0]
+        covered = {b for _, b in self.covers}
+        return [i for i in range(self.n_elements) if i not in covered]
 
     def maximal_chains(self, limit=None):
         """All maximal chains as index tuples, depth-first in element order."""
         cap = DEFAULT_FACE_LIMIT if limit is None else limit
-        out, path = [], []
+        out, path, succ = [], [], [[] for _ in self.elements]
+        for a, b in self.covers:  # sorted, so each element's covers are too
+            succ[a].append(b)
         iters = [iter(self.minimal_elements())]  # the first iterates the roots
         while iters:
             nxt = next(iters[-1], None)
@@ -304,9 +296,9 @@ class Poset:
                 iters.pop()
                 if iters:
                     path.pop()
-            elif self._succ[nxt]:
+            elif succ[nxt]:
                 path.append(nxt)
-                iters.append(iter(self._succ[nxt]))
+                iters.append(iter(succ[nxt]))
             else:
                 out.append(tuple(path) + (nxt,))
                 if len(out) > cap:
@@ -349,7 +341,8 @@ def pair_poset(G, r, size_guard=200_000):
     the element count exceeds ``size_guard``.  A pair is also the cell
     Delta^A x Delta^B of dimension |A| + |B| - 2; its cover from (A - a_i, B)
     or (A, B - b_j) carries the incidence sign (-1)^i or (-1)^(|A| - 1 + j),
-    with i and j positions in the sorted tuples, for ``homology``."""
+    with i and j positions in the sorted tuples, for ``homology``.  Pairs are
+    distinct and each cover adds a vertex, so ``Poset``'s checks are skipped."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     n = G.n_vertices
@@ -376,12 +369,14 @@ def pair_poset(G, r, size_guard=200_000):
         raise ResourceLimitError("linked-pair poset", total, "elements", size_guard)
 
     a_sets.sort(key=lambda ac: (len(ac[0]), ac[0]))
-    elements = []
+    elements, payloads, dims = [], [], []
     for a, c in a_sets:
         cs = tuple(sorted(c))
+        la, lcs = tuple(map(G.vertices.__getitem__, a)), tuple(map(G.vertices.__getitem__, cs))
         for size in range(1, len(cs) + 1):
-            for b in itertools.combinations(cs, size):
-                elements.append((a, b))
+            elements += zip(itertools.repeat(a), itertools.combinations(cs, size))
+            payloads += zip(itertools.repeat(la), itertools.combinations(lcs, size))
+            dims += [len(a) + size - 2] * math.comb(len(cs), size)
     index = {e: i for i, e in enumerate(elements)}
 
     signs = {}  # each cover drops one vertex; pairs are down-closed
@@ -391,21 +386,19 @@ def pair_poset(G, r, size_guard=200_000):
         for k in range(len(b) if len(b) > 1 else 0):
             signs[index[(a, b[:k] + b[k + 1:])], i] = (-1) ** (len(a) - 1 + k)
 
-    payloads = [
-        (tuple(G.vertices[i] for i in a), tuple(G.vertices[j] for j in b))
-        for a, b in elements
-    ]
-    P = Poset(payloads, signs)
-    P._cells = (tuple(len(a) + len(b) - 2 for a, b in elements), signs)
+    P = Poset._from_covers(payloads, sorted(signs))
+    P._cells = (tuple(dims), signs)
     return P
 
 
 def order_complex(P, limit=None):
     """Simplicial complex of the chains of ``P``: vertices are the elements,
-    facets the maximal chains.  A ``pair_poset``'s signed cells are passed on,
-    for ``homology``; a complex rebuilt from its facets carries none."""
-    facets = [tuple(sorted(c)) for c in P.maximal_chains(limit)]
-    K = SimplicialComplex._from_indexed(P.elements, facets)
+    facets the maximal chains, listed when the facets are first read; a read
+    past ``limit`` chains raises :class:`ResourceLimitError`.  A
+    ``pair_poset``'s signed cells are passed on, for ``homology``, which reads
+    them and no chain; a complex rebuilt from its facets carries none."""
+    K = SimplicialComplex._from_indexed(
+        P.elements, lambda: map(sorted, P.maximal_chains(limit)))
     K._cells = P._cells
     return K
 

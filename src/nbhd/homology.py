@@ -292,7 +292,10 @@ def homology(K, limit=None):
         if len(dims) > cap:
             raise ResourceLimitError("cell enumeration", len(dims), "cells", cap)
         counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
-        boundary = functools.partial(_cell_boundary, dims, signs)
+        covers = [[] for _ in counts]  # covers[d]: (face, d-cell, sign)
+        for (f, e), s in signs.items():
+            covers[dims[e]].append((f, e, s))
+        boundary = functools.partial(_cell_boundary, covers)
     top = len(counts) - 1
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
@@ -308,12 +311,12 @@ def homology(K, limit=None):
     return HomologyResult(tuple(groups))
 
 
-def _cell_boundary(dims, signs, d, cleared):
-    # _boundary for cells of these dimensions with cover signs
-    # {(face, cell): +-1}; rows and columns are keyed by poset element
+def _cell_boundary(covers, d, cleared):
+    # _boundary for cells, from the signed covers (face, cell, +-1) of the
+    # cells of each dimension; rows and columns are keyed by poset element
     rows, cols = {}, {}
-    for (f, e), s in signs.items():
-        if dims[e] == d and e not in cleared:
+    for f, e, s in covers[d]:
+        if e not in cleared:
             rows.setdefault(f, {})[e] = s
             cols.setdefault(e, set()).add(f)
     return rows, cols
@@ -326,9 +329,9 @@ def homology_connectivity(K, limit=None):
     group up to dim(K) vanishes.  This is homological connectivity only; no
     fundamental-group check is attempted.
     """
-    if not K.facets:
-        raise ValueError("connectivity needs a nonempty complex")
     h = homology(K, limit)
+    if not h.groups:
+        raise ValueError("connectivity needs a nonempty complex")
     for d, (betti, tors) in enumerate(h.groups):
         reduced = betti - 1 if d == 0 else betti
         if reduced or tors:

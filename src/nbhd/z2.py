@@ -112,16 +112,15 @@ def check_free_involution(K, t):
     return FreenessReport(True)
 
 
-def _box_faces(G, r, limit=None):
+def _box_faces(balls, limit=None):
     """Orbit faces of the box complex B(G_r) under its sheet swap, one
     lexicographic list per dimension (Matousek & Ziegler 2004): A x {0} +
-    B x {1} with B in the exact-r walk ball of each member of A and both
-    common balls CN(A), CN(B) nonempty (CN of no vertex is every vertex).
+    B x {1} with B in ``balls[a]``, the exact-r walk ball, for each a in A and
+    both common balls CN(A), CN(B) nonempty (CN of no vertex is every vertex).
     Vertex 2i + s is the i-th vertex with a nonempty ball, on sheet s; each
     orbit is its face starting on an even vertex, made and counted once."""
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
-    balls = [walk_ball(G, x, r) for x in range(G.n_vertices)]
-    slot = {x: i for i, x in enumerate(x for x in range(G.n_vertices) if balls[x])}
+    slot = {x: i for i, x in enumerate(x for x in range(len(balls)) if balls[x])}
     masks = [sum(1 << slot[y] for y in balls[x]) for x in slot]
     # a level holds (face, CN of sheet 0, CN of sheet 1) as bit masks
     level = [((2 * i,), m, (1 << len(masks)) - 1) for i, m in enumerate(masks)]
@@ -230,27 +229,31 @@ def pair_space_height(G, r, *, limit=None):
     orbit faces are read from the walk balls only up to the dimension the
     height needs, and no further than a colouring of G_r caps it (see
     :func:`_colour_cap`); ``limit`` bounds the faces read."""
-    # vertex 2i + 1 is 2i on the other sheet, so the sheet swap is v ^ 1; it
-    # is free and simplicial once _require_free holds
     _require_free(G, r)
-    return _height(_box_faces(G, r, limit), _colour_cap(G, r))
+    return _box_height(G, r, limit)
 
 
-def _colour_cap(G, r):
+def _box_height(G, r, limit, cap=math.inf):
+    # min(cap, the height above), each walk ball computed once; vertex 2i + 1
+    # is 2i on the other sheet, so the sheet swap is v ^ 1, free and simplicial
+    balls = [walk_ball(G, x, r) for x in range(G.n_vertices)]
+    return _height(_box_faces(balls, limit), min(cap, _colour_cap(balls)))
+
+
+def _colour_cap(balls):
     """m - 2 for a proper colouring c: G_r -> K_m, which bounds the swap
-    height of B(G_r); x ~ y in G_r when y is in x's exact-r walk ball, with
-    no loops once :func:`_require_free` holds.  c sends A x {0} + B x {1} to
-    the face c(A) x {0} + c(B) x {1} of B(K_m), as c(a) != c(b) across the
-    sides and a common neighbour of a side has a colour outside its image: a
-    simplicial Z2-map, so the swap class pulls back to the swap class.
-    Height is monotone under Z2-maps, and B(K_m) is Z2-homotopy equivalent
+    height of B(G_r); x ~ y in G_r when y is in x's exact-r walk ball
+    ``balls[x]``, with no loops once :func:`_require_free` holds.  c sends
+    A x {0} + B x {1} to the face c(A) x {0} + c(B) x {1} of B(K_m), as
+    c(a) != c(b) across the sides and a common neighbour of a side has a
+    colour outside its image: a simplicial Z2-map, so the swap class pulls
+    back to the swap class.  Height is monotone under Z2-maps, and B(K_m) is Z2-homotopy equivalent
     to the antipodal S^(m-2) (Matousek & Ziegler 2004, "Topological lower
     bounds for the chromatic number"; Lovasz 1978).  m is DSATUR's count,
     proper by construction, then one fewer while ``hom_search`` finds, within
     4 expansions per vertex, a colouring with one colour fewer that
     ``validate_hom`` passes."""
-    n = G.n_vertices
-    balls = [walk_ball(G, x, r) for x in range(n)]
+    n = len(balls)
     colour, seen = [-1] * n, [0] * n  # seen[x]: the colours on x's ball, a mask
     for _ in range(n):
         x = max((x for x in range(n) if colour[x] < 0),
@@ -403,7 +406,7 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
         # when a cheap lower bound already exceeds upper; height_bounds has
         # checked that its swap is free
         if lower is None or lower <= upper:
-            lower = _height(_box_faces(G, r, limit), min(upper + 1, _colour_cap(G, r)))
+            lower = _box_height(G, r, limit, upper + 1)
             lrule = "cup-power-height"
     if lower is not None and upper is not None and lower > upper:
         verdict = "NO-MAP"

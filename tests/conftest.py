@@ -104,3 +104,18 @@ def lemma_suite_random_graphs():
         n = rng.randint(4, 7)
         out.append(random_connected_graph(n, 0.35, rng))
     return out
+
+
+def face_counts(K, limit=None):
+    """Faces of ``K`` per dimension, as a tuple."""
+    return tuple(map(len, K.faces(limit).values()))
+
+
+def all_faces_label_set(K, limit=None):
+    """Every face of ``K`` as a tuple of labels."""
+    return {K.face_labels(f) for lst in K.faces(limit).values() for f in lst}
+
+
+def euler_characteristic(K, limit=None):
+    """The alternating sum of the face counts of ``K``."""
+    return sum((-1) ** d * len(lst) for d, lst in K.faces(limit).items())

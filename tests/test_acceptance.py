@@ -14,6 +14,7 @@ from collections import defaultdict
 import pytest
 
 from conftest import (
+    all_faces_label_set,
     antipodal6,
     hexagon_complex,
     lemma_suite_random_graphs,
@@ -107,8 +108,8 @@ def test_criterion_1_tight_cycle_spheres(r):
 def test_criterion_2_matching_and_collapse(m, r):
     @criterion(2, f"(m={m}, r={r}): perfect acyclic matching, collapse to rim")
     def check():
-        big = neighborhood_complex(make_cycle(m), r).all_faces_label_set()
-        small = neighborhood_complex(make_cycle(m), r - 1).all_faces_label_set()
+        big = all_faces_label_set(neighborhood_complex(make_cycle(m), r))
+        small = all_faces_label_set(neighborhood_complex(make_cycle(m), r - 1))
         matching = cycle_matching(m, r)
         assert matching.domain == frozenset(big - small)
         report = verify_matching(big, matching)

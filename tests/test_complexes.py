@@ -3,10 +3,10 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_simplex, simplex_boundary
+from conftest import euler_characteristic, face_counts, full_simplex, simplex_boundary
 from quotient_oracle import barycentric_subdivision, face_poset
 from nbhd import (
     Graph,
@@ -109,8 +109,8 @@ class TestSimplicialComplex:
 
     def test_face_enumeration_counts(self):
         K = full_simplex(2)
-        assert K.face_counts() == (3, 3, 1)
-        assert simplex_boundary(2).face_counts() == (3, 3)
+        assert face_counts(K) == (3, 3, 1)
+        assert face_counts(simplex_boundary(2)) == (3, 3)
 
     def test_face_limit(self):
         K = simplex_boundary(5)
@@ -146,9 +146,9 @@ class TestSimplicialComplex:
         assert (err.value.count, err.value.limit) == (72, 10)
 
     def test_euler_characteristic(self):
-        assert simplex_boundary(3).euler_characteristic() == 2  # a 2-sphere
-        assert simplex_boundary(4).euler_characteristic() == 0  # a 3-sphere
-        assert full_simplex(3).euler_characteristic() == 1
+        assert euler_characteristic(simplex_boundary(3)) == 2  # a 2-sphere
+        assert euler_characteristic(simplex_boundary(4)) == 0  # a 3-sphere
+        assert euler_characteristic(full_simplex(3)) == 1
 
     def test_has_face(self):
         K = simplex_boundary(2)
@@ -328,6 +328,20 @@ class TestPairPoset:
             pair_poset(make_kneser(5, 1), 1, size_guard=10)
         assert "10" in str(err.value)
 
+    @given(small_graphs, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_trusted_poset_passes_the_public_checks(self, g, r):
+        # pair_poset skips Poset's checks; the public constructor keeps them
+        try:
+            P = pair_poset(g, r, size_guard=2000)
+            chains = P.maximal_chains(5000)
+        except ResourceLimitError:
+            assume(False)
+        Q = Poset(P.elements, P.covers)
+        assert Q.covers == P.covers
+        assert Q.minimal_elements() == P.minimal_elements()
+        assert Q.maximal_chains(5000) == chains
+
     @given(small_graphs, st.integers(min_value=1, max_value=2))
     @settings(max_examples=25, deadline=None)
     def test_swap_is_an_order_automorphism(self, g, r):
@@ -341,6 +355,49 @@ class TestPairPoset:
             assert leq(P, si, sj)
 
 
+def check_deferred_chains(P, limit):
+    """The facets of ``order_complex(P, limit)``, read after it is built, are
+    the maximal chains listed eagerly; past ``limit``, the read raises what
+    the eager listing does."""
+    K = order_complex(P, limit)
+    try:
+        eager = tuple(sorted(tuple(sorted(c)) for c in P.maximal_chains(limit)))
+    except ResourceLimitError as err:
+        with pytest.raises(ResourceLimitError) as deferred:
+            K.facets
+        assert "maximal-chain enumeration" in str(deferred.value)
+        assert (deferred.value.count, deferred.value.limit) == (err.count, limit)
+        return
+    assert K.vertices == P.elements
+    assert K.facets == eager
+
+
+class TestDeferredChains:
+    """An order complex lists its maximal chains when its facets are first
+    read, bounded by the limit it was built with."""
+
+    @given(small_graphs, st.integers(min_value=1, max_value=4), st.integers(0, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_spaces(self, g, r, limit):
+        try:
+            P = pair_poset(g, r, size_guard=2000)
+        except ResourceLimitError:
+            assume(False)
+        check_deferred_chains(P, limit)
+
+    @given(small_graphs, st.integers(min_value=1, max_value=2), st.integers(0, 400))
+    @settings(max_examples=50, deadline=None)
+    def test_face_posets(self, g, r, limit):
+        check_deferred_chains(face_poset(neighborhood_complex(g, r)), limit)
+
+    def test_a_read_past_the_limit_names_the_count(self):
+        K = order_complex(face_poset(simplex_boundary(4)), 3)
+        with pytest.raises(ResourceLimitError) as err:
+            K.facets
+        assert (err.value.count, err.value.limit) == (4, 3)
+        assert "maximal-chain enumeration reached 4 chains" in str(err.value)
+
+
 class TestPosetsAndOrderComplexes:
     def test_total_order_gives_single_simplex(self):
         P = Poset(list("abcd"), [(0, 1), (1, 2), (2, 3)])
@@ -350,13 +407,13 @@ class TestPosetsAndOrderComplexes:
     def test_antichain_gives_isolated_vertices(self):
         P = Poset(list("abc"), [])
         K = order_complex(P)
-        assert K.face_counts() == (3,)
+        assert face_counts(K) == (3,)
 
     def test_face_poset_of_edge_subdivides(self):
         K = SimplicialComplex.from_faces([("a", "b")])
         P = face_poset(K)
         sub = order_complex(P)
-        assert sub.face_counts() == (3, 2)  # the path a -- {a,b} -- b
+        assert face_counts(sub) == (3, 2)  # the path a -- {a,b} -- b
 
     def test_face_poset_counts(self):
         assert face_poset(full_simplex(2)).n_elements == 7

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_simplex, rp2_complex, simplex_boundary
+from conftest import euler_characteristic, full_simplex, rp2_complex, simplex_boundary
 from nbhd import (
     Graph,
+    Poset,
     ResourceLimitError,
     SimplicialComplex,
     abelianize,
@@ -419,7 +420,7 @@ class TestHomology:
     )
     def test_euler_characteristic_consistency(self, K):
         h = homology(K)
-        alt_faces = K.euler_characteristic()
+        alt_faces = euler_characteristic(K)
         alt_betti = sum((-1) ** d * b for d, b in enumerate(h.betti_vector))
         assert alt_faces == alt_betti
 
@@ -572,10 +573,11 @@ class TestPairCells:
     def test_cells_match_chains(self, G, r):
         try:
             K = order_complex(pair_poset(G, r, size_guard=300), limit=300)
+            chains = chain_model(K)
         except ResourceLimitError:
             return
         assert K._cells is not None
-        assert homology(K).groups == homology(chain_model(K)).groups
+        assert homology(K).groups == homology(chains).groups
 
     @given(small_graphs(), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
@@ -615,6 +617,20 @@ class TestPairCells:
         assert (err.value.count, err.value.limit) == (180, 179)
         assert "cell enumeration" in str(err.value)
         assert K._faces is None
+
+    @pytest.mark.parametrize("m, r, betti", [(5, 3, (1, 0, 0, 1)), (7, 3, (1, 1, 0, 0)),
+                                             (7, 5, (1, 0, 0, 0, 0, 1))],
+                             ids=["C5 r=3", "C7 r=3", "C7 r=5"])
+    def test_no_chain_is_listed_and_no_poset_revalidated(self, monkeypatch, m, r, betti):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pair space's homology reached a spied call")
+
+        monkeypatch.setattr(Poset, "maximal_chains", refuse)
+        monkeypatch.setattr(Poset, "__init__", refuse)
+        K = order_complex(pair_poset(make_cycle(m), r))
+        assert homology(K).betti_vector == betti
+        with pytest.raises(AssertionError, match="spied"):
+            K.facets  # the spy would have caught a chain listing
 
     def test_c7_r5_reach(self):
         # 1,932 cells against 1,468,824 faces of the order complex

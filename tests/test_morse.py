@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_oracle
+from conftest import all_faces_label_set
 from nbhd import (
     CollapseError,
     MorseMatching,
@@ -27,8 +28,8 @@ from nbhd.morse import _tower
 
 def radius_difference_faces(m, r):
     """Oracle: faces of the radius-r cycle complex absent at radius r-1."""
-    big = neighborhood_complex(make_cycle(m), r).all_faces_label_set()
-    small = neighborhood_complex(make_cycle(m), r - 1).all_faces_label_set()
+    big = all_faces_label_set(neighborhood_complex(make_cycle(m), r))
+    small = all_faces_label_set(neighborhood_complex(make_cycle(m), r - 1))
     return big - small
 
 
@@ -54,7 +55,7 @@ class TestCycleMatching:
     def test_perfect_on_domain(self, m, r):
         matching = cycle_matching(m, r)
         K = neighborhood_complex(make_cycle(m), r)
-        report = verify_matching(K.all_faces_label_set(), matching)
+        report = verify_matching(all_faces_label_set(K), matching)
         assert report.perfect
 
     def test_strata_partition_by_count(self):
@@ -111,7 +112,7 @@ class TestVerifyMatching:
         dropped = matching.pairs[0][0]
         broken = MorseMatching(matching.pairs[1:], matching.domain)
         K = neighborhood_complex(make_cycle(7), 2)
-        report = verify_matching(K.all_faces_label_set(), broken)
+        report = verify_matching(all_faces_label_set(K), broken)
         assert dropped in report.critical
 
     def test_non_cofacet_pair_reported(self):
@@ -263,7 +264,7 @@ class TestTower:
         K = neighborhood_complex(make_cycle(m), r)
         for stage, rr in zip(stages, range(r, 1, -1)):
             matching = cycle_matching(m, rr)
-            expected = verify_matching(K.all_faces_label_set(), matching)
+            expected = verify_matching(all_faces_label_set(K), matching)
             assert stage["verification"] == expected.to_json_obj()
             K = collapse(K, matching)
 
@@ -300,7 +301,7 @@ def complexes_with_matchings(draw):
                          min_size=1, max_size=6))
     K = SimplicialComplex(draw(st.permutations("abcdef"[:n])),
                           SimplicialComplex.from_faces(sets).facets)
-    faces = sorted(K.all_faces_label_set(), key=lambda f: (len(f), f))
+    faces = sorted(all_faces_label_set(K), key=lambda f: (len(f), f))
     live, pairs = set(faces), []
     for _ in range(draw(st.integers(1, len(faces)))):
         free = [(t, s) for t in sorted(live) for s in faces
@@ -370,7 +371,7 @@ class TestAgainstFaceListingOracle:
             return
         pairs = tuple(tuple(sorted(p, key=len)) for p in matching.pairs)
         oriented = MorseMatching(pairs, matching.domain)
-        assert verify_matching(K.all_faces_label_set(), oriented).well_formed
+        assert verify_matching(all_faces_label_set(K), oriented).well_formed
         assert verify_acyclic(oriented)
 
     @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])

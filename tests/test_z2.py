@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     antipodal6,
+    face_counts,
     hexagon_complex,
     mycielskian,
     octahedron,
@@ -39,6 +40,7 @@ from nbhd import (
 )
 from nbhd import z2
 from nbhd.complexes import _face_levels, sorted_labels
+from nbhd.graphs import walk_ball
 from nbhd.z2 import (
     HeightBound,
     _box_faces,
@@ -59,6 +61,11 @@ from quotient_oracle import (
     w1_cocycle,
     zero_cochain,
 )
+
+
+def balls(G, r):
+    """The exact-r walk ball of each vertex, as the box-complex helpers take them."""
+    return [walk_ball(G, x, r) for x in range(G.n_vertices)]
 
 
 def swap_complex(G, r):
@@ -228,7 +235,7 @@ class TestQuotient:
         K = hexagon_complex()
         cov = quotient_complex(K, antipodal6(K))
         assert cov.subdivisions == 0
-        assert cov.quotient.face_counts() == (3, 3)
+        assert face_counts(cov.quotient) == (3, 3)
 
     def test_octahedron_needs_subdivision(self):
         K = octahedron()
@@ -243,8 +250,8 @@ class TestQuotient:
             swap_complex(make_cycle(3), 1),
         ]:
             cov = quotient_complex(K, t)
-            total = cov.total.face_counts()
-            quot = cov.quotient.face_counts()
+            total = face_counts(cov.total)
+            quot = face_counts(cov.quotient)
             assert total == tuple(2 * q for q in quot)
 
     def test_pair_swap_quotient_of_triangle_graph(self):
@@ -268,7 +275,7 @@ class TestQuotient:
         K = hexagon_complex()
         with pytest.raises(ResourceLimitError):
             quotient_complex(K, antipodal6(K), limit=5)
-        assert quotient_complex(K, antipodal6(K), limit=6).quotient.face_counts() == (3, 3)
+        assert face_counts(quotient_complex(K, antipodal6(K), limit=6).quotient) == (3, 3)
 
     def test_sheets_partition_orbits(self):
         K = hexagon_complex()
@@ -515,7 +522,7 @@ class TestBoxFaces:
         n, edges, r = case
         G = Graph(range(n), edges)
         by_dim = [list(level) for _, level in itertools.groupby(box_orbit_faces_oracle(G, r), len)]
-        assert list(_box_faces(G, r)) == by_dim
+        assert list(_box_faces(balls(G, r))) == by_dim
 
 
 class TestBoxHeightAgainstPairSpace:
@@ -539,7 +546,7 @@ class TestBoxHeightAgainstPairSpace:
     @settings(max_examples=100, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         G, r = case
-        assert _height(_box_faces(G, r), k) == min(pair_space_height(G, r), k)
+        assert _height(_box_faces(balls(G, r)), k) == min(pair_space_height(G, r), k)
 
 
 @st.composite
@@ -562,7 +569,7 @@ class TestColourCap:
     @settings(max_examples=150, deadline=None)
     def test_capped_height_is_the_uncapped_height(self, case):
         G, r = case
-        assert pair_space_height(G, r) == _height(_box_faces(G, r))
+        assert pair_space_height(G, r) == _height(_box_faces(balls(G, r)))
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_complete_graphs(self, m):
@@ -574,18 +581,32 @@ class TestColourCap:
         grotzsch = mycielskian(make_cycle(5))
         assert pair_space_height(grotzsch, 1, limit=156) == 2
         with pytest.raises(ResourceLimitError):
-            _height(_box_faces(grotzsch, 1, limit=156))
+            _height(_box_faces(balls(grotzsch, 1), limit=156))
 
     def test_a_colour_fewer_is_searched_for(self):
         # DSATUR colours K(8,3) with 5 colours; the search finds 4
-        assert z2._colour_cap(make_kneser(8, 3), 1) == 2
+        assert z2._colour_cap(balls(make_kneser(8, 3), 1)) == 2
 
     def test_a_cap_one_too_low_is_caught(self, monkeypatch):
         cap = z2._colour_cap
-        monkeypatch.setattr(z2, "_colour_cap", lambda G, r: cap(G, r) - 1)
+        monkeypatch.setattr(z2, "_colour_cap", lambda bs: cap(bs) - 1)
         for m in range(3, 8):
             assert pair_space_height(make_kneser(m, 1), 1) == m - 3
-            assert _height(_box_faces(make_kneser(m, 1), 1)) == m - 2
+            assert _height(_box_faces(balls(make_kneser(m, 1), 1))) == m - 2
+
+    def test_each_walk_ball_is_computed_once(self, monkeypatch):
+        # the cap and the box faces share one ball per vertex, on the exact
+        # source side of obstruction_check too
+        calls = []
+        monkeypatch.setattr(z2, "walk_ball",
+                            lambda G, x, r: calls.append((id(G), x)) or walk_ball(G, x, r))
+        grotzsch, edge = mycielskian(make_cycle(5)), Graph(range(2), [(0, 1)])
+        assert pair_space_height(grotzsch, 1) == 2
+        assert sorted(calls) == [(id(grotzsch), x) for x in range(11)]
+        calls.clear()
+        assert obstruction_check(grotzsch, edge, 1, exact=True).lhs["bound"] == 1
+        assert sorted(calls) == sorted([(id(grotzsch), x) for x in range(11)]
+                                       + [(id(edge), x) for x in range(2)])
 
     def test_an_improper_colouring_gives_no_cap(self, monkeypatch):
         # a search that returns one colour for every vertex: validate_hom
@@ -593,9 +614,9 @@ class TestColourCap:
         monkeypatch.setattr(z2, "hom_search", lambda G, H, budget: SearchOutcome(
             "found", (0,) * G.n_vertices, 1))
         for m in range(3, 8):
-            assert z2._colour_cap(make_kneser(m, 1), 1) == m - 2
+            assert z2._colour_cap(balls(make_kneser(m, 1), 1)) == m - 2
             assert pair_space_height(make_kneser(m, 1), 1) == m - 2
-        assert z2._colour_cap(make_kneser(8, 3), 1) == 3
+        assert z2._colour_cap(balls(make_kneser(8, 3), 1)) == 3
 
 
 def untagged(G):
