@@ -12,7 +12,6 @@ from .errors import (
 from .graphs import (
     Graph,
     SearchOutcome,
-    format_edge_list,
     graph_from_json_obj,
     graph_to_json_obj,
     hom_search,
@@ -23,10 +22,8 @@ from .graphs import (
     make_kneser,
     odd_girth,
     parse_edge_list,
-    random_connected_graph,
     save_graph,
     validate_hom,
-    walk_neighborhood,
 )
 from .complexes import (
     DEFAULT_FACE_LIMIT,

@@ -6,8 +6,12 @@ Complexes are stored by facets; full face enumeration is on demand, cached,
 and guarded by a face-count limit (default 5,000,000).  It grows each face
 once, in lexicographic order, from per-vertex facet bit masks, and counts it
 as it is made; an order complex lists its maximal chains, its facets, when
-they are first read.  Values are immutable apart from those caches, which a
-repeated fill leaves the same, and are safe to share between readers.
+they are first read.  The lattice of a complex's facet intersections and
+the chains of its order complex are built here too, for ``homology``, and a
+face read that ``homology`` begins while it chooses between the two models
+is handed back, so that the cache fill goes on with it.  Values are
+immutable apart from those caches, which a repeated fill leaves the same, and
+are safe to share between readers.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class SimplicialComplex:
     tuples, pairwise non-nested, in lexicographic order.
     """
 
-    __slots__ = ("vertices", "_facets", "_index", "_faces", "_cells")
+    __slots__ = ("vertices", "_facets", "_index", "_faces", "_begun", "_cells")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -91,22 +95,20 @@ class SimplicialComplex:
         self.vertices = tuple(vertices)
         self._facets = facets if callable(facets) else tuple(sorted(map(tuple, facets)))
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._faces = self._cells = None
+        self._faces = self._begun = self._cells = None
 
     @classmethod
     def from_faces(cls, faces):
         """Build from arbitrary faces (iterables of labels), keeping only the
         maximal ones.  Vertices are the labels that occur, in sorted order."""
-        faces = [frozenset(f) for f in faces]
+        faces = {frozenset(f) for f in faces} - {frozenset()}
         vertices = sorted_labels(set().union(*faces))
         slot = {v: i for i, v in enumerate(vertices)}
-        masks = {sum(1 << slot[v] for v in f): f for f in faces if f}
-        kept = []
-        for m in sorted(masks, key=int.bit_count, reverse=True):
-            if all(m & k != m for k in kept):
-                kept.append(m)
-        return cls._from_indexed(
-            vertices, (sorted(slot[v] for v in masks[m]) for m in kept))
+        fs = [sorted(map(slot.__getitem__, f)) for f in faces]
+        # a face is maximal iff no other one holds its vertices
+        held, every = _held(fs, len(vertices)), (1 << len(fs)) - 1
+        holders = (reduce(operator.and_, map(held.__getitem__, f), every) for f in fs)
+        return cls._from_indexed(vertices, [f for f, h in zip(fs, holders) if h.bit_count() == 1])
 
     @classmethod
     def _from_indexed(cls, vertices, facets):
@@ -144,12 +146,22 @@ class SimplicialComplex:
         Raises :class:`ResourceLimitError` past the face-count guard."""
         cap = DEFAULT_FACE_LIMIT if limit is None else limit
         if self._faces is None:
-            self._faces = dict(enumerate(_face_levels(
-                self.facets, range(self.n_vertices), cap, "face enumeration")))
+            self._faces = dict(enumerate(self._face_reader(cap)))
         count = sum(map(len, self._faces.values()))
         if count > cap:
             raise ResourceLimitError("face enumeration", count, "faces", cap)
         return self._faces
+
+    def _face_reader(self, cap):
+        # the face levels under the guard cap: the cached ones, the rest of a
+        # read that homology began under the same cap and handed back to
+        # _begun as (cap, levels), or a new read
+        begun, self._begun = self._begun, None
+        if self._faces is not None:
+            return iter(self._faces.values())
+        if begun is not None and begun[0] == cap:
+            return begun[1]
+        return _face_levels(self.facets, range(self.n_vertices), cap, "face enumeration")
 
     def has_face_indices(self, face):
         s = set(face)
@@ -188,6 +200,14 @@ def _held(facets, n):
         for v in f:
             held[v] |= 1 << j
     return held
+
+
+def _bits(x):
+    # the positions of the set bits of mask x, in increasing order
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _face_levels(facets, seeds, limit, stage):
@@ -238,6 +258,80 @@ def _face_levels(facets, seeds, limit, stage):
                                          else spans0[held.bit_length() - 1]))
                     if len(faces) > room:
                         raise ResourceLimitError(stage, cap + 1, "faces", cap)
+
+
+# ---------------------------------------------------------------------------
+# facet-intersection lattices: L, the nonempty intersections of a complex's
+# facets as vertex masks ordered by inclusion, whose order complex
+# ``homology`` reduces when it has fewer faces than the complex
+
+def _closure(spans, found):
+    # closes found, the spans, under intersection with the spans, one
+    # element at a time; after each it yields lower bounds on the chains
+    # that start at any element and at the elements made with two or more
+    # vertices.  An element first made in round k is the least of a chain
+    # of k + 1 elements, so at least 2^k chains start at it
+    bound, wide, weight, frontier = len(found), 0, 1, spans
+    while frontier:
+        weight, made, frontier = weight * 2, frontier, []
+        for i, a in enumerate(made):
+            # the first round meets each pair of facets once
+            fresh = {a & s for s in (spans[i + 1:] if made is spans else spans)} - found
+            fresh.discard(0)
+            if fresh:
+                found |= fresh
+                bound += weight * len(fresh)
+                for x in fresh:
+                    if x & (x - 1):  # a vertex meets each facet in itself or nothing
+                        frontier.append(x)
+                        wide += weight
+                yield bound, wide
+
+
+def _above(lattice, n):
+    # for each element of the lattice, sorted by size, the elements after it
+    # that strictly hold it, as a bit mask over their indices: an AND of
+    # per-vertex masks, made one at a time (bits read inline, for speed)
+    holding = [0] * n
+    for i, x in enumerate(lattice):
+        while x:
+            low = x & -x
+            holding[low.bit_length() - 1] |= 1 << i
+            x ^= low
+    for i, x in enumerate(lattice):
+        a = -1
+        while x:
+            low = x & -x
+            a &= holding[low.bit_length() - 1]
+            x ^= low
+        yield a ^ 1 << i
+
+
+def _sizes(lattice, above):
+    # (chains of the lattice, faces of the complex) in one pass up the
+    # lattice: the chains whose top is each element, and the faces whose
+    # closure is each element, f(x), by Moebius inversion of
+    # 2^|x| - 1 = the sum of f(y) over the elements y inside x
+    tops, inside = [1] * len(lattice), [0] * len(lattice)
+    chains = faces = 0
+    for y, x in enumerate(lattice):
+        t, f = tops[y], (1 << x.bit_count()) - 1 - inside[y]
+        chains += t
+        faces += f
+        for z in above[y]:
+            tops[z] += t
+            inside[z] += f
+    return chains, faces
+
+
+def _chains(above):
+    # the chains of the lattice by dimension, each grown by the elements
+    # strictly above its top
+    level, levels = [(i,) for i in range(len(above))], []
+    while level:
+        levels.append(level)
+        level = [c + (j,) for c in level for j in above[c[-1]]]
+    return levels
 
 
 class Poset:

@@ -24,19 +24,16 @@ __all__ = [
     "make_cycle",
     "make_kneser",
     "walk_ball",
-    "walk_neighborhood",
     "odd_girth",
     "kneser_walk_test",
     "validate_hom",
     "hom_search",
     "is_connected",
-    "random_connected_graph",
     "graph_to_json_obj",
     "graph_from_json_obj",
     "save_graph",
     "load_graph",
     "parse_edge_list",
-    "format_edge_list",
 ]
 
 
@@ -170,14 +167,6 @@ def walk_ball(G, i, r):
             return frozenset(cur if (r - step) % 2 == 0 else nxt)
         prev, cur = cur, nxt
     return frozenset(cur)
-
-
-def walk_neighborhood(G, v, r):
-    """Sorted indices of endpoints of length-``r`` walks from the vertex
-    labelled ``v``."""
-    if r < 0:
-        raise ValueError("walk length must be nonnegative")
-    return tuple(sorted(walk_ball(G, G.index_of(v), r)))
 
 
 def odd_girth(G):
@@ -579,17 +568,6 @@ def is_connected(G):
     return len(seen) == n
 
 
-def random_connected_graph(n, p, rng, max_tries=2000):
-    """Erdos-Renyi ``G(n, p)`` conditioned on connectivity, drawn from the
-    caller's RNG (pass ``random.Random(seed)`` for reproducibility)."""
-    for _ in range(max_tries):
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-        g = Graph(range(n), edges)
-        if is_connected(g):
-            return g
-    raise ValueError("could not sample a connected graph; raise p or max_tries")
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -673,8 +651,3 @@ def parse_edge_list(text):
                 vertices.append(x)
         edges.append((u, v))
     return Graph(vertices, edges)
-
-
-def format_edge_list(G):
-    lines = [f"{G.vertices[i]} {G.vertices[j]}" for i, j in G.edges()]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -19,26 +19,36 @@ boundaries.  Column s of the boundary of dimension d is therefore never
 built: that matrix is assembled once, into the reduction's rows and columns,
 after the one above is reduced, and its image, and with it its rank and
 invariant factors, stay the same.  Pivots of the non-unit pass are not units
-and clear nothing.
+and clear nothing.  The boundary of dimension 1 is a graph's incidence
+matrix, ranked by a union-find with no arithmetic.
 
 The linked-pair poset is the face poset of a regular cell complex of
 products of simplices, and its order complex is that complex's barycentric
 subdivision (Bjorner 1984, "Posets, regular CW complexes and Bruhat
 order").  ``homology`` reduces it on the poset's cells, with the signs of
 d(s x t) = ds x t + (-1)^dim s  s x dt that ``pair_poset`` records, and
-never lists its faces.  Every other complex is reduced on its faces.
+never lists its faces.  Every other complex is reduced on its faces, or on
+the order complex of L, the nonempty intersections of its facets ordered by
+inclusion, when that has fewer faces: the two are homotopy equivalent by the
+nerve and crosscut theorems (Bjorner 1995), so the groups are the same, and
+the Betti vector is padded to the complex's dimension.  On Kneser complexes
+L is tiny: N_1(K(9,4)) has 3,402 faces and its L 252 elements and 882
+chains.  The counts that choose come from one pass over L and from the
+faces read on the way, never read twice (``_levels``).
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import DEFAULT_FACE_LIMIT, _integers, neighborhood_complex
+from .complexes import (DEFAULT_FACE_LIMIT, _above, _bits, _chains, _closure, _integers,
+                        _sizes, neighborhood_complex)
 from .errors import ResourceLimitError
 from .graphs import odd_girth
 
@@ -279,36 +289,146 @@ class HomologyResult:
 def homology(K, limit=None):
     """Unreduced integral homology of ``K`` in every dimension 0..dim, with
     the boundary matrices reduced from the top down and the columns that a
-    unit pivot one dimension up already paired cleared.  The order complex
-    of a linked-pair poset is reduced on the poset's product cells, whose
-    count ``limit`` bounds; its faces are never listed."""
+    unit pivot one dimension up already paired cleared; the boundary of
+    dimension 1 is ranked by a union-find.  ``K`` is reduced on its faces,
+    or on the chains of its facet-intersection lattice when those are fewer
+    (``_levels``); ``limit`` bounds the faces or chains reduced.  The order
+    complex of a linked-pair poset is reduced on the poset's product cells,
+    whose count ``limit`` bounds; its faces are never listed."""
     if K._cells is None:
-        faces = K.faces(limit)
-        counts = list(map(len, faces.values()))
-        boundary = functools.partial(_boundary, faces)
-    else:
-        dims, signs = K._cells
-        cap = DEFAULT_FACE_LIMIT if limit is None else limit
-        if len(dims) > cap:
-            raise ResourceLimitError("cell enumeration", len(dims), "cells", cap)
-        counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
-        covers = [[] for _ in counts]  # covers[d]: (face, d-cell, sign)
-        for (f, e), s in signs.items():
-            covers[dims[e]].append((f, e, s))
-        boundary = functools.partial(_cell_boundary, covers)
+        return _level_homology(_levels(K, limit), K.dim + 1)
+    dims, signs = K._cells
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    if len(dims) > cap:
+        raise ResourceLimitError("cell enumeration", len(dims), "cells", cap)
+    counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
+    covers = [[] for _ in counts]  # covers[d]: (face, d-cell, sign)
+    for (f, e), s in signs.items():
+        covers[dims[e]].append((f, e, s))
+    boundary = functools.partial(_cell_boundary, covers)
+    return _reduce(counts, boundary, lambda cleared: boundary(1, cleared)[1].values())
+
+
+def _level_homology(levels, width):
+    # the homology of the complex whose faces by dimension are levels, with
+    # zero groups up to width dimensions
+    h = _reduce(list(map(len, levels)), functools.partial(_boundary, levels),
+                lambda cleared: (e for c, e in enumerate(levels[1]) if c not in cleared))
+    return HomologyResult(h.groups + ((0, ()),) * (width - len(h.groups)))
+
+
+def _reduce(counts, boundary, edges):
+    # the groups from the cell counts by dimension, boundary(d, cleared) as
+    # the reduction's rows and columns, and edges(cleared), the columns of
+    # dimension 1 as vertex pairs
     top = len(counts) - 1
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
     paired = set()  # rows of the unit pivots of the matrix one dimension up
-    for d in range(top, 0, -1):
+    for d in range(top, 1, -1):
         rows, cols = boundary(d, paired)
         paired = set()
         factors = _snf_factors(rows, cols, paired)
         rank[d], torsion[d] = len(factors), tuple(f for f in factors if f > 1)
-    groups = []
-    for d in range(top + 1):
-        groups.append((counts[d] - rank[d] - rank[d + 1], torsion[d + 1]))
-    return HomologyResult(tuple(groups))
+    if top > 0:
+        rank[1] = _forest_rank(edges(paired))
+    return HomologyResult(tuple((counts[d] - rank[d] - rank[d + 1], torsion[d + 1])
+                                for d in range(top + 1)))
+
+
+def _forest_rank(edges):
+    # every column of a boundary of dimension 1 is an edge, a pair of
+    # vertices; the rank of such a matrix is the merges a union-find makes
+    # over its edges, and its invariant factors are all 1
+    parent, merges = {}, 0
+    for a, b in edges:
+        while a in parent:  # path halving
+            parent[a] = a = parent.get(parent[a], parent[a])
+        while b in parent:
+            parent[b] = b = parent.get(parent[b], parent[b])
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
+def _levels(K, limit):
+    """The faces of ``K`` by dimension, or the chains of L, the nonempty
+    intersections of its facets ordered by inclusion, when those are fewer:
+    the order complex of L is homotopy equivalent to ``K`` by the nerve and
+    crosscut theorems (Bjorner 1995, Handbook of Combinatorics, section 10),
+    and no higher in dimension.
+
+    The choice reads only what it needs.  L is closed one element at a time
+    (``_closure``), which bounds its chains from below.  Every element of L
+    is a face, so once all of ``K``'s faces are read within that bound, the
+    faces are reduced and the closure stops.  Faces are read one dimension
+    at a time, and only while fewer than the chains that start at elements
+    made with two or more vertices, from which the closure goes on: a
+    lattice of facets and vertices reads none.  A finished L bounds its
+    chains more sharply, one element at a time (from each element, a chain
+    of one, one to each element above it, and a longer one through each of
+    those that is not a facet), and then one pass counts both models
+    exactly.  Past ``limit`` faces and chains the face guard trips; when the
+    chains are reduced, ``K``'s face cache stays empty."""
+    cap = DEFAULT_FACE_LIMIT if limit is None else limit
+    faces = _FaceRead(K, cap)
+    chains = _lattice_chains(K, cap, faces.settled)
+    if chains is not None:
+        return chains
+    if faces.over is not None:
+        raise faces.over
+    if K._faces is None:  # hand the read back, so that faces() goes on with it
+        K._begun = (cap, itertools.chain(faces.read, faces.reader or ()))
+    return list(K.faces(limit).values())
+
+
+class _FaceRead:
+    """The face levels of a complex, read one at a time under a guard, as
+    far as the choice of model needs them."""
+
+    def __init__(self, K, cap):
+        self.reader, self.read, self.count, self.over = K._face_reader(cap), [], 0, None
+
+    def settled(self, ahead, bound):
+        # reads faces while fewer than ahead; true once all are read, and
+        # no more than bound
+        while self.reader is not None and self.count < ahead:
+            try:
+                self.read.append(next(self.reader))
+                self.count += len(self.read[-1])
+            except StopIteration:
+                self.reader = None
+            except ResourceLimitError as err:
+                self.reader, self.over = None, err
+        return self.reader is None and self.over is None and self.count <= bound
+
+
+def _lattice_chains(K, cap, settled):
+    # the chains of K's facet-intersection lattice by dimension, or None once
+    # settled(ahead, bound) finds the faces no more than a lower bound on the
+    # chains, or the chains pass cap, or they are no fewer than the faces
+    spans = [sum(1 << v for v in f) for f in K.facets]
+    found = set(spans)
+    for bound, wide in _closure(spans, found):
+        if bound > cap or settled(wide, bound):
+            return None
+    lattice = sorted(found, key=int.bit_count)
+    facets = set(spans)
+    inner = ~sum(1 << i for i, x in enumerate(lattice) if x in facets)  # not facets
+    bound = wide = 0
+    for x, a in zip(lattice, _above(lattice, K.n_vertices)):
+        c = 1 + a.bit_count() + (a & inner).bit_count()
+        bound += c
+        if x & (x - 1) and a:
+            wide += c
+        if bound > cap:
+            return None
+    if settled(wide, bound):
+        return None
+    above = [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
+    chains, faces = _sizes(lattice, above)
+    return _chains(above) if chains < faces and chains <= cap else None
 
 
 def _cell_boundary(covers, d, cleared):

@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
-from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _held, neighborhood_complex,
-                        sorted_labels)
+from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _bits, _held,
+                        neighborhood_complex, sorted_labels)
 from .errors import CollapseError, ResourceLimitError
 from .graphs import make_cycle
 
@@ -158,14 +158,6 @@ def verify_acyclic(matching):
                 stack.append((nxt, iter(succ[nxt])))
                 path.append(nxt)
     return AcyclicityReport(True)
-
-
-def _bits(x):
-    # the vertex indices in mask x, in increasing order
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _matched(K, matching):

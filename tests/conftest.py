@@ -1,8 +1,10 @@
 """Shared builders for the test suite."""
 
+import itertools
 import random
 
-from nbhd import Graph, SimplicialComplex, Involution, make_cycle, make_kneser
+from nbhd import Graph, SimplicialComplex, Involution, is_connected, make_cycle, make_kneser
+from nbhd.graphs import walk_ball
 
 
 def hexagon_complex():
@@ -96,8 +98,6 @@ def small_graph_corpus():
 
 def lemma_suite_random_graphs():
     """Ten fixed random connected graphs on <= 7 vertices."""
-    from nbhd import random_connected_graph
-
     rng = random.Random(402211)
     out = []
     while len(out) < 10:
@@ -119,3 +119,37 @@ def all_faces_label_set(K, limit=None):
 def euler_characteristic(K, limit=None):
     """The alternating sum of the face counts of ``K``."""
     return sum((-1) ** d * len(lst) for d, lst in K.faces(limit).items())
+
+
+def walk_neighborhood(G, v, r):
+    """Sorted indices of endpoints of length-``r`` walks from the vertex
+    labelled ``v``."""
+    if r < 0:
+        raise ValueError("walk length must be nonnegative")
+    return tuple(sorted(walk_ball(G, G.index_of(v), r)))
+
+
+def random_connected_graph(n, p, rng, max_tries=2000):
+    """Erdos-Renyi ``G(n, p)`` conditioned on connectivity, drawn from the
+    caller's RNG (pass ``random.Random(seed)`` for reproducibility)."""
+    for _ in range(max_tries):
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = Graph(range(n), edges)
+        if is_connected(g):
+            return g
+    raise ValueError("could not sample a connected graph; raise p or max_tries")
+
+
+def format_edge_list(G):
+    """One ``u v`` line per edge, the text ``parse_edge_list`` reads."""
+    lines = [f"{G.vertices[i]} {G.vertices[j]}" for i, j in G.edges()]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def make_schrijver(n, k):
+    """The Schrijver graph SG(n, k): the k-subsets of 1..n holding no two
+    cyclically consecutive elements, joined when disjoint."""
+    subsets = [a for a in itertools.combinations(range(1, n + 1), k)
+               if all((x % n) + 1 not in a for x in a)]
+    return Graph(subsets, [(a, b) for a, b in itertools.combinations(subsets, 2)
+                           if not set(a) & set(b)])

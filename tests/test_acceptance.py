@@ -22,6 +22,7 @@ from conftest import (
     octahedron,
     small_graph_corpus,
     two_pentagons,
+    walk_neighborhood,
 )
 from nbhd import (
     FreenessError,
@@ -43,7 +44,6 @@ from nbhd import (
     pair_swap_involution,
     verify_acyclic,
     verify_matching,
-    walk_neighborhood,
     z2_height,
 )
 

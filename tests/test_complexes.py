@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_characteristic, face_counts, full_simplex, simplex_boundary
+from conftest import (euler_characteristic, face_counts, full_simplex, simplex_boundary,
+                      walk_neighborhood)
 from quotient_oracle import barycentric_subdivision, face_poset
 from nbhd import (
     Graph,
@@ -21,7 +22,6 @@ from nbhd import (
     neighborhood_complex,
     order_complex,
     pair_poset,
-    walk_neighborhood,
 )
 from nbhd.complexes import _face_levels, sorted_labels
 

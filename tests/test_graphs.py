@@ -18,11 +18,10 @@ from nbhd import (
     odd_girth,
     parse_edge_list,
     validate_hom,
-    walk_neighborhood,
 )
 from nbhd import graphs
 from nbhd.graphs import _automorphism, walk_ball
-from conftest import mycielskian
+from conftest import format_edge_list, mycielskian, walk_neighborhood
 from hom_search_oracle import hom_search as reference_search
 
 
@@ -710,8 +709,6 @@ class TestIO:
             parse_edge_list("0 1 2\n")
 
     def test_edge_list_roundtrip(self):
-        from nbhd import format_edge_list
-
         g = make_cycle(4)
         back = parse_edge_list(format_edge_list(g))
         # vertex order follows first appearance in the text, so compare labels

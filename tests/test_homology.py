@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_characteristic, full_simplex, rp2_complex, simplex_boundary
+from conftest import (euler_characteristic, full_simplex, make_schrijver, mycielskian,
+                      rp2_complex, simplex_boundary)
 from nbhd import (
     Graph,
     Poset,
@@ -29,7 +30,8 @@ from nbhd import (
     smith_normal_form,
 )
 from nbhd import HomologyResult, gf2
-from nbhd.homology import _snf_factors
+from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
+from nbhd.homology import _forest_rank, _level_homology, _snf_factors
 from snf_oracle import textbook_snf
 
 
@@ -535,8 +537,10 @@ class TestClearing:
         assert uncleared_homology(K).groups == groups
 
     def test_paired_columns_are_not_reduced(self, monkeypatch):
-        # the full 4-simplex is acyclic and pairs only by units, so every
-        # matrix reaches the reduction with exactly its rank in columns
+        # the boundary of the 5-simplex stays on its faces (every proper
+        # face is an intersection of facets) and pairs only by units, so each
+        # matrix below the top reaches the reduction with exactly its rank in
+        # columns; the boundary of dimension 1 goes to the union-find
         module = sys.modules["nbhd.homology"]
         snf_factors = module._snf_factors
         seen = []
@@ -546,8 +550,8 @@ class TestClearing:
             return snf_factors(rows, cols, pivot_rows)
 
         monkeypatch.setattr(module, "_snf_factors", recording)
-        assert homology(full_simplex(4)).betti_vector == (1, 0, 0, 0, 0)
-        assert seen == [1, 4, 6, 4]
+        assert homology(simplex_boundary(5)).betti_vector == (1, 0, 0, 0, 1)
+        assert seen == [6, 10, 10]
 
 
 def chain_model(K):
@@ -562,6 +566,134 @@ def small_graphs(draw):
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
     return Graph(range(n), edges)
+
+
+def lattice_levels(K):
+    """The chains of the lattice of ``K``'s facet intersections by dimension,
+    from the lattice model's own steps, with no choice of model made."""
+    spans = [sum(1 << v for v in f) for f in K.facets]
+    found = set(spans)
+    for _ in _closure(spans, found):
+        pass
+    lattice = sorted(found, key=int.bit_count)
+    return lattice, [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
+
+
+class TestLattice:
+    """A complex is reduced on the order complex of its facet-intersection
+    lattice when that has fewer faces; both models give the same groups."""
+
+    @staticmethod
+    def check_models(K):
+        lattice, above = lattice_levels(K)
+        chains = _chains(above)
+        faces = list(K.faces().values())
+        assert _sizes(lattice, above) == (sum(map(len, chains)), sum(map(len, faces)))
+        h = _level_homology(faces, K.dim + 1)
+        assert _level_homology(chains, K.dim + 1) == h == homology(K)
+        return h
+
+    @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=6),
+                    min_size=0, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_random_facet_sets(self, faces):
+        K = SimplicialComplex.from_faces(faces)
+        assert self.check_models(K) == uncleared_homology(K)
+
+    @given(small_graphs(), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_random_neighborhood_complexes(self, G, r):
+        self.check_models(neighborhood_complex(G, r))
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CASES))
+    def test_torsion_cases(self, name):
+        build, groups = TORSION_CASES[name]
+        assert self.check_models(build()).groups == groups
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_schrijver_complex_is_a_sphere(self, n):
+        # N(SG(n, k)) ~ S^(n - 2k) (Schrijver 1978; Bjorner & de Longueville 2003)
+        K = neighborhood_complex(make_schrijver(n, 3), 1)
+        betti = [0] * (K.dim + 1)
+        betti[0] += 1
+        betti[n - 6] += 1
+        h = homology(K)
+        assert h.betti_vector == tuple(betti)
+        assert all(t == () for _, t in h.groups)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_mycielskian_suspends(self, j):
+        # N(M^j(C5)) ~ S^(j + 1) (Csorba 2008)
+        G = make_cycle(5)
+        for _ in range(j):
+            G = mycielskian(G)
+        K = neighborhood_complex(G, 1)
+        betti = [0] * (K.dim + 1)
+        betti[0] += 1
+        betti[j + 1] += 1
+        assert homology(K).betti_vector == tuple(betti)
+
+    def test_kneser_9_3_is_2_connected(self):
+        # N(K(9,3)) is (9 - 2*3 - 1)-connected (Lovasz 1978): its 5,000,000
+        # face limit trips on the faces, not on the lattice's chains
+        K = neighborhood_complex(make_kneser(9, 3), 1)
+        h = homology(K)
+        assert h.betti_vector[:4] == (1, 0, 0, 379)
+        assert not any(t for _, t in h.groups)
+        assert homology_connectivity(K) == 2
+        assert K._faces is None
+
+    def test_limit_between_the_models(self):
+        # K(9,4) at r=1: 882 chains on 252 lattice elements, 3,402 faces
+        K = neighborhood_complex(make_kneser(9, 4), 1)
+        assert homology(K, 882).betti_vector == (1, 379, 0, 0, 0)
+        assert K._faces is None
+
+    def test_limit_below_both_models(self):
+        K = neighborhood_complex(make_kneser(9, 4), 1)
+        with pytest.raises(ResourceLimitError) as err:
+            homology(K, 881)
+        assert (err.value.count, err.value.limit) == (882, 881)
+        assert "face enumeration" in str(err.value)
+        assert K._faces is None
+
+    def test_faces_are_read_once(self, monkeypatch):
+        # Petersen r=3: every face is a facet intersection, so the faces win
+        # and the read that chose them is the one that fills the cache
+        module = sys.modules["nbhd.complexes"]
+        face_levels, calls = module._face_levels, []
+
+        def counting(*args):
+            calls.append(args)
+            return face_levels(*args)
+
+        monkeypatch.setattr(module, "_face_levels", counting)
+        K = neighborhood_complex(make_kneser(5, 2), 3)
+        assert homology(K, 1022).betti_vector == (1, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert len(calls) == 1 and sum(map(len, K._faces.values())) == 1022
+        with pytest.raises(ResourceLimitError, match="face enumeration"):
+            homology(neighborhood_complex(make_kneser(5, 2), 3), 1021)
+
+    def test_a_one_element_lattice_is_a_point(self):
+        K = full_simplex(4)
+        assert lattice_levels(K)[0] == [31]
+        assert homology(K).groups == ((1, ()),) + ((0, ()),) * 4
+        assert K._faces is None
+
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda e: e[0] < e[1]), max_size=16), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_union_find_matches_smith_form(self, edges, data):
+        cleared = data.draw(st.sets(st.integers(0, max(len(edges) - 1, 0))))
+        rows, cols = {}, {}
+        for c, (a, b) in enumerate(edges):
+            if c not in cleared:
+                rows.setdefault(a, {})[c] = -1
+                rows.setdefault(b, {})[c] = 1
+                cols[c] = {a, b}
+        factors = _snf_factors(rows, cols, set())
+        kept = (e for c, e in enumerate(edges) if c not in cleared)
+        assert _forest_rank(kept) == len(factors) and set(factors) <= {1}
 
 
 class TestPairCells:

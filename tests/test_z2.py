@@ -11,6 +11,7 @@ from conftest import (
     hexagon_complex,
     mycielskian,
     octahedron,
+    random_connected_graph,
     rp2_complex,
     small_graph_corpus,
 )
@@ -35,7 +36,6 @@ from nbhd import (
     pair_poset,
     pair_space_height,
     pair_swap_involution,
-    random_connected_graph,
     z2_height,
 )
 from nbhd import z2
