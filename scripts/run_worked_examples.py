@@ -2,9 +2,9 @@
 """Drive the library end to end on the worked desk-scale examples and print a
 compact report: sphere complexes from tight odd cycles, the Kneser sphere,
 matching/collapse towers, swap heights (box-complex heights read up to a
-colouring's cap), pair-space and Kneser-complex homology (on product cells and
-on facet-intersection lattices), and obstruction verdicts with the exhaustive
-search as the cross-oracle."""
+colouring's cap), pair-space homology (reduced as the r-neighborhood complex)
+and Kneser-complex homology (on facet-intersection lattices), and obstruction
+verdicts with the exhaustive search as the cross-oracle."""
 
 import time
 
@@ -28,6 +28,17 @@ from nbhd import (
 from nbhd.complexes import _above, _bits, _closure, _sizes
 from nbhd.graphs import walk_ball
 from nbhd.z2 import _box_faces, _colour_cap, _height
+
+
+def lattice_sizes(K):
+    """|L|, the chains of L's order complex and the faces of ``K``, where L is
+    the lattice of ``K``'s facet intersections."""
+    spans = [sum(1 << v for v in f) for f in K.facets]
+    found = set(spans)
+    for _ in _closure(spans, found):
+        pass
+    lattice = sorted(found, key=int.bit_count)
+    return (len(lattice),) + _sizes(lattice, [list(_bits(a)) for a in _above(lattice, K.n_vertices)])
 
 
 def section(title):
@@ -82,20 +93,22 @@ def main():
         print(f"  {name} r={r}: height {h} in {elapsed:.3f}s; {cap + 2} colours cap it "
               f"at {cap}; orbit faces read per level {read}")
 
-    section("pair-space homology, reduced on the poset's product cells")
-    # the order complex's facets, its maximal chains, are never listed: C7 r=5
-    # has 161,280 of them, and C9 r=7 and K(7,2) r=1 too many for 3 GB
+    section("pair-space homology, reduced as the r-neighborhood complex")
+    # the order complex of the linked-pair poset has the homotopy type of
+    # N_r(G), which homology reduces on its faces or its lattice's chains,
+    # whichever are fewer; the order complex's maximal chains are never
+    # listed: C7 r=5 has 161,280 of them, and C9 r=7 and K(7,2) r=1 too many
+    # for 3 GB
     for name, g, r in (("C5", make_cycle(5), 3), ("C7", make_cycle(7), 5),
                        ("C9", make_cycle(9), 7), ("K(7,2)", make_kneser(7, 2), 1)):
         t = time.perf_counter()
         P = pair_poset(g, r, size_guard=10**6)
         h = homology(order_complex(P))
         elapsed = time.perf_counter() - t
-        cells = [0] * len(h.groups)  # A x B is a cell of dimension |A| + |B| - 2
-        for a, b in P.elements:
-            cells[len(a) + len(b) - 2] += 1
-        print(f"  {name} r={r}: cells per dimension {cells}, betti {h.betti_vector} "
-              f"in {elapsed:.3f}s")
+        _, chains, faces = lattice_sizes(neighborhood_complex(g, r))
+        model = f"{chains} lattice chains" if chains < faces else f"{faces} faces"
+        print(f"  {name} r={r}: {P.n_elements} poset elements; N_{r} reduced on {model}, "
+              f"betti {h.betti_vector} in {elapsed:.3f}s")
 
     section("Kneser complexes on their facet-intersection lattice")
     # the order complex of L, the facets' nonempty intersections, has the
@@ -106,15 +119,10 @@ def main():
         t = time.perf_counter()
         h = homology(K)
         elapsed = time.perf_counter() - t
-        spans = [sum(1 << v for v in f) for f in K.facets]
-        found = set(spans)
-        for _ in _closure(spans, found):
-            pass
-        lattice = sorted(found, key=int.bit_count)
-        chains, faces = _sizes(lattice, [list(_bits(a)) for a in _above(lattice, K.n_vertices)])
+        size, chains, faces = lattice_sizes(K)
         model = "its faces" if K._faces is not None else "the lattice"
         print(f"  N_1(K({n},{k})): betti {h.betti_vector} in {elapsed:.3f}s on {model}; "
-              f"|L| {len(lattice)}, {chains} chains against {faces} faces")
+              f"|L| {size}, {chains} chains against {faces} faces")
 
     section("obstruction verdicts vs exhaustive search")
     cases = [

@@ -64,13 +64,11 @@ from .z2 import (
     z2_height,
 )
 from .morse import (
-    AcyclicityReport,
     MatchingReport,
     MorseMatching,
     collapse,
     collapse_cycle_tower,
     cycle_matching,
-    verify_acyclic,
     verify_matching,
 )
 

@@ -7,11 +7,9 @@ and guarded by a face-count limit (default 5,000,000).  It grows each face
 once, in lexicographic order, from per-vertex facet bit masks, and counts it
 as it is made; an order complex lists its maximal chains, its facets, when
 they are first read.  The lattice of a complex's facet intersections and
-the chains of its order complex are built here too, for ``homology``, and a
-face read that ``homology`` begins while it chooses between the two models
-is handed back, so that the cache fill goes on with it.  Values are
-immutable apart from those caches, which a repeated fill leaves the same, and
-are safe to share between readers.
+the chains of its order complex are built here too, for ``homology``.
+Values are immutable apart from those caches, which a repeated fill leaves
+the same, and are safe to share between readers.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import graphlib
 import itertools
 import json
-import math
 import operator
 from collections import defaultdict
 from functools import reduce
@@ -70,7 +67,7 @@ class SimplicialComplex:
     tuples, pairwise non-nested, in lexicographic order.
     """
 
-    __slots__ = ("vertices", "_facets", "_index", "_faces", "_begun", "_cells")
+    __slots__ = ("vertices", "_facets", "_index", "_faces", "_pairs")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -95,7 +92,7 @@ class SimplicialComplex:
         self.vertices = tuple(vertices)
         self._facets = facets if callable(facets) else tuple(sorted(map(tuple, facets)))
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._faces = self._begun = self._cells = None
+        self._faces = self._pairs = None
 
     @classmethod
     def from_faces(cls, faces):
@@ -153,14 +150,9 @@ class SimplicialComplex:
         return self._faces
 
     def _face_reader(self, cap):
-        # the face levels under the guard cap: the cached ones, the rest of a
-        # read that homology began under the same cap and handed back to
-        # _begun as (cap, levels), or a new read
-        begun, self._begun = self._begun, None
+        # the face levels under the guard cap: the cached ones or a new read
         if self._faces is not None:
             return iter(self._faces.values())
-        if begun is not None and begun[0] == cap:
-            return begun[1]
         return _face_levels(self.facets, range(self.n_vertices), cap, "face enumeration")
 
     def has_face_indices(self, face):
@@ -339,7 +331,7 @@ class Poset:
     reflexive-transitive closure (acyclicity is validated, which gives
     antisymmetry)."""
 
-    __slots__ = ("elements", "covers", "_cells")
+    __slots__ = ("elements", "covers", "_pairs")
 
     def __init__(self, elements, covers):
         elements = tuple(elements)
@@ -359,14 +351,14 @@ class Poset:
             order.prepare()
         except graphlib.CycleError:
             raise ValueError("covering relation has a cycle") from None
-        self.elements, self.covers, self._cells = elements, tuple(sorted(cov)), None
+        self.elements, self.covers, self._pairs = elements, tuple(sorted(cov)), None
 
     @classmethod
     def _from_covers(cls, elements, covers):
         # trusted path for builders whose elements are distinct and whose
         # covers are known sorted, distinct, in range and acyclic
         obj = cls.__new__(cls)
-        obj.elements, obj.covers, obj._cells = tuple(elements), tuple(covers), None
+        obj.elements, obj.covers, obj._pairs = tuple(elements), tuple(covers), None
         return obj
 
     @property
@@ -432,11 +424,10 @@ def pair_poset(G, r, size_guard=200_000):
     ``B`` an exact-r walk from every member of ``A``, ordered by componentwise
     inclusion.  Elements carry label tuples; Hasse edges are the one-vertex
     extensions.  Raises :class:`ResourceLimitError` (naming the count) when
-    the element count exceeds ``size_guard``.  A pair is also the cell
-    Delta^A x Delta^B of dimension |A| + |B| - 2; its cover from (A - a_i, B)
-    or (A, B - b_j) carries the incidence sign (-1)^i or (-1)^(|A| - 1 + j),
-    with i and j positions in the sorted tuples, for ``homology``.  Pairs are
-    distinct and each cover adds a vertex, so ``Poset``'s checks are skipped."""
+    the element count exceeds ``size_guard``.  ``(G, r, dim)`` is kept for
+    ``homology``, with dim = max(|A| + |B|) - 2 the order complex's
+    dimension.  Pairs are distinct and each cover adds a vertex, so
+    ``Poset``'s checks are skipped."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     n = G.n_vertices
@@ -463,25 +454,24 @@ def pair_poset(G, r, size_guard=200_000):
         raise ResourceLimitError("linked-pair poset", total, "elements", size_guard)
 
     a_sets.sort(key=lambda ac: (len(ac[0]), ac[0]))
-    elements, payloads, dims = [], [], []
+    elements, payloads = [], []
     for a, c in a_sets:
         cs = tuple(sorted(c))
         la, lcs = tuple(map(G.vertices.__getitem__, a)), tuple(map(G.vertices.__getitem__, cs))
         for size in range(1, len(cs) + 1):
             elements += zip(itertools.repeat(a), itertools.combinations(cs, size))
             payloads += zip(itertools.repeat(la), itertools.combinations(lcs, size))
-            dims += [len(a) + size - 2] * math.comb(len(cs), size)
     index = {e: i for i, e in enumerate(elements)}
 
-    signs = {}  # each cover drops one vertex; pairs are down-closed
+    covers = []  # each cover drops one vertex; pairs are down-closed
     for (a, b), i in index.items():
         for k in range(len(a) if len(a) > 1 else 0):
-            signs[index[(a[:k] + a[k + 1:], b)], i] = (-1) ** k
+            covers.append((index[(a[:k] + a[k + 1:], b)], i))
         for k in range(len(b) if len(b) > 1 else 0):
-            signs[index[(a, b[:k] + b[k + 1:])], i] = (-1) ** (len(a) - 1 + k)
+            covers.append((index[(a, b[:k] + b[k + 1:])], i))
 
-    P = Poset._from_covers(payloads, sorted(signs))
-    P._cells = (tuple(dims), signs)
+    P = Poset._from_covers(payloads, sorted(covers))
+    P._pairs = (G, r, max((len(a) + len(c) for a, c in a_sets), default=1) - 2)
     return P
 
 
@@ -489,11 +479,12 @@ def order_complex(P, limit=None):
     """Simplicial complex of the chains of ``P``: vertices are the elements,
     facets the maximal chains, listed when the facets are first read; a read
     past ``limit`` chains raises :class:`ResourceLimitError`.  A
-    ``pair_poset``'s signed cells are passed on, for ``homology``, which reads
-    them and no chain; a complex rebuilt from its facets carries none."""
+    ``pair_poset``'s ``(G, r, dim)`` is passed on, for ``homology``, which
+    reduces N_r(G) and reads no chain; a complex rebuilt from its facets
+    carries none."""
     K = SimplicialComplex._from_indexed(
         P.elements, lambda: map(sorted, P.maximal_chains(limit)))
-    K._cells = P._cells
+    K._pairs = P._pairs
     return K
 
 

@@ -22,24 +22,20 @@ invariant factors, stay the same.  Pivots of the non-unit pass are not units
 and clear nothing.  The boundary of dimension 1 is a graph's incidence
 matrix, ranked by a union-find with no arithmetic.
 
-The linked-pair poset is the face poset of a regular cell complex of
-products of simplices, and its order complex is that complex's barycentric
-subdivision (Bjorner 1984, "Posets, regular CW complexes and Bruhat
-order").  ``homology`` reduces it on the poset's cells, with the signs of
-d(s x t) = ds x t + (-1)^dim s  s x dt that ``pair_poset`` records, and
-never lists its faces.  Every other complex is reduced on its faces, or on
-the order complex of L, the nonempty intersections of its facets ordered by
-inclusion, when that has fewer faces: the two are homotopy equivalent by the
-nerve and crosscut theorems (Bjorner 1995), so the groups are the same, and
-the Betti vector is padded to the complex's dimension.  On Kneser complexes
-L is tiny: N_1(K(9,4)) has 3,402 faces and its L 252 elements and 882
-chains.  The counts that choose come from one pass over L and from the
-faces read on the way, never read twice (``_levels``).
+Every complex is reduced on its faces, or on the order complex of L, the
+nonempty intersections of its facets ordered by inclusion, when that has
+fewer faces: the two are homotopy equivalent by the nerve and crosscut
+theorems (Bjorner 1995), so the groups are the same, and the Betti vector
+is padded to the complex's dimension.  On Kneser complexes L is tiny:
+N_1(K(9,4)) has 3,402 faces and its L 252 elements and 882 chains.  The
+counts that choose come from one pass over L and from the faces read on the
+way, never read twice (``_levels``).  The order complex of a linked-pair
+poset of G at radius r has the homotopy type of N_r(G) (see ``homology``),
+so that complex is reduced in its place and no chain is listed.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -292,48 +288,46 @@ def homology(K, limit=None):
     unit pivot one dimension up already paired cleared; the boundary of
     dimension 1 is ranked by a union-find.  ``K`` is reduced on its faces,
     or on the chains of its facet-intersection lattice when those are fewer
-    (``_levels``); ``limit`` bounds the faces or chains reduced.  The order
-    complex of a linked-pair poset is reduced on the poset's product cells,
-    whose count ``limit`` bounds; its faces are never listed."""
-    if K._cells is None:
+    (``_levels``); ``limit`` bounds the faces or chains reduced.
+
+    The order complex of ``pair_poset(G, r)`` is reduced as
+    N_r(G) = ``neighborhood_complex(G, r)``, through the same choice and
+    under the same ``limit``, and its chains are never listed.  Exactly:
+    let H be the graph on G's vertices with x ~ y iff y is an exact-r walk
+    from x, loops included (x ~ x when a closed walk of length r starts at
+    x).  The faces of N_r(G) are the vertex sets with a common H-neighbour,
+    and the linked pairs are the (A, B), both nonempty, with every member of
+    B an H-neighbour of every member of A, the face poset of Hom(K2, H).
+    Then the order complex of the pairs is homotopy equivalent to N_r(G)
+    (Babson & Kozlov 2006; Lovasz 1978), loops in H included: by Quillen's
+    fiber lemma for (A, B) -> A, since over a face s with common neighbours
+    C, the pairs with A inside s are contracted by the comparable maps
+    (A, B) <= (A, B | C) >= (A, C) <= (s, C), none of which needs A and B
+    disjoint.  The Betti vector is padded with zero groups to the pair
+    space's dimension, max(|A| + |B|) - 2."""
+    if K._pairs is None:
         return _level_homology(_levels(K, limit), K.dim + 1)
-    dims, signs = K._cells
-    cap = DEFAULT_FACE_LIMIT if limit is None else limit
-    if len(dims) > cap:
-        raise ResourceLimitError("cell enumeration", len(dims), "cells", cap)
-    counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
-    covers = [[] for _ in counts]  # covers[d]: (face, d-cell, sign)
-    for (f, e), s in signs.items():
-        covers[dims[e]].append((f, e, s))
-    boundary = functools.partial(_cell_boundary, covers)
-    return _reduce(counts, boundary, lambda cleared: boundary(1, cleared)[1].values())
+    G, r, dim = K._pairs
+    return _level_homology(_levels(neighborhood_complex(G, r), limit), dim + 1)
 
 
 def _level_homology(levels, width):
     # the homology of the complex whose faces by dimension are levels, with
     # zero groups up to width dimensions
-    h = _reduce(list(map(len, levels)), functools.partial(_boundary, levels),
-                lambda cleared: (e for c, e in enumerate(levels[1]) if c not in cleared))
-    return HomologyResult(h.groups + ((0, ()),) * (width - len(h.groups)))
-
-
-def _reduce(counts, boundary, edges):
-    # the groups from the cell counts by dimension, boundary(d, cleared) as
-    # the reduction's rows and columns, and edges(cleared), the columns of
-    # dimension 1 as vertex pairs
-    top = len(counts) - 1
+    top = len(levels) - 1
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
     paired = set()  # rows of the unit pivots of the matrix one dimension up
     for d in range(top, 1, -1):
-        rows, cols = boundary(d, paired)
+        rows, cols = _boundary(levels, d, paired)
         paired = set()
         factors = _snf_factors(rows, cols, paired)
         rank[d], torsion[d] = len(factors), tuple(f for f in factors if f > 1)
     if top > 0:
-        rank[1] = _forest_rank(edges(paired))
-    return HomologyResult(tuple((counts[d] - rank[d] - rank[d + 1], torsion[d + 1])
-                                for d in range(top + 1)))
+        rank[1] = _forest_rank(e for c, e in enumerate(levels[1]) if c not in paired)
+    groups = tuple((len(levels[d]) - rank[d] - rank[d + 1], torsion[d + 1])
+                   for d in range(top + 1))
+    return HomologyResult(groups + ((0, ()),) * (width - len(groups)))
 
 
 def _forest_rank(edges):
@@ -378,8 +372,7 @@ def _levels(K, limit):
         return chains
     if faces.over is not None:
         raise faces.over
-    if K._faces is None:  # hand the read back, so that faces() goes on with it
-        K._begun = (cap, itertools.chain(faces.read, faces.reader or ()))
+    K._faces = dict(enumerate(itertools.chain(faces.read, faces.reader or ())))
     return list(K.faces(limit).values())
 
 
@@ -429,17 +422,6 @@ def _lattice_chains(K, cap, settled):
     above = [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
     chains, faces = _sizes(lattice, above)
     return _chains(above) if chains < faces and chains <= cap else None
-
-
-def _cell_boundary(covers, d, cleared):
-    # _boundary for cells, from the signed covers (face, cell, +-1) of the
-    # cells of each dimension; rows and columns are keyed by poset element
-    rows, cols = {}, {}
-    for f, e, s in covers[d]:
-        if e not in cleared:
-            rows.setdefault(f, {})[e] = s
-            cols.setdefault(e, set()).add(f)
-    return rows, cols
 
 
 def homology_connectivity(K, limit=None):

@@ -1,6 +1,6 @@
 """Discrete Morse matchings on the walk-neighborhood complexes of odd cycles:
-construction of the radius-shrinking matching, well-formedness and acyclicity
-checks, and collapse execution down to the radius-1 rim.
+construction of the radius-shrinking matching, its well-formedness check,
+and collapse execution down to the radius-1 rim.
 
 Matchings name faces as sorted tuples of vertex labels, which
 ``cycle_matching`` reads from window position masks.  ``collapse`` reads only
@@ -25,10 +25,8 @@ from .graphs import make_cycle
 __all__ = [
     "MorseMatching",
     "MatchingReport",
-    "AcyclicityReport",
     "cycle_matching",
     "verify_matching",
-    "verify_acyclic",
     "collapse",
     "collapse_cycle_tower",
 ]
@@ -111,53 +109,6 @@ def verify_matching(faces, matching):
     missing = sorted(f for f in named if f not in faces)
     critical = sorted(matching.domain - set(count))
     return MatchingReport(tuple(dup), tuple(bad), tuple(missing), tuple(critical))
-
-
-@dataclass(frozen=True)
-class AcyclicityReport:
-    acyclic: bool
-    cycle: tuple | None = None  # witness: faces along a directed cycle
-
-    def __bool__(self):
-        return self.acyclic
-
-
-def verify_acyclic(matching):
-    """Cycle detection on the modified Hasse digraph of the matched faces:
-    matched edges point up, every other codimension-1 incidence points down."""
-    nodes = set(itertools.chain.from_iterable(matching.pairs))
-    succ = {f: [] for f in nodes}
-    for tau, sigma in matching.pairs:
-        succ[tau].append(sigma)
-        for i in range(len(sigma)):
-            sub = sigma[:i] + sigma[i + 1:]
-            if sub in nodes and sub != tau:
-                succ[sigma].append(sub)
-    for f in succ:
-        succ[f].sort()
-    color = dict.fromkeys(nodes, 0)  # 0 new, 1 active, 2 done
-    for start in sorted(nodes):
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [(start, iter(succ[start]))]
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[node] = 2
-                stack.pop()
-                path.pop()
-                continue
-            if color[nxt] == 1:
-                i = path.index(nxt)
-                return AcyclicityReport(False, tuple(path[i:] + [nxt]))
-            if color[nxt] == 0:
-                color[nxt] = 1
-                stack.append((nxt, iter(succ[nxt])))
-                path.append(nxt)
-    return AcyclicityReport(True)
 
 
 def _matched(K, matching):

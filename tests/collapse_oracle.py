@@ -3,19 +3,22 @@
 ``collapse`` lists every face of the complex, counts the cofacets of each,
 and removes free matched pairs in lexicographic order of their index tuples;
 ``cycle_matching`` builds each window's faces as sorted label tuples from
-sets of chosen positions; ``tower`` runs the radius tower of an odd cycle on
-the two, checking presence of the matched faces against the face list.  The
-library reads only the matched faces, through per-vertex facet masks, and
-builds its matchings from position masks instead; the tests compare the two.
+sets of chosen positions; ``verify_acyclic`` looks for a directed cycle in
+the modified Hasse digraph of a matching; ``tower`` runs the radius tower of
+an odd cycle on the three, checking presence of the matched faces against
+the face list.  The library reads only the matched faces, through
+per-vertex facet masks, builds its matchings from position masks, and lets
+a complete collapse certify acyclicity instead; the tests compare the two.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 
 from nbhd import (CollapseError, MorseMatching, SimplicialComplex, make_cycle,
-                  neighborhood_complex, verify_acyclic, verify_matching)
+                  neighborhood_complex, verify_matching)
 from nbhd.complexes import sorted_labels
 
 
@@ -45,6 +48,53 @@ def cycle_matching(m, r):
                     tau = tuple(sorted(set(sigma) - {window[gap - 1]}))
                     pairs.append((tau, sigma))
     return MorseMatching(tuple(sorted(pairs)), frozenset(domain))
+
+
+@dataclass(frozen=True)
+class AcyclicityReport:
+    acyclic: bool
+    cycle: tuple | None = None  # witness: faces along a directed cycle
+
+    def __bool__(self):
+        return self.acyclic
+
+
+def verify_acyclic(matching):
+    """Cycle detection on the modified Hasse digraph of the matched faces:
+    matched edges point up, every other codimension-1 incidence points down."""
+    nodes = set(itertools.chain.from_iterable(matching.pairs))
+    succ = {f: [] for f in nodes}
+    for tau, sigma in matching.pairs:
+        succ[tau].append(sigma)
+        for i in range(len(sigma)):
+            sub = sigma[:i] + sigma[i + 1:]
+            if sub in nodes and sub != tau:
+                succ[sigma].append(sub)
+    for f in succ:
+        succ[f].sort()
+    color = dict.fromkeys(nodes, 0)  # 0 new, 1 active, 2 done
+    for start in sorted(nodes):
+        if color[start]:
+            continue
+        color[start] = 1
+        stack = [(start, iter(succ[start]))]
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                color[node] = 2
+                stack.pop()
+                path.pop()
+                continue
+            if color[nxt] == 1:
+                i = path.index(nxt)
+                return AcyclicityReport(False, tuple(path[i:] + [nxt]))
+            if color[nxt] == 0:
+                color[nxt] = 1
+                stack.append((nxt, iter(succ[nxt])))
+                path.append(nxt)
+    return AcyclicityReport(True)
 
 
 def _indexed(K, matching, limit):

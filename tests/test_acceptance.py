@@ -13,6 +13,7 @@ from collections import defaultdict
 
 import pytest
 
+from collapse_oracle import verify_acyclic
 from conftest import (
     all_faces_label_set,
     antipodal6,
@@ -42,7 +43,6 @@ from nbhd import (
     order_complex,
     pair_poset,
     pair_swap_involution,
-    verify_acyclic,
     verify_matching,
     z2_height,
 )

@@ -444,17 +444,10 @@ class TestHomology:
 
 
 def uncleared_homology(K):
-    """Oracle: homology from the Smith form of every full boundary matrix,
-    each reduced on its own with no column cleared: on K's product cells,
-    with their cover signs, when it has them, and on its faces otherwise."""
-    if K._cells is None:
-        counts = [len(f) for f in K.faces().values()]
-        mats = [(m.dim, m.entries, (m.n_rows, m.n_cols)) for m in boundary_matrices(K)]
-    else:
-        dims, signs = K._cells
-        counts = [dims.count(d) for d in range(max(dims, default=-1) + 1)]
-        mats = [(d, {fe: s for fe, s in signs.items() if dims[fe[1]] == d}, (len(dims),) * 2)
-                for d in range(1, len(counts))]
+    """Oracle: homology from the Smith form of every full boundary matrix of
+    K's faces, each reduced on its own with no column cleared."""
+    counts = [len(f) for f in K.faces().values()]
+    mats = [(m.dim, m.entries, (m.n_rows, m.n_cols)) for m in boundary_matrices(K)]
     rank = [0] * (len(counts) + 1)
     torsion = [()] * (len(counts) + 1)
     for d, entries, shape in mats:
@@ -555,8 +548,8 @@ class TestClearing:
 
 
 def chain_model(K):
-    """``K`` rebuilt from its facets, which carries no cells, so that
-    ``homology`` reduces its faces."""
+    """``K`` rebuilt from its facets, which keeps no linked-pair poset, so
+    that ``homology`` reduces its own faces or lattice chains."""
     return SimplicialComplex(K.vertices, K.facets)
 
 
@@ -697,8 +690,9 @@ class TestLattice:
 
 
 class TestPairCells:
-    """The order complex of a linked-pair poset is reduced on the poset's
-    product cells; the chains of the same complex are the reference."""
+    """The order complex of a linked-pair poset of G at radius r is reduced
+    as N_r(G), which has its homotopy type; the chains of the same complex
+    are the reference."""
 
     @given(small_graphs(), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
@@ -708,47 +702,34 @@ class TestPairCells:
             chains = chain_model(K)
         except ResourceLimitError:
             return
-        assert K._cells is not None
         assert homology(K).groups == homology(chains).groups
 
-    @given(small_graphs(), st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_cells_match_uncleared(self, G, r):
-        # the clearing on cells against every full cell boundary reduced alone
-        try:
-            K = order_complex(pair_poset(G, r, size_guard=300), limit=300)
-        except ResourceLimitError:
-            return
-        assert homology(K) == uncleared_homology(K)
-
-    @pytest.mark.parametrize("G, r", [(make_cycle(5), 3), (make_kneser(5, 2), 1)],
-                             ids=["C5 r=3", "Petersen r=1"])
-    def test_boundary_squares_to_zero(self, G, r):
-        P = pair_poset(G, r)
-        dims, signs = P._cells
-        assert dims == tuple(len(a) + len(b) - 2 for a, b in P.elements)
-        assert set(signs) == set(P.covers)
-        faces = {}
-        for (f, e), s in signs.items():
-            assert dims[e] == dims[f] + 1
-            faces.setdefault(e, []).append((f, s))
-        squared = {}
-        for e, fs in faces.items():
-            for f, s in fs:
-                for g, t in faces.get(f, ()):
-                    squared[g, e] = squared.get((g, e), 0) + s * t
-        assert squared and not any(squared.values())
+    @given(small_graphs(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_pair_space_is_the_padded_neighborhood_complex(self, G, r):
+        # torsion included; even radii put loops in G_r
+        P = pair_poset(G, r, size_guard=10**5)
+        width = max((len(a) + len(b) - 1 for a, b in P.elements), default=0)
+        groups = homology(neighborhood_complex(G, r)).groups
+        assert homology(order_complex(P)).groups == groups + ((0, ()),) * (width - len(groups))
 
     def test_limit_bounds_the_cells(self):
-        # 180 cells against 4,200 faces: the faces are never listed
+        # N_3(C5) is the boundary of a 4-simplex, 30 faces and more chains;
+        # the order complex has 4,200 faces, and they are never listed
         K = order_complex(pair_poset(make_cycle(5), 3))
-        assert len(K.vertices) == 180
-        assert homology(K, 180).betti_vector == (1, 0, 0, 1)
+        assert homology(K, 30).betti_vector == (1, 0, 0, 1)
         with pytest.raises(ResourceLimitError) as err:
-            homology(K, 179)
-        assert (err.value.count, err.value.limit) == (180, 179)
-        assert "cell enumeration" in str(err.value)
+            homology(K, 29)
+        assert (err.value.count, err.value.limit) == (30, 29)
+        assert "face enumeration" in str(err.value)
         assert K._faces is None
+
+    def test_kneser_7_2_radius1(self):
+        # more than 5,000,000 maximal chains; N_1(K(7,2)) is reduced instead
+        K = order_complex(pair_poset(make_kneser(7, 2), 1))
+        h = homology(K)
+        assert h.betti_vector == (1, 0, 0, 29, 0, 0, 0, 0, 0, 0)
+        assert all(t == () for _, t in h.groups)
 
     @pytest.mark.parametrize("m, r, betti", [(5, 3, (1, 0, 0, 1)), (7, 3, (1, 1, 0, 0)),
                                              (7, 5, (1, 0, 0, 0, 0, 1))],
@@ -765,7 +746,8 @@ class TestPairCells:
             K.facets  # the spy would have caught a chain listing
 
     def test_c7_r5_reach(self):
-        # 1,932 cells against 1,468,824 faces of the order complex
+        # 1,932 poset elements and 1,468,824 faces of the order complex,
+        # reduced as N_5(C7), the boundary of a 6-simplex
         K = order_complex(pair_poset(make_cycle(7), 5, size_guard=10**6))
         start = time.process_time()
         h = homology(K)
@@ -774,7 +756,7 @@ class TestPairCells:
 
 
 # the complexes of the homology benchmark workload, unshuffled, with K(7,2);
-# the pair spaces reduce their cells, and their chain models their faces
+# the pair spaces reduce N_3(C5) and N_3(C7), and their chain models their faces
 UNIT_PASS_CASES = {
     "pair C5 r=3": lambda: order_complex(pair_poset(make_cycle(5), 3)),
     "pair C7 r=3": lambda: order_complex(pair_poset(make_cycle(7), 3)),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_oracle
+from collapse_oracle import verify_acyclic
 from conftest import all_faces_label_set
 from nbhd import (
     CollapseError,
@@ -20,7 +21,6 @@ from nbhd import (
     homology,
     make_cycle,
     neighborhood_complex,
-    verify_acyclic,
     verify_matching,
 )
 from nbhd.morse import _tower
