@@ -31,11 +31,9 @@ from .complexes import (
     SimplicialComplex,
     complex_from_json_obj,
     complex_to_json_obj,
-    load_complex,
     neighborhood_complex,
     order_complex,
     pair_poset,
-    save_complex,
 )
 from .homology import (
     BoundaryMatrix,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import graphlib
 import itertools
-import json
 import operator
 from collections import defaultdict
 from functools import reduce
@@ -36,8 +35,6 @@ __all__ = [
     "order_complex",
     "complex_to_json_obj",
     "complex_from_json_obj",
-    "save_complex",
-    "load_complex",
 ]
 
 
@@ -143,17 +140,12 @@ class SimplicialComplex:
         Raises :class:`ResourceLimitError` past the face-count guard."""
         cap = DEFAULT_FACE_LIMIT if limit is None else limit
         if self._faces is None:
-            self._faces = dict(enumerate(self._face_reader(cap)))
+            self._faces = dict(enumerate(_face_levels(
+                self.facets, range(self.n_vertices), cap, "face enumeration")))
         count = sum(map(len, self._faces.values()))
         if count > cap:
             raise ResourceLimitError("face enumeration", count, "faces", cap)
         return self._faces
-
-    def _face_reader(self, cap):
-        # the face levels under the guard cap: the cached ones or a new read
-        if self._faces is not None:
-            return iter(self._faces.values())
-        return _face_levels(self.facets, range(self.n_vertices), cap, "face enumeration")
 
     def has_face_indices(self, face):
         s = set(face)
@@ -259,11 +251,10 @@ def _face_levels(facets, seeds, limit, stage):
 
 def _closure(spans, found):
     # closes found, the spans, under intersection with the spans, one
-    # element at a time; after each it yields lower bounds on the chains
-    # that start at any element and at the elements made with two or more
-    # vertices.  An element first made in round k is the least of a chain
-    # of k + 1 elements, so at least 2^k chains start at it
-    bound, wide, weight, frontier = len(found), 0, 1, spans
+    # element at a time, and after each yields a lower bound on the chains
+    # of the closure.  An element first made in round k is the least of a
+    # chain of k + 1 elements, so at least 2^k chains start at it
+    bound, weight, frontier = len(found), 1, spans
     while frontier:
         weight, made, frontier = weight * 2, frontier, []
         for i, a in enumerate(made):
@@ -273,11 +264,9 @@ def _closure(spans, found):
             if fresh:
                 found |= fresh
                 bound += weight * len(fresh)
-                for x in fresh:
-                    if x & (x - 1):  # a vertex meets each facet in itself or nothing
-                        frontier.append(x)
-                        wide += weight
-                yield bound, wide
+                # a vertex meets each facet in itself or nothing
+                frontier += (x for x in fresh if x & (x - 1))
+                yield bound
 
 
 def _above(lattice, n):
@@ -517,13 +506,3 @@ def complex_from_json_obj(obj):
     faces.extend((v,) for v in vertices)
     return SimplicialComplex.from_faces(faces)
 
-
-def save_complex(K, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_json_obj(K), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_complex(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return complex_from_json_obj(json.load(fh))

@@ -94,9 +94,6 @@ class Graph:
         except KeyError:
             raise ValueError(f"{label!r} is not a vertex") from None
 
-    def neighbors(self, i):
-        return self.adj[i]
-
     def has_edge(self, i, j):
         return j in self.adj[i]
 

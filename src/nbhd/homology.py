@@ -28,8 +28,8 @@ fewer faces: the two are homotopy equivalent by the nerve and crosscut
 theorems (Bjorner 1995), so the groups are the same, and the Betti vector
 is padded to the complex's dimension.  On Kneser complexes L is tiny:
 N_1(K(9,4)) has 3,402 faces and its L 252 elements and 882 chains.  The
-counts that choose come from one pass over L and from the faces read on the
-way, never read twice (``_levels``).  The order complex of a linked-pair
+counts that choose come from one pass over L, and no face is read to make
+the choice (``_levels``).  The order complex of a linked-pair
 poset of G at radius r has the homotopy type of N_r(G) (see ``homology``),
 so that complex is reduced in its place and no chain is listed.
 """
@@ -37,7 +37,6 @@ so that complex is reduced in its place and no chain is listed.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ from itertools import combinations
 
 from .complexes import (DEFAULT_FACE_LIMIT, _above, _bits, _chains, _closure, _integers,
                         _sizes, neighborhood_complex)
-from .errors import ResourceLimitError
 from .graphs import odd_girth
 
 __all__ = [
@@ -353,75 +351,26 @@ def _levels(K, limit):
     crosscut theorems (Bjorner 1995, Handbook of Combinatorics, section 10),
     and no higher in dimension.
 
-    The choice reads only what it needs.  L is closed one element at a time
-    (``_closure``), which bounds its chains from below.  Every element of L
-    is a face, so once all of ``K``'s faces are read within that bound, the
-    faces are reduced and the closure stops.  Faces are read one dimension
-    at a time, and only while fewer than the chains that start at elements
-    made with two or more vertices, from which the closure goes on: a
-    lattice of facets and vertices reads none.  A finished L bounds its
-    chains more sharply, one element at a time (from each element, a chain
-    of one, one to each element above it, and a longer one through each of
-    those that is not a facet), and then one pass counts both models
-    exactly.  Past ``limit`` faces and chains the face guard trips; when the
-    chains are reduced, ``K``'s face cache stays empty."""
+    The choice reads no face.  L is closed one element at a time
+    (``_closure``), which bounds its chains from below, and only while that
+    bound stays within ``limit`` and within two bounds on the faces from
+    above, 2^n - 1 for n vertices and the sum of 2^|f| - 1 over the facets
+    f.  A closed L counts its chains and the complex's faces exactly
+    (``_sizes``), and the smaller model within ``limit`` is reduced; the
+    faces otherwise, read once under the face guard, which trips past
+    ``limit``.  When the chains are reduced, ``K``'s face cache stays
+    empty."""
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
-    faces = _FaceRead(K, cap)
-    chains = _lattice_chains(K, cap, faces.settled)
-    if chains is not None:
-        return chains
-    if faces.over is not None:
-        raise faces.over
-    K._faces = dict(enumerate(itertools.chain(faces.read, faces.reader or ())))
-    return list(K.faces(limit).values())
-
-
-class _FaceRead:
-    """The face levels of a complex, read one at a time under a guard, as
-    far as the choice of model needs them."""
-
-    def __init__(self, K, cap):
-        self.reader, self.read, self.count, self.over = K._face_reader(cap), [], 0, None
-
-    def settled(self, ahead, bound):
-        # reads faces while fewer than ahead; true once all are read, and
-        # no more than bound
-        while self.reader is not None and self.count < ahead:
-            try:
-                self.read.append(next(self.reader))
-                self.count += len(self.read[-1])
-            except StopIteration:
-                self.reader = None
-            except ResourceLimitError as err:
-                self.reader, self.over = None, err
-        return self.reader is None and self.over is None and self.count <= bound
-
-
-def _lattice_chains(K, cap, settled):
-    # the chains of K's facet-intersection lattice by dimension, or None once
-    # settled(ahead, bound) finds the faces no more than a lower bound on the
-    # chains, or the chains pass cap, or they are no fewer than the faces
     spans = [sum(1 << v for v in f) for f in K.facets]
+    most = min(cap, (1 << K.n_vertices) - 1, sum((1 << len(f)) - 1 for f in K.facets))
     found = set(spans)
-    for bound, wide in _closure(spans, found):
-        if bound > cap or settled(wide, bound):
-            return None
-    lattice = sorted(found, key=int.bit_count)
-    facets = set(spans)
-    inner = ~sum(1 << i for i, x in enumerate(lattice) if x in facets)  # not facets
-    bound = wide = 0
-    for x, a in zip(lattice, _above(lattice, K.n_vertices)):
-        c = 1 + a.bit_count() + (a & inner).bit_count()
-        bound += c
-        if x & (x - 1) and a:
-            wide += c
-        if bound > cap:
-            return None
-    if settled(wide, bound):
-        return None
-    above = [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
-    chains, faces = _sizes(lattice, above)
-    return _chains(above) if chains < faces and chains <= cap else None
+    if len(found) <= most and all(bound <= most for bound in _closure(spans, found)):
+        lattice = sorted(found, key=int.bit_count)
+        above = [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
+        chains, faces = _sizes(lattice, above)
+        if chains < faces and chains <= cap:
+            return _chains(above)
+    return list(K.faces(limit).values())
 
 
 def homology_connectivity(K, limit=None):

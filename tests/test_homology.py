@@ -667,6 +667,37 @@ class TestLattice:
         with pytest.raises(ResourceLimitError, match="face enumeration"):
             homology(neighborhood_complex(make_kneser(5, 2), 3), 1021)
 
+    @pytest.mark.parametrize("n, k, betti", [
+        (6, 2, (1, 0, 19, 0, 0, 0)),
+        (7, 2, (1, 0, 0, 29, 0, 0, 0, 0, 0, 0)),
+        (8, 3, (1, 0, 181, 0, 0, 0, 0, 0, 0, 0)),
+    ])
+    def test_the_lattice_model_reads_no_face(self, monkeypatch, n, k, betti):
+        def refuse(*args):
+            raise AssertionError("a face was read")
+
+        monkeypatch.setattr(sys.modules["nbhd.complexes"], "_face_levels", refuse)
+        K = neighborhood_complex(make_kneser(n, k), 1)
+        assert homology(K).betti_vector == betti
+        assert K._faces is None
+
+    @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=6),
+                    min_size=1, max_size=10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_alone_choose_the_model(self, faces, data):
+        # the chains are reduced exactly when they are fewer than the faces
+        # and within the limit; past it in both, the face guard trips
+        K = SimplicialComplex.from_faces(faces)
+        chains, n_faces = _sizes(*lattice_levels(K))
+        limit = data.draw(st.integers(0, max(chains, n_faces) + 1))
+        fresh = SimplicialComplex(K.vertices, K.facets)
+        if min(chains, n_faces) > limit:
+            with pytest.raises(ResourceLimitError, match="face enumeration"):
+                homology(fresh, limit)
+            return
+        assert homology(fresh, limit) == uncleared_homology(K)
+        assert (fresh._faces is None) == (chains < n_faces and chains <= limit)
+
     def test_a_one_element_lattice_is_a_point(self):
         K = full_simplex(4)
         assert lattice_levels(K)[0] == [31]
