@@ -15,7 +15,6 @@ from .graphs import (
     graph_from_json_obj,
     graph_to_json_obj,
     hom_search,
-    is_connected,
     kneser_walk_test,
     load_graph,
     make_cycle,
@@ -36,11 +35,9 @@ from .complexes import (
     pair_poset,
 )
 from .homology import (
-    BoundaryMatrix,
     HomologyResult,
     Presentation,
     abelianize,
-    boundary_matrices,
     edge_path_presentation,
     h1_summand_certificate,
     homology,

@@ -34,7 +34,7 @@ from .graphs import (
     validate_hom,
 )
 from .homology import homology
-from .morse import _tower
+from .morse import _as_matching, _tower
 from .z2 import obstruction_check
 
 EXIT_OK = 0
@@ -144,8 +144,8 @@ def _cmd_obstruct(args):
 
 def _cmd_morse(args):
     run = _tower(args.m, args.r, args.limit_faces)  # checks m, r and limits before building
-    matching, stage, final = next(run)  # the top matching, kept for the report
-    stages = [stage]
+    masks, stage, final = next(run)  # the top matching, kept for the report
+    matching, stages = _as_matching(*masks), [stage]
     for _, stage, final in run:
         stages.append(stage)
     report = stages[0]["verification"]

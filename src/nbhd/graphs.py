@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "kneser_walk_test",
     "validate_hom",
     "hom_search",
-    "is_connected",
     "graph_to_json_obj",
     "graph_from_json_obj",
     "save_graph",
@@ -548,21 +546,6 @@ def _automorphism(H, a, b, allowance, fixed=()):
     if k < pinned or not all(sigma[j] in adj[sigma[i]] for i in range(n) for j in adj[i]):
         return None, steps
     return tuple(sigma), steps
-
-
-def is_connected(G):
-    n = G.n_vertices
-    if n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in G.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,8 @@ from .complexes import (DEFAULT_FACE_LIMIT, _above, _bits, _chains, _closure, _i
 from .graphs import odd_girth
 
 __all__ = [
-    "BoundaryMatrix",
     "HomologyResult",
     "Presentation",
-    "boundary_matrices",
     "smith_normal_form",
     "homology",
     "homology_connectivity",
@@ -58,27 +56,6 @@ __all__ = [
     "abelianize",
     "h1_summand_certificate",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryMatrix:
-    """Matrix of one boundary operator: rows indexed by (d-1)-faces, columns
-    by d-faces, entries +-1 under the sorted-vertex orientation."""
-
-    dim: int
-    n_rows: int
-    n_cols: int
-    entries: dict  # (row, col) -> +-1
-
-
-def boundary_matrices(K, limit=None):
-    """Boundary operators for d = 1..dim(K); the column for a d-face gets sign
-    (-1)^i at the row dropping its i-th vertex (vertices sorted).  These are
-    always the simplicial ones, on faces, pair spaces included."""
-    faces = K.faces(limit)
-    return [BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), {
-        (i, j): v for i, r in _boundary(faces, d)[0].items() for j, v in r.items()})
-        for d in range(1, len(faces))]
 
 
 def _boundary(faces, d, cleared=()):

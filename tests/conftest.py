@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from collections import deque
+from dataclasses import dataclass
 
-from nbhd import Graph, SimplicialComplex, Involution, is_connected, make_cycle, make_kneser
+from nbhd import Graph, SimplicialComplex, Involution, make_cycle, make_kneser
 from nbhd.graphs import walk_ball
+from nbhd.homology import _boundary
 
 
 def hexagon_complex():
@@ -129,6 +132,21 @@ def walk_neighborhood(G, v, r):
     return tuple(sorted(walk_ball(G, G.index_of(v), r)))
 
 
+def is_connected(G):
+    n = G.n_vertices
+    if n == 0:
+        return True
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in G.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == n
+
+
 def random_connected_graph(n, p, rng, max_tries=2000):
     """Erdos-Renyi ``G(n, p)`` conditioned on connectivity, drawn from the
     caller's RNG (pass ``random.Random(seed)`` for reproducibility)."""
@@ -153,3 +171,24 @@ def make_schrijver(n, k):
                if all((x % n) + 1 not in a for x in a)]
     return Graph(subsets, [(a, b) for a, b in itertools.combinations(subsets, 2)
                            if not set(a) & set(b)])
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryMatrix:
+    """Matrix of one boundary operator: rows indexed by (d-1)-faces, columns
+    by d-faces, entries +-1 under the sorted-vertex orientation."""
+
+    dim: int
+    n_rows: int
+    n_cols: int
+    entries: dict  # (row, col) -> +-1
+
+
+def boundary_matrices(K, limit=None):
+    """Boundary operators for d = 1..dim(K); the column for a d-face gets sign
+    (-1)^i at the row dropping its i-th vertex (vertices sorted).  These are
+    always the simplicial ones, on faces, pair spaces included."""
+    faces = K.faces(limit)
+    return [BoundaryMatrix(d, len(faces[d - 1]), len(faces[d]), {
+        (i, j): v for i, r in _boundary(faces, d)[0].items() for j, v in r.items()})
+        for d in range(1, len(faces))]

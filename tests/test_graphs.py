@@ -11,7 +11,6 @@ from nbhd import (
     graph_from_json_obj,
     graph_to_json_obj,
     hom_search,
-    is_connected,
     kneser_walk_test,
     make_cycle,
     make_kneser,
@@ -21,7 +20,7 @@ from nbhd import (
 )
 from nbhd import graphs
 from nbhd.graphs import _automorphism, walk_ball
-from conftest import format_edge_list, mycielskian, walk_neighborhood
+from conftest import format_edge_list, is_connected, mycielskian, walk_neighborhood
 from hom_search_oracle import hom_search as reference_search
 
 

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (euler_characteristic, full_simplex, make_schrijver, mycielskian,
-                      rp2_complex, simplex_boundary)
+from conftest import (boundary_matrices, euler_characteristic, full_simplex, make_schrijver,
+                      mycielskian, rp2_complex, simplex_boundary)
 from nbhd import (
     Graph,
     Poset,
     ResourceLimitError,
     SimplicialComplex,
     abelianize,
-    boundary_matrices,
     edge_path_presentation,
     h1_summand_certificate,
     homology,

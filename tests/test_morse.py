@@ -43,6 +43,9 @@ def window_gap(m, x, r, sigma):
 
 # every odd m <= 31 with every radius 2 <= r, 2r < m
 ODD_CYCLE_RADII = [(m, r) for m in range(5, 32, 2) for r in range(2, (m + 1) // 2)]
+# those with m <= 25 whose top stage matches at most 4,096 faces, for the
+# face-listing oracle tower
+TOWER_CASES = [(m, r) for m, r in ODD_CYCLE_RADII if m <= 25 and m << (r - 1) <= 4096]
 
 
 class TestCycleMatching:
@@ -181,6 +184,14 @@ class TestCollapse:
         with pytest.raises(ValueError):
             collapse(K, matching)
 
+    def test_cofacet_outside_the_complex_rejected(self):
+        # the lower face is present and the upper one is its cofacet in
+        # index order, but no facet holds it
+        K = SimplicialComplex.from_faces([(0, 1), (1, 2)])
+        matching = MorseMatching((((0, 1), (0, 1, 2)),), frozenset())
+        with pytest.raises(ValueError, match=r"outside the complex: \(0, 1, 2\)"):
+            collapse(K, matching)
+
     def test_lower_face_with_two_cofacets_in_one_facet_is_stuck(self):
         # once the triangle goes, vertex 0 still has the edges 01 and 02: it
         # lies in one facet but is not free
@@ -288,13 +299,10 @@ class TestTower:
 
 
 @st.composite
-def complexes_with_matchings(draw):
-    """A complex whose index order differs from its label order, and a
-    matching on it: a random run of elementary collapses, some pairs
-    reversed, then pairs that may get stuck or cycle (cofacet pairs of
-    unused faces), non-cofacet pairs, a face named twice, and faces outside
-    the complex (unknown labels, labels out of index order, a repeated
-    label, the empty tuple)."""
+def elementary_collapses(draw):
+    """A complex whose index order differs from its label order, its faces,
+    a random run of elementary collapses on it as pairs, some reversed, and
+    the random source that drew them."""
     rnd = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(1, 6))
     sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
@@ -312,6 +320,17 @@ def complexes_with_matchings(draw):
         tau, sigma = rnd.choice(free)
         live -= {tau, sigma}
         pairs.append((sigma, tau) if rnd.random() < 0.2 else (tau, sigma))
+    return K, faces, pairs, rnd
+
+
+@st.composite
+def complexes_with_matchings(draw):
+    """A complex whose index order differs from its label order, and a
+    matching on it: a run from ``elementary_collapses``, then pairs that may
+    get stuck or cycle (cofacet pairs of unused faces), non-cofacet pairs, a
+    face named twice, and faces outside the complex (unknown labels, labels
+    out of index order, a repeated label, the empty tuple)."""
+    K, faces, pairs, rnd = draw(elementary_collapses())
     unused = [f for f in faces if not any(f in p for p in pairs)]
     for kind in draw(st.lists(st.sampled_from(["cofacet", "cofacet", "any", "twice", "none"]),
                               min_size=1, max_size=2)):
@@ -374,7 +393,19 @@ class TestAgainstFaceListingOracle:
         assert verify_matching(all_faces_label_set(K), oriented).well_formed
         assert verify_acyclic(oriented)
 
-    @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])
+    @given(elementary_collapses())
+    @settings(max_examples=400, deadline=None)
+    def test_complete_collapses_match_oracle(self, case):
+        # every run collapses; only removed upper faces record the faces that
+        # may become facets, while the oracle reads the maximal faces of
+        # everything left
+        K, _, pairs, _ = case
+        matching = MorseMatching(tuple(pairs), frozenset())
+        got = outcome(collapse, K, matching)
+        assert got == outcome(collapse_oracle.collapse, K, matching)
+        assert not isinstance(got, type)
+
+    @pytest.mark.parametrize("m,r", TOWER_CASES)
     def test_tower_matches_oracle_tower(self, m, r):
         final, stages = collapse_cycle_tower(m, r)
         want_final, want_stages = collapse_oracle.tower(m, r)
@@ -398,3 +429,54 @@ class TestTowerGuards:
     def test_parameters_refused_up_front(self, m, r):
         with pytest.raises(ValueError):
             collapse_cycle_tower(m, r, limit=0)
+
+
+def patch_stage(monkeypatch, stage, mutate):
+    """Make ``_window_pairs`` hand the tower ``mutate(pairs, domain)`` at
+    radius ``stage`` and the true masks at every other radius."""
+    module = sys.modules["nbhd.morse"]
+    plain = module._window_pairs
+
+    def patched(m, r):
+        pairs, domain = plain(m, r)
+        return mutate(list(pairs), list(domain)) if r == stage else (pairs, domain)
+
+    monkeypatch.setattr(module, "_window_pairs", patched)
+
+
+def swap_partners(pairs, domain):
+    # the first pair (window 0) and the last (window m-1) trade upper faces
+    (t0, s0), (t1, s1) = pairs[0], pairs[-1]
+    assert t0 & s1 != t0 and t1 & s0 != t1
+    return [(t0, s1)] + pairs[1:-1] + [(t1, s0)], domain
+
+
+def add_vertex_1(pairs, domain):
+    # window 0 is {0, 2, ..., 2r}; with vertex 1, its first pair names two
+    # faces no window holds, and the domain follows
+    (tau, sigma), rest = pairs[0], pairs[1:]
+    domain = [f for f in domain if f not in (tau, sigma)] + [tau | 2, sigma | 2]
+    return [(tau | 2, sigma | 2)] + rest, domain
+
+
+class TestTowerMutations:
+    """The tower checks the window masks it is handed and collapses on them;
+    a broken stage is refused with its radius named."""
+
+    @pytest.mark.parametrize("stage", [5, 2])
+    @pytest.mark.parametrize("mutate", [
+        lambda p, d: (p[1:], d),  # a pair dropped: its faces are critical
+        lambda p, d: (p + p[:1], d),  # a pair named twice
+        swap_partners,  # pairs that are not codimension-1 containments
+    ], ids=["drop", "twice", "non-cofacet"])
+    def test_malformed_stage_is_not_perfect(self, monkeypatch, stage, mutate):
+        patch_stage(monkeypatch, stage, mutate)
+        with pytest.raises(CollapseError, match=rf"^stage r={stage}: matching not perfect$"):
+            collapse_cycle_tower(11, 5)
+
+    @pytest.mark.parametrize("stage", [5, 2])
+    def test_face_outside_the_complex_names_the_stage(self, monkeypatch, stage):
+        patch_stage(monkeypatch, stage, add_vertex_1)
+        with pytest.raises(ValueError, match=rf"^stage r={stage}: matching mentions a face "
+                                             r"outside the complex"):
+            collapse_cycle_tower(11, 5)
