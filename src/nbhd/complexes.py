@@ -196,9 +196,10 @@ def _bits(x):
 
 def _face_levels(facets, seeds, limit, stage):
     """The faces of the complex with these ``facets`` (increasing index
-    tuples) that start on a vertex in ``seeds``, one list per dimension, each
-    yielded before a face of the next is counted; past ``limit``, a
-    :class:`ResourceLimitError` names ``stage``."""
+    sequences, which may nest or repeat) that start on a vertex in ``seeds``,
+    one lexicographic list per dimension, each yielded before a face of the
+    next is counted, so a reader that stops early counts only what it read;
+    past ``limit``, a :class:`ResourceLimitError` names ``stage``."""
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
     # spans[v]: the vertex masks of the facets containing v; holds[v][w]:
     # those holding a later w too, as a bit mask over spans[v]; link[v]: those
@@ -412,8 +413,9 @@ def pair_poset(G, r, size_guard=200_000):
     """Poset of pairs ``(A, B)`` of nonempty vertex sets with every member of
     ``B`` an exact-r walk from every member of ``A``, ordered by componentwise
     inclusion.  Elements carry label tuples; Hasse edges are the one-vertex
-    extensions.  Raises :class:`ResourceLimitError` (naming the count) when
-    the element count exceeds ``size_guard``.  ``(G, r, dim)`` is kept for
+    extensions.  The first components are N_r(G)'s faces, read from
+    ``_face_levels``; past ``size_guard`` faces, or then elements, a
+    :class:`ResourceLimitError` names the count.  ``(G, r, dim)`` is kept for
     ``homology``, with dim = max(|A| + |B|) - 2 the order complex's
     dimension.  Pairs are distinct and each cover adds a vertex, so
     ``Poset``'s checks are skipped."""
@@ -421,28 +423,17 @@ def pair_poset(G, r, size_guard=200_000):
         raise ValueError("radius must be at least 1")
     n = G.n_vertices
     balls = [walk_ball(G, i, r) for i in range(n)]
-
-    a_sets = []  # (A index tuple, common ball frozenset), depth-first lex
-
-    def grow(prefix, common, start):
-        for x in range(start, n):
-            c = balls[x] if common is None else common & balls[x]
-            if not c:
-                continue
-            a = prefix + (x,)
-            a_sets.append((a, c))
-            if len(a_sets) > size_guard:
-                # each first component carries at least one element
-                raise ResourceLimitError(
-                    "linked-pair poset", len(a_sets), "elements", size_guard)
-            grow(a, c, x + 1)
-
-    grow((), None, 0)
+    # the first components are the faces of N_r(G), by size and then
+    # lexicographically: walks reverse, so y is in A's common ball iff A lies
+    # in y's ball.  Each first component carries at least one element
+    a_sets = [(a, frozenset.intersection(*map(balls.__getitem__, a)))
+              for level in _face_levels([sorted(b) for b in balls if b], range(n),
+                                        size_guard, "linked-pair poset")
+              for a in level]
     total = sum(2 ** len(c) - 1 for _, c in a_sets)
     if total > size_guard:
         raise ResourceLimitError("linked-pair poset", total, "elements", size_guard)
 
-    a_sets.sort(key=lambda ac: (len(ac[0]), ac[0]))
     elements, payloads = [], []
     for a, c in a_sets:
         cs = tuple(sorted(c))

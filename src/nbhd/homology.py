@@ -40,10 +40,10 @@ import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
-from .complexes import (DEFAULT_FACE_LIMIT, _above, _bits, _chains, _closure, _integers,
-                        _sizes, neighborhood_complex)
+from .complexes import (DEFAULT_FACE_LIMIT, _above, _bits, _chains, _closure, _face_levels,
+                        _integers, _sizes, neighborhood_complex)
 from .graphs import odd_girth
 
 __all__ = [
@@ -397,17 +397,17 @@ def edge_path_presentation(K, v, limit=None):
     A breadth-first spanning tree from ``v`` (vertex-index order) sends its
     edges to the identity; each remaining edge of the component is a
     generator and each triangle ``{a < b < c}`` gives the relator
-    ``g(a,b) g(b,c) g(a,c)^-1``.
+    ``g(a,b) g(b,c) g(a,c)^-1``.  Only the 2-skeleton is read, and ``limit``
+    bounds its faces; ``K``'s face cache is left as it is.
     """
-    faces = K.faces(limit)
+    faces = dict(enumerate(islice(_face_levels(
+        K.facets, range(K.n_vertices), limit, "face enumeration"), 3)))
     root = K.index_of(v)
     edges = faces.get(1, [])
     adj = defaultdict(list)
-    for a, b in edges:
+    for a, b in edges:  # in lexicographic order, so each list comes sorted
         adj[a].append(b)
         adj[b].append(a)
-    for a in adj:
-        adj[a].sort()
     seen = {root}
     tree = set()
     queue = deque([root])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (euler_characteristic, face_counts, full_simplex, simplex_boundary,
                       walk_neighborhood)
+import pair_poset_oracle
 from quotient_oracle import barycentric_subdivision, face_poset
 from nbhd import (
     Graph,
@@ -57,6 +58,10 @@ def brute_pair_poset_elements(G, r):
                         )
     return out
 
+
+looped_graphs = st.integers(1, 7).flatmap(lambda n: st.builds(
+    lambda edges: Graph(range(n), edges),
+    st.sets(st.sampled_from(list(itertools.combinations_with_replacement(range(n), 2))))))
 
 small_graphs = st.builds(
     lambda n, bits: Graph(
@@ -327,6 +332,32 @@ class TestPairPoset:
         with pytest.raises(ResourceLimitError) as err:
             pair_poset(make_kneser(5, 1), 1, size_guard=10)
         assert "10" in str(err.value)
+
+    @given(looped_graphs, st.integers(min_value=1, max_value=4),
+           st.one_of(st.integers(10, 500), st.sampled_from([10**4, 10**6])))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_recursive_builder(self, g, r, guard):
+        # the first components come from _face_levels, not a private
+        # recursive enumerator; only the first guard's unit word changes
+        def build(builder):
+            try:
+                return builder(g, r, size_guard=guard)
+            except ResourceLimitError as err:
+                return str(err).split(" reached ")[0], err.count, err.limit
+        P, Q = build(pair_poset), build(pair_poset_oracle.pair_poset)
+        if isinstance(Q, tuple):
+            assert P == Q
+        else:
+            assert (P.elements, P.covers, P._pairs) == (Q.elements, Q.covers, Q._pairs)
+
+    def test_first_guard_counts_faces(self):
+        # K_5 at r=1 has 30 first components; the oracle named them elements
+        with pytest.raises(ResourceLimitError) as err:
+            pair_poset(make_kneser(5, 1), 1, size_guard=29)
+        assert str(err.value) == "linked-pair poset reached 30 faces, above the limit of 29"
+        with pytest.raises(ResourceLimitError) as err:
+            pair_poset(make_kneser(5, 1), 1, size_guard=30)
+        assert "reached 180 elements" in str(err.value)
 
     @given(small_graphs, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from collections import defaultdict, deque
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from nbhd import (
     pair_poset,
     smith_normal_form,
 )
-from nbhd import HomologyResult, gf2
+from nbhd import HomologyResult, Presentation, gf2
 from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
 from nbhd.homology import _forest_rank, _level_homology, _snf_factors
 from snf_oracle import textbook_snf
@@ -884,6 +885,43 @@ class TestConnectivity:
             homology_connectivity(SimplicialComplex.from_faces([]))
 
 
+def full_face_presentation(K, v, limit=None):
+    """Oracle: the edge-path presentation read from every face of ``K``
+    through ``K.faces``, with each adjacency list sorted after it is built."""
+    faces = K.faces(limit)
+    root = K.index_of(v)
+    edges = faces.get(1, [])
+    adj = defaultdict(list)
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for a in adj:
+        adj[a].sort()
+    seen, tree, queue = {root}, set(), deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in adj.get(u, []):
+            if w not in seen:
+                seen.add(w)
+                tree.add((min(u, w), max(u, w)))
+                queue.append(w)
+    gens = [e for e in edges if e[0] in seen and e not in tree]
+    gen_index = {e: i for i, e in enumerate(gens)}
+    relators = []
+    for a, b, c in faces.get(2, []):
+        if a in seen:
+            word = [(gen_index[p], exp) for p, exp in (((a, b), 1), ((b, c), 1), ((a, c), -1))
+                    if p in gen_index]
+            if word:
+                relators.append(tuple(word))
+    return Presentation(tuple(f"g({K.vertices[a]},{K.vertices[b]})" for a, b in gens),
+                        tuple(relators))
+
+
+PRESENTED = [simplex_boundary(2), simplex_boundary(3), rp2_complex(),
+             neighborhood_complex(make_cycle(7), 2), neighborhood_complex(make_cycle(9), 3)]
+
+
 class TestEdgePathPresentation:
     def test_circle_complex_free_rank_one(self):
         K = neighborhood_complex(make_cycle(5), 1)  # a 5-gon, no triangles
@@ -925,6 +963,34 @@ class TestEdgePathPresentation:
         h = homology(K)
         pres = edge_path_presentation(K, K.vertices[0])
         assert abelianize(pres) == (h.betti(1), h.torsion(1))
+
+    @pytest.mark.parametrize("K", PRESENTED + [build() for build, _ in TORSION_CASES.values()])
+    def test_equals_the_full_face_read(self, K):
+        for v in K.vertices:
+            assert edge_path_presentation(K, v) == full_face_presentation(K, v)
+
+    @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=6),
+                    min_size=1, max_size=10), st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_random_complexes_equal_the_full_face_read(self, faces, v):
+        K = SimplicialComplex.from_faces(faces)
+        v = K.vertices[v % K.n_vertices]
+        assert edge_path_presentation(K, v) == full_face_presentation(K, v)
+
+    def test_reads_only_the_2_skeleton(self):
+        # N_1(K(9,3)) has 56,994 faces of dimension at most 2 and millions
+        # above; the guard counts only those read, and no cache is filled
+        K = neighborhood_complex(make_kneser(9, 3), 1)
+        pres = edge_path_presentation(K, K.vertices[0], limit=56_994)
+        assert K._faces is None
+        assert (len(pres.generators), len(pres.relators)) == (3_403, 53_424)
+        with pytest.raises(ResourceLimitError) as err:
+            edge_path_presentation(K, K.vertices[0], limit=56_993)
+        assert "face enumeration reached 56994 faces" in str(err.value)
+        with pytest.raises(ResourceLimitError):
+            K.faces(56_994)
+        h = homology(K)
+        assert abelianize(pres) == (0, ()) == (h.betti(1), h.torsion(1))
 
 
 class TestAbelianize:
