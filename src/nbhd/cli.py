@@ -145,7 +145,7 @@ def _cmd_obstruct(args):
 def _cmd_morse(args):
     run = _tower(args.m, args.r, args.limit_faces)  # checks m, r and limits before building
     masks, stage, final = next(run)  # the top matching, kept for the report
-    matching, stages = _as_matching(*masks), [stage]
+    matching, stages = _as_matching(args.m, *masks), [stage]
     for _, stage, final in run:
         stages.append(stage)
     report = stages[0]["verification"]

@@ -2,11 +2,15 @@
 construction of the radius-shrinking matching, its well-formedness check,
 and collapse execution down to the radius-1 rim.
 
-The tower checks each stage's vertex masks from ``_window_pairs`` itself
-and collapses on them in ``_collapse``, which reads only the matched faces
-against per-vertex facet masks; its return proves the matching acyclic and
-present, and only facets pass between stages.  ``cycle_matching`` and
-``collapse`` are the label views of the same masks and the same core.
+The radius-r matching lives on m windows that the rotation v -> v + 1
+carries onto one another, so ``_window_pairs`` builds window 0's alone.
+Each tower stage checks those vertex masks and that the stage complex is
+symmetric enough for the rotation to carry window 0's collapse onto every
+window, then collapses window 0 alone in ``_collapse``, which reads only the
+matched faces against per-vertex facet masks; its return proves the
+matching acyclic and present, and only facets pass between stages.
+``cycle_matching`` and ``collapse`` are the label views of the same masks
+and the same core.
 """
 
 from __future__ import annotations
@@ -45,47 +49,52 @@ class MorseMatching:
 
 
 def _window_pairs(m, r):
-    """The pairs and the domain of the radius-r matching on the m-cycle, as
-    vertex masks (vertex i is bit i), window by window.
+    """The pairs and the domain of the radius-r matching on window 0 of the
+    m-cycle, ``{0, 2, ..., 2r}``, as vertex masks (vertex i is bit i); the
+    rotation v -> v + x carries them onto window x.
 
     A face lost when the radius shrinks by one lives in the window
     ``{x, x+2, ..., x+2r}`` for a unique x and contains both endpoints
     (positions 0 and r).  ``faces[t]`` is the face whose inner positions
     1..r-1 are the set bits of ``t << 1``; it is the face without its lowest
-    inner position plus that vertex.  The face missing only ``x+2`` pairs
-    with the full window; any other face pairs across membership of the
+    inner position plus that vertex.  The face missing only ``2`` pairs with
+    the full window; any other face pairs across membership of the
     predecessor of its largest missing entry: ``gap`` is its highest clear
     inner position, and its partner flips position gap-1.  The result is a
-    perfect matching per window."""
+    perfect matching on the window."""
     _check_cycle(m, r)
     full = (1 << r - 1) - 1  # every inner position
-    pairs, domain = [], []
-    for x in range(m):
-        bit = [1 << (x + 2 * i) % m for i in range(r + 1)]
-        faces = [bit[0] | bit[r]]
-        for t in range(1, full + 1):
-            low = t & -t
-            faces.append(faces[t ^ low] | bit[low.bit_length()])
-        domain += faces
-        pairs.append((faces[full ^ 1], faces[full]))  # drop x+2
-        for t in range(full - 1):  # the rest, below those two
-            gap = (full & ~t).bit_length()
-            if t << 1 >> gap - 1 & 1:
-                pairs.append((faces[t ^ 1 << gap - 2], faces[t]))
-    return pairs, domain
+    bit = [1 << 2 * i for i in range(r + 1)]  # 2r < m, so no wrap
+    faces = [bit[0] | bit[r]]
+    for t in range(1, full + 1):
+        low = t & -t
+        faces.append(faces[t ^ low] | bit[low.bit_length()])
+    pairs = [(faces[full ^ 1], faces[full])]  # drop 2
+    for t in range(full - 1):  # the rest, below those two
+        gap = (full & ~t).bit_length()
+        if t << 1 >> gap - 1 & 1:
+            pairs.append((faces[t ^ 1 << gap - 2], faces[t]))
+    return pairs, faces
 
 
-def _as_matching(pairs, domain):
-    # masks over the cycle's vertices 0..m-1 as sorted label tuples
-    pairs = sorted((tuple(_bits(t)), tuple(_bits(s))) for t, s in pairs)
-    return MorseMatching(tuple(pairs), frozenset(tuple(_bits(x)) for x in domain))
+def _rotate(x, k, m):
+    # vertex mask x over the m-cycle turned by v -> v + k, for 0 <= k < m
+    return (x << k | x >> m - k) & (1 << m) - 1
+
+
+def _as_matching(m, pairs, domain):
+    # window 0's masks, rotated onto every window, as sorted label tuples
+    def labels(x, k):
+        return tuple(_bits(_rotate(x, k, m)))
+    pairs = sorted((labels(t, k), labels(s, k)) for t, s in pairs for k in range(m))
+    return MorseMatching(tuple(pairs), frozenset(labels(x, k) for x in domain for k in range(m)))
 
 
 def cycle_matching(m, r):
     """Matching on the faces of the radius-r complex of the m-cycle that span
     a full diameter window (the faces lost when the radius shrinks by one),
     as sorted label tuples with the pairs sorted; see ``_window_pairs``."""
-    return _as_matching(*_window_pairs(m, r))
+    return _as_matching(m, *_window_pairs(m, r))
 
 
 @dataclass(frozen=True)
@@ -149,14 +158,41 @@ def collapse(K, matching, limit=None):
     if len(set(named)) < len(named):
         twice = Counter(named).most_common(1)[0][0]
         raise ValueError(f"matching names a face twice: {K.face_labels(_bits(twice))}")
-    return _collapse(K, pairs, limit)
+    return _relabelled(K, _collapse(K, pairs, limit))
+
+
+def _relabelled(K, facets):
+    # the complex of vertex masks facets over K's indices, maximal and
+    # distinct, on the labels they hold in sorted order
+    facets = [[K.vertices[i] for i in _bits(x)] for x in facets]
+    vertices = sorted_labels({v for f in facets for v in f})
+    new = {v: i for i, v in enumerate(vertices)}
+    return SimplicialComplex._from_indexed(vertices, (sorted(map(new.get, f)) for f in facets))
+
+
+def _maximal(faces, n):
+    # the maximal ones among vertex masks over n vertices, each once; a face
+    # is first tried against the kept face that held the last one dropped
+    kept, inside, last = [], [0] * n, 0  # inside: the kept faces holding each vertex
+    for x in sorted(faces, key=int.bit_count, reverse=True):
+        if x & last == x:
+            continue
+        holders = reduce(operator.and_, map(inside.__getitem__, _bits(x)))
+        if holders:
+            last = kept[holders.bit_length() - 1]
+            continue
+        for i in _bits(x):
+            inside[i] |= 1 << len(kept)
+        kept.append(x)
+    return kept
 
 
 def _collapse(K, pairs, limit):
     """``collapse`` on pairs of vertex masks over K's indices, none named
-    twice.  A lower face's holding mask is the AND of its vertices' facet
-    masks, its partner's that AND with one more; its link is the union of its
-    holding facets' spans, less itself, formed once per holding set.
+    twice, to the new facets as vertex masks.  A lower face's holding mask
+    is the AND of its vertices' facet masks, its partner's that AND with one
+    more; its link is the union of its holding facets' spans, less itself,
+    formed once per holding set.
 
     A return proves the matching acyclic (Forman 1998, "Morse theory for cell
     complexes"): a pair (tau, sigma) goes only when sigma is tau's one live
@@ -214,17 +250,7 @@ def _collapse(K, pairs, limit):
                     lost.add(sub)
     if len(gone) < 2 * len(pairs):
         raise CollapseError(f"{2 * len(pairs) - len(gone)} matched faces could not be collapsed")
-    facets, inside = [], [0] * K.n_vertices  # new facets; those holding each vertex
-    for x in sorted([s for s in spans if s not in gone] + list(lost - gone),
-                    key=int.bit_count, reverse=True):
-        if not reduce(operator.and_, map(inside.__getitem__, _bits(x))):
-            for i in _bits(x):
-                inside[i] |= 1 << len(facets)
-            facets.append(x)
-    facets = [[K.vertices[i] for i in _bits(x)] for x in facets]
-    vertices = sorted_labels({v for f in facets for v in f})
-    new = {v: i for i, v in enumerate(vertices)}
-    return SimplicialComplex._from_indexed(vertices, (sorted(map(new.get, f)) for f in facets))
+    return _maximal([s for s in spans if s not in gone] + list(lost - gone), K.n_vertices)
 
 
 def _check_cycle(m, r):
@@ -235,8 +261,34 @@ def _check_cycle(m, r):
 
 
 def _tower(m, r, limit):
-    # collapse_cycle_tower one stage at a time: ((pairs, domain) as vertex
-    # masks, report, complex after)
+    """``collapse_cycle_tower`` one stage at a time: window 0's (pairs,
+    domain) as vertex masks, the stage's report, and the complex after.
+
+    A stage at radius r' collapses window 0 alone and rotates what is left.
+    It checks that window 0's pairs are perfect on its domain, every face of
+    which holds the bottom face {0, 2r'}; that the stage complex's facets
+    are closed under the rotation v -> v + 1; and that the bottom face lies
+    in one facet only, window 0's top face {0, 2, ..., 2r'}.  Then:
+
+    - every face of the domain lies in the top face only, as every facet
+      holding it holds the bottom face; so do its cofacets, which hold it
+      too, and they are in the domain: the domain is closed under cofacets;
+    - the rotations permute the facets, so they are automorphisms of the
+      stage complex, and rotation by x carries window 0's domain, pairs,
+      bottom and top faces onto window x's;
+    - two windows' domains are disjoint: a face in both would have both top
+      faces as its only facet, and top faces of distinct windows differ
+      (halving mod m turns them into arcs of r' + 1 < m vertices with
+      distinct starts).
+
+    A face of window x's domain thus has the same cofacets as its rotation
+    to window 0, in the stage complex and in the one-facet complex of the
+    top face alike, and removals in other windows touch none of them: the
+    stage collapses if and only if window 0 collapses on that one-facet
+    complex, and leaves the faces outside every domain.  Their facets are
+    the maximal faces among the rotations of window 0's surviving facets
+    and the stage facets in no domain, those that are no top face (a facet
+    in window x's domain holds x's bottom face, so it is x's top face)."""
     _check_cycle(m, r)
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
     current = neighborhood_complex(make_cycle(m), r)
@@ -250,25 +302,41 @@ def _tower(m, r, limit):
         if (len(distinct) < len(faces) or distinct != set(domain)
                 or not all(t & s == t and (s ^ t).bit_count() == 1 for t, s in pairs)):
             raise CollapseError(f"stage r={rr}: matching not perfect")
+        bottom, top = 1 | 1 << 2 * rr, sum(1 << 2 * i for i in range(rr + 1))
+        if any(f & bottom != bottom for f in distinct):
+            raise CollapseError(f"stage r={rr}: a matched face misses window 0's bottom face")
         if current.vertices != tuple(range(m)):  # so that labels are indices
             raise CollapseError(f"stage r={rr}: vertices are not 0..{m - 1}")
+        spans = {sum(1 << v for v in f) for f in current.facets}
+        if {_rotate(x, 1, m) for x in spans} != spans:
+            raise CollapseError(f"stage r={rr}: facets not closed under rotation")
+        holding = [x for x in spans if x & bottom == bottom]
+        if holding != [top]:
+            raise CollapseError(f"stage r={rr}: window 0's bottom face lies in "
+                                f"{len(holding)} facets, not in its top face alone")
+        window = SimplicialComplex._from_indexed(current.vertices, [tuple(_bits(top))])
         try:
-            current = _collapse(current, pairs, limit)  # certifies acyclic and present
+            left = _collapse(window, pairs, limit)  # certifies acyclic and present
         except (ValueError, CollapseError) as exc:
             raise type(exc)(f"stage r={rr}: {exc}") from None
+        tops = {_rotate(top, k, m) for k in range(m)}
+        current = _relabelled(current, _maximal(
+            [_rotate(x, k, m) for x in left for k in range(m)] + list(spans - tops), m))
         report = MatchingReport((), (), (), ()).to_json_obj()  # what the checks proved
-        yield (pairs, domain), {"radius": rr, "pairs": len(pairs), "acyclic": True,
+        yield (pairs, domain), {"radius": rr, "pairs": m * len(pairs), "acyclic": True,
                                 "verification": report}, current
 
 
 def collapse_cycle_tower(m, r, limit=None):
     """Collapse the radius-r complex of the m-cycle down the radius tower to
-    radius 1.  Each stage's window masks must name every face of the
-    stage's domain once, in codimension-1 pairs, and its complete collapse
-    proves the matching acyclic and present; only facets pass between
-    stages.  ``limit`` bounds each stage's matched faces, checked before its
-    matching is built.  Returns the final complex and one report dict per
-    stage, each carrying its matching's (perfect) verification report."""
+    radius 1.  Each stage's window-0 masks must name every face of window
+    0's domain once, in codimension-1 pairs, and window 0's complete
+    collapse proves the matching acyclic and present; the rotations carry
+    it onto the other windows, which are never built (``_tower``), and only
+    facets pass between stages.  ``limit`` bounds each stage's matched faces
+    on all windows, checked before window 0's are built.  Returns the final
+    complex and one report dict per stage, each carrying its matching's
+    (perfect) verification report."""
     stages = []
     for _, stage, final in _tower(m, r, limit):
         stages.append(stage)

@@ -252,7 +252,9 @@ def _colour_cap(balls):
     bounds for the chromatic number"; Lovasz 1978).  m is DSATUR's count,
     proper by construction, then one fewer while ``hom_search`` finds, within
     4 expansions per vertex, a colouring with one colour fewer that
-    ``validate_hom`` passes."""
+    ``validate_hom`` passes.  The search stops at the size of a greedy
+    clique, grown from the largest balls down, and does not run when that
+    clique already has m vertices."""
     n = len(balls)
     colour, seen = [-1] * n, [0] * n  # seen[x]: the colours on x's ball, a mask
     for _ in range(n):
@@ -262,13 +264,19 @@ def _colour_cap(balls):
         for y in balls[x]:
             seen[y] |= 1 << c
     m = max(colour, default=-1) + 1
-    Gr = Graph(range(n), [(x, y) for x in range(n) for y in balls[x] if x < y])
-    while m > 2:
-        K = Graph(range(m - 1), combinations(range(m - 1), 2))
-        out = hom_search(Gr, K, 4 * n)
-        if not (out.found and validate_hom(out.mapping, Gr, K)):
-            break
-        m -= 1
+    clique = []
+    for x in sorted(range(n), key=lambda x: -len(balls[x])):
+        if all(y in balls[x] for y in clique):
+            clique.append(x)
+    floor = max(2, len(clique))  # no colouring has fewer colours than a clique
+    if m > floor:
+        Gr = Graph(range(n), [(x, y) for x in range(n) for y in balls[x] if x < y])
+        while m > floor:
+            K = Graph(range(m - 1), combinations(range(m - 1), 2))
+            out = hom_search(Gr, K, 4 * n)
+            if not (out.found and validate_hom(out.mapping, Gr, K)):
+                break
+            m -= 1
     return max(m - 2, 0)
 
 

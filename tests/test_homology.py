@@ -5,6 +5,7 @@ import sys
 import time
 from collections import defaultdict, deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from nbhd import (
 )
 from nbhd import HomologyResult, Presentation, gf2
 from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
-from nbhd.homology import _forest_rank, _level_homology, _snf_factors
+from nbhd.homology import _contracted, _forest_rank, _level_homology, _merge, _snf_factors
 from snf_oracle import textbook_snf
 
 
@@ -685,18 +686,27 @@ class TestLattice:
                     min_size=1, max_size=10), st.data())
     @settings(max_examples=150, deadline=None)
     def test_counts_alone_choose_the_model(self, faces, data):
-        # the chains are reduced exactly when they are fewer than the faces
-        # and within the limit; past it in both, the face guard trips
+        # on the contracted complex, the one reduced, the chains are reduced
+        # exactly when they are fewer than the faces and within the limit;
+        # past it in both, the face guard trips
         K = SimplicialComplex.from_faces(faces)
-        chains, n_faces = _sizes(*lattice_levels(K))
+        C = _contracted(K)
+        chains, n_faces = _sizes(*lattice_levels(C))
         limit = data.draw(st.integers(0, max(chains, n_faces) + 1))
-        fresh = SimplicialComplex(K.vertices, K.facets)
-        if min(chains, n_faces) > limit:
-            with pytest.raises(ResourceLimitError, match="face enumeration"):
-                homology(fresh, limit)
-            return
-        assert homology(fresh, limit) == uncleared_homology(K)
-        assert (fresh._faces is None) == (chains < n_faces and chains <= limit)
+        fresh, reduced = SimplicialComplex(K.vertices, K.facets), []
+
+        def recording(K):
+            reduced.append(_contracted(K))
+            return reduced[-1]
+
+        with mock.patch.object(sys.modules["nbhd.homology"], "_contracted", recording):
+            if min(chains, n_faces) > limit:
+                with pytest.raises(ResourceLimitError, match="face enumeration"):
+                    homology(fresh, limit)
+                return
+            assert homology(fresh, limit) == uncleared_homology(K)
+        assert [(R.vertices, R.facets) for R in reduced] == [(C.vertices, C.facets)]
+        assert (reduced[0]._faces is None) == (chains < n_faces and chains <= limit)
 
     def test_a_one_element_lattice_is_a_point(self):
         K = full_simplex(4)
@@ -718,6 +728,114 @@ class TestLattice:
         factors = _snf_factors(rows, cols, set())
         kept = (e for c, e in enumerate(edges) if c not in cleared)
         assert _forest_rank(kept) == len(factors) and set(factors) <= {1}
+
+
+def contracted_homology(K):
+    """The groups of ``K`` read from the faces of ``_contracted(K)``, with no
+    model chosen, padded to ``K``'s dimension."""
+    return _level_homology(list(_contracted(K).faces().values()), K.dim + 1)
+
+
+def merge_dropping_a(facets, star, a, b):
+    """Mutation of ``_merge``: a facet that held b and not a loses b and
+    does not gain a."""
+    alone = star[b] - star[a]
+    touched = _merge(facets, star, a, b)
+    for j in alone:
+        if facets[j]:
+            facets[j] &= ~(1 << a)
+            star[a].discard(j)
+    return touched
+
+
+class TestContraction:
+    """``homology`` first contracts every edge that meets the link condition;
+    the uncleared reduction of the uncontracted complex is the reference."""
+
+    @given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=5),
+                    min_size=0, max_size=14))
+    @settings(max_examples=300, deadline=None)
+    def test_random_complexes_match_uncontracted(self, faces):
+        K = SimplicialComplex.from_faces(faces)
+        C = _contracted(K)
+        SimplicialComplex(C.vertices, C.facets)  # facets non-nested and distinct
+        assert set(C.vertices) <= set(K.vertices)
+        assert contracted_homology(K) == homology(K) == uncleared_homology(K)
+
+    @given(small_graphs(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_random_neighborhood_complexes(self, G, r):
+        K = neighborhood_complex(G, r)
+        assert contracted_homology(K) == uncleared_homology(K)
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CASES))
+    def test_torsion_cases(self, name):
+        build, groups = TORSION_CASES[name]
+        K = build()
+        assert contracted_homology(K).groups == homology(K).groups == groups
+
+    def test_rp2_has_no_contractible_edge(self):
+        # every two of its 6 vertices span an edge, whose link is two
+        # vertices, while the links of its ends share four
+        K = rp2_complex()
+        assert _contracted(K) is K
+
+    @pytest.mark.parametrize("K, facets", [
+        (simplex_boundary(3), 4),  # every edge fails the pairwise check alone
+        (full_simplex(4), 1),  # one facet: a point
+        (SimplicialComplex.from_faces([(k, (k + 1) % 6) for k in range(6)]), 3),  # a hexagon
+    ], ids=["tetrahedron boundary", "simplex", "hexagon"])
+    def test_facets_left(self, K, facets):
+        assert len(_contracted(K).facets) == facets
+
+    def test_cycle_complexes_shrink_to_a_few_facets(self):
+        for m, r in [(17, 7), (31, 13)]:
+            C = _contracted(neighborhood_complex(make_cycle(m), r))
+            assert len(C.facets) <= 7 and homology(C).betti_vector[:2] == (1, 1)
+
+    def test_skipping_the_pairwise_check_fails(self, monkeypatch):
+        # the tetrahedron boundary passes the star test on every edge; only
+        # the pairwise check keeps its sphere
+        monkeypatch.setattr(sys.modules["nbhd.homology"], "_link_condition", lambda *args: True)
+        K = simplex_boundary(3)
+        assert homology(K) != uncleared_homology(K)
+
+    def test_a_merged_facet_dropping_a_fails(self, monkeypatch):
+        # the hexagon's edges all contract; the cycle breaks once a merged
+        # edge keeps only its far end
+        monkeypatch.setattr(sys.modules["nbhd.homology"], "_merge", merge_dropping_a)
+        K = SimplicialComplex.from_faces([(k, (k + 1) % 6) for k in range(6)])
+        assert homology(K) != uncleared_homology(K)
+
+
+class TestReach:
+    """Complexes that contract to a few facets: known answers within a
+    second of CPU time each."""
+
+    @staticmethod
+    def timed(K):
+        start = time.process_time()
+        h = homology(K)
+        assert time.process_time() - start < 1.0
+        return h
+
+    def test_cycle_31_radius_13(self):
+        h = self.timed(neighborhood_complex(make_cycle(31), 13))
+        assert h.groups == ((1, ()), (1, ())) + ((0, ()),) * 12
+
+    def test_mycielskian_cubed_is_a_4_sphere(self):
+        # N(M^3(C5)) ~ S^4 (Csorba 2008)
+        G = make_cycle(5)
+        for _ in range(3):
+            G = mycielskian(G)
+        K = neighborhood_complex(G, 1)
+        h = self.timed(K)
+        assert h.betti_vector == (1, 0, 0, 0, 1) + (0,) * (K.dim - 4)
+        assert not any(t for _, t in h.groups)
+
+    def test_cycle_4001_radius_2(self):
+        h = self.timed(neighborhood_complex(make_cycle(4001), 2))
+        assert h.groups == ((1, ()), (1, ()), (0, ()))
 
 
 class TestPairCells:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,15 @@ class TestTower:
         for _, stage, K in stages:
             assert K == neighborhood_complex(make_cycle(m), stage["radius"] - 1)
 
+    def test_cycle_31_radius_13_reaches_the_rim(self):
+        # 31 * 2^12 matched faces at the top stage, of which window 0 holds
+        # 2^12
+        start = time.process_time()
+        final, stages = collapse_cycle_tower(31, 13)
+        assert time.process_time() - start < 1.0
+        assert final == neighborhood_complex(make_cycle(31), 1)
+        assert [s["pairs"] for s in stages] == [31 << (r - 2) for r in range(13, 1, -1)]
+
     def test_collapse_preserves_homology(self):
         # same groups in every dimension (the start complex has trivial
         # homology above the circle)
@@ -432,8 +442,9 @@ class TestTowerGuards:
 
 
 def patch_stage(monkeypatch, stage, mutate):
-    """Make ``_window_pairs`` hand the tower ``mutate(pairs, domain)`` at
-    radius ``stage`` and the true masks at every other radius."""
+    """Make ``_window_pairs`` hand the tower ``mutate(pairs, domain)`` of
+    window 0's masks at radius ``stage`` and the true masks at every other
+    radius."""
     module = sys.modules["nbhd.morse"]
     plain = module._window_pairs
 
@@ -445,10 +456,14 @@ def patch_stage(monkeypatch, stage, mutate):
 
 
 def swap_partners(pairs, domain):
-    # the first pair (window 0) and the last (window m-1) trade upper faces
-    (t0, s0), (t1, s1) = pairs[0], pairs[-1]
-    assert t0 & s1 != t0 and t1 & s0 != t1
-    return [(t0, s1)] + pairs[1:-1] + [(t1, s0)], domain
+    # window 0's last pair and the first whose lower face neither upper face
+    # holds trade upper faces; at r=2 the window has one pair, which is
+    # turned round
+    if len(pairs) == 1:
+        return [pairs[0][::-1]], domain
+    t1, s1 = pairs[-1]
+    i = next(i for i, (t, s) in enumerate(pairs) if t & s1 != t and t1 & s != t1)
+    return pairs[:i] + [(pairs[i][0], s1)] + pairs[i + 1:-1] + [(t1, pairs[i][1])], domain
 
 
 def add_vertex_1(pairs, domain):
@@ -459,9 +474,31 @@ def add_vertex_1(pairs, domain):
     return [(tau | 2, sigma | 2)] + rest, domain
 
 
+def patch_top(monkeypatch, mutate):
+    """Make the tower start from the complex whose facets are
+    ``mutate(facets, m, r)`` of the radius-r complex of the m-cycle, on
+    the same vertices."""
+    module = sys.modules["nbhd.morse"]
+    plain = module.neighborhood_complex
+
+    def patched(G, r):
+        K = plain(G, r)
+        return SimplicialComplex(K.vertices, mutate(list(K.facets), K.n_vertices, r))
+
+    monkeypatch.setattr(module, "neighborhood_complex", patched)
+
+
+def hinge_facets(facets, m, r):
+    # the rotations of {0, 1, 2r} join the windows: window 0's bottom face
+    # {0, 2r} lies in its top face, in {0, 1, 2r} and, when 2r + 1 = m, in
+    # {2r - 1, 2r, 0}
+    return facets + [sorted({x, (x + 1) % m, (x + 2 * r) % m}) for x in range(m)]
+
+
 class TestTowerMutations:
-    """The tower checks the window masks it is handed and collapses on them;
-    a broken stage is refused with its radius named."""
+    """The tower checks window 0's masks it is handed and the stage complex's
+    symmetry, and collapses window 0 alone; a broken stage is refused with
+    its radius named."""
 
     @pytest.mark.parametrize("stage", [5, 2])
     @pytest.mark.parametrize("mutate", [
@@ -480,3 +517,27 @@ class TestTowerMutations:
         with pytest.raises(ValueError, match=rf"^stage r={stage}: matching mentions a face "
                                              r"outside the complex"):
             collapse_cycle_tower(11, 5)
+
+    @pytest.mark.parametrize("stage", [5, 2])
+    def test_faces_off_the_bottom_face_are_refused(self, monkeypatch, stage):
+        # without vertex 0 every face is still named once, in cofacet pairs,
+        # but the faces may have cofacets in other windows
+        patch_stage(monkeypatch, stage, lambda p, d: ([(t ^ 1, s ^ 1) for t, s in p],
+                                                      [f ^ 1 for f in d]))
+        with pytest.raises(CollapseError, match=rf"^stage r={stage}: a matched face misses "
+                                                r"window 0's bottom face$"):
+            collapse_cycle_tower(11, 5)
+
+    @pytest.mark.parametrize("r", [5, 2])
+    def test_stage_not_closed_under_rotation_is_refused(self, monkeypatch, r):
+        patch_top(monkeypatch, lambda facets, m, r: facets[1:])  # one window's facet gone
+        with pytest.raises(CollapseError, match=rf"^stage r={r}: facets not closed under "
+                                                r"rotation$"):
+            collapse_cycle_tower(11, r)
+
+    @pytest.mark.parametrize("r", [5, 2])
+    def test_bottom_face_in_two_facets_is_refused(self, monkeypatch, r):
+        patch_top(monkeypatch, hinge_facets)
+        with pytest.raises(CollapseError, match=rf"^stage r={r}: window 0's bottom face lies in "
+                                                r"[23] facets, not in its top face alone$"):
+            collapse_cycle_tower(11, r)

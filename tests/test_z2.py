@@ -47,6 +47,7 @@ from nbhd.z2 import (
     _height,
     _orbit_labelled,
 )
+import colour_cap_oracle
 from quotient_oracle import (
     CochainZ2,
     QuotientStructureError,
@@ -565,6 +566,25 @@ def graphs_and_odd_radii(draw):
 
 
 class TestColourCap:
+    @given(graphs_and_odd_radii())
+    @settings(max_examples=200, deadline=None)
+    def test_the_clique_floor_keeps_the_cap(self, case):
+        G, r = case
+        bs = balls(G, r)
+        assert z2._colour_cap(bs) == colour_cap_oracle.colour_cap(bs)
+
+    def test_no_search_when_a_clique_has_dsatur_count(self, monkeypatch):
+        # G_3 of C5 is K5: DSATUR's 5 colours meet a 5-clique, so a search
+        # for 4 colours could only fail
+        searches = []
+        monkeypatch.setattr(z2, "hom_search",
+                            lambda G, H, budget: searches.append(H.n_vertices) or
+                            hom_search(G, H, budget))
+        assert z2._colour_cap(balls(make_cycle(5), 3)) == 3
+        assert searches == []
+        assert z2._colour_cap(balls(make_kneser(8, 3), 1)) == 2  # a 2-clique; 4 colours found
+        assert searches == [4, 3]
+
     @given(graphs_and_odd_radii())
     @settings(max_examples=150, deadline=None)
     def test_capped_height_is_the_uncapped_height(self, case):
