@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Drive the library end to end on the worked desk-scale examples and print a
 compact report: sphere complexes from tight odd cycles, the Kneser sphere,
+Kneser and cycle spheres answered from their facets,
 matching/collapse towers (one window per stage), edge contraction before
 homology, swap heights (box-complex heights read up to a
 colouring's cap), pair-space homology (reduced as the r-neighborhood complex)
@@ -66,6 +67,22 @@ def main():
     h = homology(K)
     print(f"  odd girth {odd_girth(petersen)}, complex {K}")
     print(f"  betti {h.betti_vector}, homological connectivity {homology_connectivity(K)}")
+
+    section("Kneser and cycle spheres as boundaries of simplices")
+    # each is the boundary of a simplex: n facets of n - 1 vertices on n
+    # vertices, so homology reads none of the complex's faces
+    for name, g, r, d in (("K(7,3)", make_kneser(7, 3), 5, 33),
+                          ("K(9,4)", make_kneser(9, 4), 7, 124),
+                          ("C_9", make_cycle(9), 7, 7), ("C_31", make_cycle(31), 29, 29)):
+        K = neighborhood_complex(g, r)
+        t = time.perf_counter()
+        h = homology(K)
+        elapsed = time.perf_counter() - t
+        dims = [i for i, b in enumerate(h.betti_vector) if b]
+        print(f"  N_{r}({name}): {len(K.facets)} facets, betti 1 in dimensions {dims}, "
+              f"S^{d} in {elapsed:.4f}s")
+        assert h.groups == ((1, ()),) + ((0, ()),) * (d - 1) + ((1, ()),)
+        assert K._faces is None
 
     section("matching and collapse towers")
     for m, r in ((7, 2), (9, 3), (11, 4), (13, 5)):

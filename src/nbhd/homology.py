@@ -22,8 +22,10 @@ invariant factors, stay the same.  Pivots of the non-unit pass are not units
 and clear nothing.  The boundary of dimension 1 is a graph's incidence
 matrix, ranked by a union-find with no arithmetic.
 
-Every edge ab that meets the link condition lk(a) & lk(b) = lk(ab) is
-contracted first, which keeps the homotopy type (``_contracted``); it works
+The boundary of a simplex, the paper's Kneser and cycle spheres among them,
+is answered from its facets, and none of its faces is read (``homology``).
+In any other complex, every edge ab that meets the link condition
+lk(a) & lk(b) = lk(ab) is contracted first, which keeps the homotopy type (``_contracted``); it works
 on facet masks and per-vertex facet lists, and reads no face, so a
 cycle-like complex shrinks to a few facets: N_7(C17) from 17 to 7.  The
 complex left is reduced on its faces, or on the order complex of L, the
@@ -267,16 +269,20 @@ def homology(K, limit=None):
     """Unreduced integral homology of ``K`` in every dimension 0..dim, with
     the boundary matrices reduced from the top down and the columns that a
     unit pivot one dimension up already paired cleared; the boundary of
-    dimension 1 is ranked by a union-find.  ``K`` is first contracted along
-    every edge that meets the link condition (``_contracted``), then the
-    complex left is reduced on its faces, or on the chains of its
-    facet-intersection lattice when those are fewer (``_levels``); ``limit``
-    bounds the faces or chains of the complex actually reduced.
+    dimension 1 is ranked by a union-find.  A complex with n facets of n - 1
+    vertices each on n vertices is the boundary of a simplex, S^(n-2), and is
+    answered with no face read and no matrix reduced, whatever ``limit``:
+    N_3(Petersen), N_5(K(7,3)) = S^33, N_7(K(9,4)) = S^124 and N_(m-2)(C_m)
+    for odd m.  Any other ``K`` is first contracted along every edge that
+    meets the link condition (``_contracted``), then the complex left is
+    reduced on its faces, or on the chains of its facet-intersection lattice
+    when those are fewer (``_levels``); ``limit`` bounds the faces or chains
+    of the complex actually reduced.
 
     The order complex of ``pair_poset(G, r)`` is reduced as
-    N_r(G) = ``neighborhood_complex(G, r)``, through the same contraction
-    and choice and under the same ``limit``, and its chains are never
-    listed.  Exactly:
+    N_r(G) = ``neighborhood_complex(G, r)``, through the same check,
+    contraction and choice and under the same ``limit``, and its chains are
+    never listed.  Exactly:
     let H be the graph on G's vertices with x ~ y iff y is an exact-r walk
     from x, loops included (x ~ x when a closed walk of length r starts at
     x).  The faces of N_r(G) are the vertex sets with a common H-neighbour,
@@ -289,10 +295,13 @@ def homology(K, limit=None):
     (A, B) <= (A, B | C) >= (A, C) <= (s, C), none of which needs A and B
     disjoint.  The Betti vector is padded with zero groups to the pair
     space's dimension, max(|A| + |B|) - 2."""
-    if K._pairs is None:
-        return _level_homology(_levels(_contracted(K), limit), K.dim + 1)
-    G, r, dim = K._pairs
-    return _level_homology(_levels(_contracted(neighborhood_complex(G, r)), limit), dim + 1)
+    G, r, dim = K._pairs or (None, None, K.dim)
+    K = neighborhood_complex(G, r) if K._pairs else K
+    n = len(K.facets)
+    # n distinct facets of n - 1 of the n vertices: the boundary of a simplex
+    if n > 1 and all(len(f) == n - 1 for f in K.facets) and len(set().union(*K.facets)) == n:
+        return HomologyResult(tuple(((i == 0) + (i == n - 2), ()) for i in range(dim + 1)))
+    return _level_homology(_levels(_contracted(K), limit), dim + 1)
 
 
 def _level_homology(levels, width):
@@ -505,16 +514,8 @@ class Presentation:
     relators: tuple  # words: tuples of (generator index, exponent)
 
     def relator_strings(self):
-        out = []
-        for word in self.relators:
-            out.append(
-                "*".join(
-                    self.generators[g] + ("" if e == 1 else f"^{e}")
-                    for g, e in word
-                )
-                or "1"
-            )
-        return tuple(out)
+        return tuple("*".join(self.generators[g] + ("" if e == 1 else f"^{e}") for g, e in word)
+                     or "1" for word in self.relators)
 
 
 def edge_path_presentation(K, v, limit=None):
@@ -566,13 +567,10 @@ def abelianize(pres):
     """Free rank and torsion of the abelianization: Smith form of the relator
     exponent matrix.  Matches H_1 of the complex the presentation came from."""
     g = len(pres.generators)
-    if g == 0:
-        return 0, ()
     entries = {}
     for ri, word in enumerate(pres.relators):
         for gi, e in word:
             entries[(ri, gi)] = entries.get((ri, gi), 0) + e
-    entries = {k: v for k, v in entries.items() if v}
     factors, rank = smith_normal_form(entries, (len(pres.relators), g))
     return g - rank, tuple(f for f in factors if f > 1)
 

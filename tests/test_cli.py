@@ -112,12 +112,31 @@ class TestHomology:
     def test_graph_without_radius_fails(self, petersen_file):
         assert main(["homology", petersen_file]) == 2
 
+    # N_2(Petersen) is reduced on 635 faces or chains; N_3(Petersen), the
+    # boundary of a 9-simplex, is answered from its facets and reads no face
     def test_face_limit_env(self, petersen_file, monkeypatch):
         monkeypatch.setenv("NBHD_LIMIT_FACES", "50")
-        assert main(["homology", petersen_file, "-r", "3"]) == 3
+        assert main(["homology", petersen_file, "-r", "2"]) == 3
 
     def test_face_limit_flag(self, petersen_file):
-        assert main(["homology", petersen_file, "-r", "3", "--limit-faces", "50"]) == 3
+        assert main(["homology", petersen_file, "-r", "2", "--limit-faces", "50"]) == 3
+
+    def test_simplex_boundary_passes_a_zero_limit(self, petersen_file, monkeypatch):
+        assert main(["homology", petersen_file, "-r", "3", "--limit-faces", "0"]) == 0
+        monkeypatch.setenv("NBHD_LIMIT_FACES", "0")
+        assert main(["homology", petersen_file, "-r", "3"]) == 0
+        assert main(["homology", petersen_file, "-r", "2"]) == 3
+
+    def test_kneser_7_3_radius_5_is_a_33_sphere(self, capsys, tmp_path):
+        path = tmp_path / "k73.json"
+        save_graph(make_kneser(7, 3), path)
+        for extra in ([], ["--limit-faces", "1"]):
+            code, report = run_json(capsys, ["homology", str(path), "-r", "5", *extra])
+            assert code == 0
+            rows = report["result"]["homology"]
+            assert [r["dim"] for r in rows if r["betti"]] == [0, 33]
+            assert all(r["betti"] == 1 for r in rows if r["betti"])
+            assert all(r["torsion"] == [] for r in rows)
 
 
 class TestBposet:
@@ -243,7 +262,7 @@ def test_malformed_json_shape_is_an_input_error(tmp_path, capsys, command, obj):
 
 
 @pytest.mark.parametrize("argv,stage", [
-    (["homology", "{petersen}", "-r", "3", "--limit-faces", "50"], "face enumeration"),
+    (["homology", "{petersen}", "-r", "2", "--limit-faces", "50"], "face enumeration"),
     (["obstruct", "{k4}", "{c5}", "1", "--exact", "--limit-faces", "3"],
      "orbit-face enumeration"),
     (["complex", "{petersen}", "3", "--limit-faces", "50"], "face enumeration"),
@@ -379,7 +398,11 @@ class TestOptionsWhereRead:
         code, report = run_json(capsys, ["hom-search", c5_file, c5_file, "--budget", "0"])
         assert code == 0 and report["result"] == {
             "status": "budget-exceeded", "expansions": 1, "map": None}
-        assert main(["homology", c5_file, "-r", "3", "--limit-faces", "0"]) == 3
+        # N(C5) is a pentagon, reduced on its faces; N_3(C5), the boundary of
+        # a 4-simplex, is answered from its facets, so a limit of 0 passes
+        # there
+        assert main(["homology", c5_file, "-r", "1", "--limit-faces", "0"]) == 3
+        assert main(["homology", c5_file, "-r", "3", "--limit-faces", "0"]) == 0
 
     @pytest.mark.parametrize("value", ["-1", "many"])
     def test_bad_face_limit_env_rejected(self, value, c5_file, monkeypatch, capsys):

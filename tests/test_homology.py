@@ -32,7 +32,8 @@ from nbhd import (
 )
 from nbhd import HomologyResult, Presentation, gf2
 from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
-from nbhd.homology import _contracted, _forest_rank, _level_homology, _merge, _snf_factors
+from nbhd.homology import (_contracted, _forest_rank, _level_homology, _levels, _merge,
+                           _snf_factors)
 from snf_oracle import textbook_snf
 
 
@@ -444,6 +445,13 @@ class TestHomology:
         assert all(t == () for _, t in h.groups)
 
 
+def face_path(K, limit=None):
+    """``homology`` of a complex with no linked-pair poset, the simplex
+    boundary check left out: the contraction, then its faces or its
+    lattice's chains."""
+    return _level_homology(_levels(_contracted(K), limit), K.dim + 1)
+
+
 def uncleared_homology(K):
     """Oracle: homology from the Smith form of every full boundary matrix of
     K's faces, each reduced on its own with no column cleared."""
@@ -531,8 +539,9 @@ class TestClearing:
         assert uncleared_homology(K).groups == groups
 
     def test_paired_columns_are_not_reduced(self, monkeypatch):
-        # the boundary of the 5-simplex stays on its faces (every proper
-        # face is an intersection of facets) and pairs only by units, so each
+        # the boundary of the 5-simplex, on the face path (``homology``
+        # answers it from its facets), stays on its faces (every proper face
+        # is an intersection of facets) and pairs only by units, so each
         # matrix below the top reaches the reduction with exactly its rank in
         # columns; the boundary of dimension 1 goes to the union-find
         module = sys.modules["nbhd.homology"]
@@ -544,7 +553,7 @@ class TestClearing:
             return snf_factors(rows, cols, pivot_rows)
 
         monkeypatch.setattr(module, "_snf_factors", recording)
-        assert homology(simplex_boundary(5)).betti_vector == (1, 0, 0, 0, 1)
+        assert face_path(simplex_boundary(5)).betti_vector == (1, 0, 0, 0, 1)
         assert seen == [6, 10, 10]
 
 
@@ -652,8 +661,10 @@ class TestLattice:
         assert K._faces is None
 
     def test_faces_are_read_once(self, monkeypatch):
-        # Petersen r=3: every face is a facet intersection, so the faces win
-        # and the read that chose them is the one that fills the cache
+        # Petersen r=3 on the face path (``homology`` answers this simplex
+        # boundary from its facets): every face is a facet intersection, so
+        # the faces win and the read that chose them is the one that fills
+        # the cache
         module = sys.modules["nbhd.complexes"]
         face_levels, calls = module._face_levels, []
 
@@ -663,10 +674,10 @@ class TestLattice:
 
         monkeypatch.setattr(module, "_face_levels", counting)
         K = neighborhood_complex(make_kneser(5, 2), 3)
-        assert homology(K, 1022).betti_vector == (1, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert face_path(K, 1022).betti_vector == (1, 0, 0, 0, 0, 0, 0, 0, 1)
         assert len(calls) == 1 and sum(map(len, K._faces.values())) == 1022
         with pytest.raises(ResourceLimitError, match="face enumeration"):
-            homology(neighborhood_complex(make_kneser(5, 2), 3), 1021)
+            face_path(neighborhood_complex(make_kneser(5, 2), 3), 1021)
 
     @pytest.mark.parametrize("n, k, betti", [
         (6, 2, (1, 0, 19, 0, 0, 0)),
@@ -686,12 +697,15 @@ class TestLattice:
                     min_size=1, max_size=10), st.data())
     @settings(max_examples=150, deadline=None)
     def test_counts_alone_choose_the_model(self, faces, data):
-        # on the contracted complex, the one reduced, the chains are reduced
-        # exactly when they are fewer than the faces and within the limit;
-        # past it in both, the face guard trips
+        # the boundary of a simplex is answered at any limit with nothing
+        # contracted or read; otherwise, on the contracted complex, the one
+        # reduced, the chains are reduced exactly when they are fewer than
+        # the faces and within the limit; past it in both, the face guard
+        # trips
         K = SimplicialComplex.from_faces(faces)
         C = _contracted(K)
         chains, n_faces = _sizes(*lattice_levels(C))
+        boundary = is_simplex_boundary(K)
         limit = data.draw(st.integers(0, max(chains, n_faces) + 1))
         fresh, reduced = SimplicialComplex(K.vertices, K.facets), []
 
@@ -700,11 +714,14 @@ class TestLattice:
             return reduced[-1]
 
         with mock.patch.object(sys.modules["nbhd.homology"], "_contracted", recording):
-            if min(chains, n_faces) > limit:
+            if not boundary and min(chains, n_faces) > limit:
                 with pytest.raises(ResourceLimitError, match="face enumeration"):
                     homology(fresh, limit)
                 return
             assert homology(fresh, limit) == uncleared_homology(K)
+        if boundary:
+            assert reduced == [] and fresh._faces is None
+            return
         assert [(R.vertices, R.facets) for R in reduced] == [(C.vertices, C.facets)]
         assert (reduced[0]._faces is None) == (chains < n_faces and chains <= limit)
 
@@ -795,10 +812,11 @@ class TestContraction:
 
     def test_skipping_the_pairwise_check_fails(self, monkeypatch):
         # the tetrahedron boundary passes the star test on every edge; only
-        # the pairwise check keeps its sphere
+        # the pairwise check keeps its sphere, read from the contracted
+        # complex's faces (``homology`` answers it from its facets)
         monkeypatch.setattr(sys.modules["nbhd.homology"], "_link_condition", lambda *args: True)
         K = simplex_boundary(3)
-        assert homology(K) != uncleared_homology(K)
+        assert contracted_homology(K) != uncleared_homology(K)
 
     def test_a_merged_facet_dropping_a_fails(self, monkeypatch):
         # the hexagon's edges all contract; the cycle breaks once a merged
@@ -863,14 +881,21 @@ class TestPairCells:
         assert homology(order_complex(P)).groups == groups + ((0, ()),) * (width - len(groups))
 
     def test_limit_bounds_the_cells(self):
-        # N_3(C5) is the boundary of a 4-simplex, 30 faces and more chains;
-        # the order complex has 4,200 faces, and they are never listed
-        K = order_complex(pair_poset(make_cycle(5), 3))
-        assert homology(K, 30).betti_vector == (1, 0, 0, 1)
+        # N_3(C7) is reduced on 56 faces or chains, the fewer of its two
+        # models; the order complex's faces are never listed
+        K = order_complex(pair_poset(make_cycle(7), 3))
+        assert homology(K, 56).betti_vector == (1, 1, 0, 0)
         with pytest.raises(ResourceLimitError) as err:
-            homology(K, 29)
-        assert (err.value.count, err.value.limit) == (30, 29)
+            homology(K, 55)
+        assert (err.value.count, err.value.limit) == (56, 55)
         assert "face enumeration" in str(err.value)
+        assert K._faces is None
+
+    def test_a_simplex_boundary_passes_any_limit(self):
+        # N_3(C5), the boundary of a 4-simplex, is answered from its facets;
+        # neither it nor the order complex has a face listed
+        K = order_complex(pair_poset(make_cycle(5), 3))
+        assert homology(K, 0).betti_vector == (1, 0, 0, 1)
         assert K._faces is None
 
     def test_kneser_7_2_radius1(self):
@@ -902,6 +927,102 @@ class TestPairCells:
         h = homology(K)
         assert time.process_time() - start < 1.0
         assert h.groups == ((1, ()), (0, ()), (0, ()), (0, ()), (0, ()), (1, ()))
+
+
+@st.composite
+def near_simplex_complexes(draw):
+    """Complexes on 2..8 vertices, most of whose facets have n - 1 or n - 2
+    vertices, with up to two ghost vertices that lie in no facet."""
+    n = draw(st.integers(2, 8))
+    size = st.one_of(st.just(n - 1), st.just(max(n - 2, 1)), st.integers(1, n))
+    faces = draw(st.lists(size.flatmap(
+        lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k)), min_size=1, max_size=8))
+    K = SimplicialComplex.from_faces(faces)
+    ghosts = tuple(("ghost", g) for g in range(draw(st.integers(0, 2))))
+    return SimplicialComplex(K.vertices + ghosts, K.facets)
+
+
+def sphere_groups(d):
+    return ((1, ()),) + ((0, ()),) * (d - 1) + ((1, ()),)
+
+
+def is_simplex_boundary(K):
+    """Oracle: whether the faces of ``K`` are exactly the nonempty proper
+    subsets of the two or more vertices in its facets.  Reads the faces of a
+    copy of ``K``."""
+    V = set().union(*map(set, K.facets))
+    faces = {frozenset(f) for level in chain_model(K).faces().values() for f in level}
+    proper = {frozenset(t) for k in range(1, len(V)) for t in itertools.combinations(V, k)}
+    return len(V) > 1 and faces == proper
+
+
+class TestSimplexBoundary:
+    """The boundary of a simplex is answered from its facets, with no face
+    read and nothing contracted; the uncleared reduction of its faces and
+    ``is_simplex_boundary`` are the references."""
+
+    @given(near_simplex_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_near_simplices_match_uncleared(self, K):
+        contracted = []
+
+        def recording(C):
+            contracted.append(C)
+            return _contracted(C)
+
+        with mock.patch.object(sys.modules["nbhd.homology"], "_contracted", recording):
+            h = homology(K)
+        assert (contracted == []) == is_simplex_boundary(K)
+        assert K._faces is None or contracted
+        assert h == uncleared_homology(K)
+
+    @staticmethod
+    def reads_nothing(monkeypatch, K, d):
+        # no face is read, nothing is contracted and no matrix is reduced
+        def refuse(*args):
+            raise AssertionError("a simplex boundary reached a spied call")
+
+        for name in ("_snf_factors", "_contracted", "_levels"):
+            monkeypatch.setattr(sys.modules["nbhd.homology"], name, refuse)
+        monkeypatch.setattr(sys.modules["nbhd.complexes"], "_face_levels", refuse)
+        assert homology(K, 0).groups == sphere_groups(d) and K.dim == d
+        assert K._faces is None
+
+    @pytest.mark.parametrize("G, r, d", [
+        *((make_cycle(m), m - 2, m - 2) for m in range(3, 32, 2)),
+        (make_kneser(5, 2), 3, 8), (make_kneser(7, 3), 5, 33), (make_kneser(9, 4), 7, 124),
+    ], ids=[f"C{m} r={m - 2}" for m in range(3, 32, 2)]
+       + ["Petersen r=3", "K(7,3) r=5", "K(9,4) r=7"])
+    def test_simplex_boundaries_read_nothing(self, monkeypatch, G, r, d):
+        self.reads_nothing(monkeypatch, neighborhood_complex(G, r), d)
+
+    def test_a_ghost_vertex_is_not_counted(self, monkeypatch):
+        K = SimplicialComplex(range(6), simplex_boundary(4).facets)  # vertex 5 is in no facet
+        self.reads_nothing(monkeypatch, K, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_one_facet_short_is_a_disk(self, n):
+        # n - 1 of the n facets of the boundary of a simplex: a disk, which
+        # the contraction and the faces answer
+        K = SimplicialComplex(range(n), simplex_boundary(n - 1).facets[1:])
+        assert homology(K) == uncleared_homology(K)
+        assert homology(K).betti_vector == (1,) + (0,) * (n - 2)
+
+    def test_a_cone_of_near_facets_is_contracted(self):
+        # the facets V - v for v in 0..22 on 46 vertices all hold 23..45:
+        # a cone, which the contraction takes to a point from its facets
+        k = 23
+        K = SimplicialComplex(range(2 * k), [tuple(v for v in range(2 * k) if v != s)
+                                             for s in range(k)])
+        start = time.process_time()
+        assert homology(K).groups == ((1, ()),) + ((0, ()),) * (2 * k - 2)
+        assert time.process_time() - start < 0.5
+
+    def test_kneser_7_3_radius_5_in_a_tenth_of_a_second(self):
+        start = time.process_time()
+        h = homology(neighborhood_complex(make_kneser(7, 3), 5))
+        assert time.process_time() - start < 0.1
+        assert h.groups == sphere_groups(33)
 
 
 # the complexes of the homology benchmark workload, unshuffled, with K(7,2);
