@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .homology import homology
 from .morse import _as_matching, _tower
-from .z2 import obstruction_check
+from .z2 import _kneser_sphere_radius, obstruction_check
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -182,7 +182,7 @@ def _cmd_kneser_table(args):
                 raise ConsistencyError(
                     f"odd girth mismatch for ({n},{k}): formula {formula}, search {bfs}"
                 )
-            r = (k - 1) // (n - 2 * k) if n > 2 * k and (k - 1) % (n - 2 * k) == 0 else None
+            r = _kneser_sphere_radius(n, k)
             rows.append(
                 {
                     "n": n,
@@ -191,7 +191,7 @@ def _cmd_kneser_table(args):
                     "odd_girth": _girth_str(bfs),
                     "odd_girth_formula": _girth_str(formula),
                     "r": r,
-                    "certificate": bool(r is not None and r >= 1),
+                    "certificate": bool(r),  # kneser_certificate takes r >= 1
                 }
             )
     params = {

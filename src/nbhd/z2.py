@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import comb
 
@@ -43,10 +43,6 @@ __all__ = [
     "KneserReport",
     "kneser_certificate",
 ]
-
-# the longest odd cycle C_m that height_bounds tries as a target
-ODD_CYCLE_SCAN = 15
-
 
 @dataclass(frozen=True)
 class Involution:
@@ -319,12 +315,15 @@ def height_bounds(G, r, *, budget=10_000_000):
     """Cheap bounds on the swap height of the linked-pair space at odd radius
     ``r``, without building its order complex.
 
-    Rules: a sphere-sized exact value for tagged Kneser graphs whose
-    parameters put the pair space on a sphere; the exact value ``r`` for the
-    tagged (r+2)-cycle; the lower bound ``r`` whenever the odd girth is
-    exactly ``r + 2``; and the upper bound 1 when the graph maps to some odd
-    cycle longer than ``2r`` (scanned up to ``ODD_CYCLE_SCAN``).  The bounds
-    are kept in the graph's memo, per ``(r, budget)``.
+    Rules: the exact value C(n, k) - 2 for the tagged Kneser graph K(n, k)
+    when its pair space at ``r`` is a sphere (see
+    :func:`_kneser_sphere_radius`); the exact value ``r`` for the tagged
+    (r+2)-cycle; the lower bound ``r`` whenever the odd girth is exactly
+    ``r + 2``; and, when no rule is exact, the upper bound 1 when one
+    ``hom_search`` within ``budget`` expansions maps the graph to
+    C_(2r+1).  That one target is enough: C_m maps onto C_(2r+1) for every
+    odd m >= 2r + 1, so a map to a longer odd cycle is also a map to
+    C_(2r+1).  The bounds are kept in the graph's memo, per ``(r, budget)``.
     """
     key = ("height_bounds", r, budget)
     if key not in G._memo:
@@ -336,28 +335,28 @@ def _height_bounds(G, r, budget):
     g0 = _require_free(G, r)
     rules = []
     tag = G.tag or ()
-    if tag[:1] == ("kneser",):
-        n, k = tag[1], tag[2]
-        if n > 2 * k and (k - 1) % (n - 2 * k) == 0:
-            rp = (k - 1) // (n - 2 * k)
-            if r == 2 * rp + 1:
-                rules.append(HeightBound("exact", comb(n, k) - 2, "kneser-sphere"))
+    # r is odd, so r // 2 is the r' of radius 2r' + 1
+    if tag[:1] == ("kneser",) and _kneser_sphere_radius(tag[1], tag[2]) == r // 2:
+        rules.append(HeightBound("exact", comb(tag[1], tag[2]) - 2, "kneser-sphere"))
     if tag[:1] == ("cycle",) and tag[1] == r + 2:
         rules.append(HeightBound("exact", r, "cycle-sphere"))
     if g0 == r + 2:
         rules.append(HeightBound("lower", r, "girth-sphere"))
-    if not any(b.kind == "exact" for b in rules):
-        for m in range(2 * r + 1, ODD_CYCLE_SCAN + 1, 2):
-            status = hom_search(G, make_cycle(m), budget).status
-            if status == "found":
-                rules.append(HeightBound("upper", 1, f"maps-to-odd-cycle-C{m}"))
-            # every longer odd cycle maps onto C_m, so a map to one of them
-            # would give a map to C_m; only a budget cut-off keeps scanning
-            if status != "budget-exceeded":
-                break
+    if not any(b.kind == "exact" for b in rules) and hom_search(
+            G, make_cycle(2 * r + 1), budget).found:
+        rules.append(HeightBound("upper", 1, f"maps-to-odd-cycle-C{2 * r + 1}"))
     lower, _ = _best_bound(rules, "lower")
     upper, _ = _best_bound(rules, "upper")
     return HeightBounds(lower, upper, tuple(rules))
+
+
+def _kneser_sphere_radius(n, k):
+    """The r >= 0 with k - 1 = r(n - 2k), or None: the pair space of K(n, k)
+    at radius 2r + 1 is then the sphere S^(C(n, k) - 2).  At r = 0 this is
+    K(n, 1) = K_n at radius 1, the sphere S^(n - 2)."""
+    if 0 < 2 * k < n and (k - 1) % (n - 2 * k) == 0:
+        return (k - 1) // (n - 2 * k)
+    return None
 
 
 def _best_bound(rules, kind):
@@ -378,13 +377,7 @@ class ObstructionReport:
     convention: str = "sup-height"
 
     def to_json_obj(self):
-        return {
-            "verdict": self.verdict,
-            "r": self.r,
-            "lhs": dict(self.lhs),
-            "rhs": dict(self.rhs),
-            "convention": self.convention,
-        }
+        return asdict(self)
 
 
 def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
@@ -435,20 +428,21 @@ class KneserReport:
     detail: dict
 
     def to_json_obj(self):
-        return {"verdict": self.verdict, "rule": self.rule, "detail": dict(self.detail)}
+        return asdict(self)
 
 
 def kneser_certificate(n, k, G, *, budget=10_000_000):
     """Nonexistence certificate for maps out of the (n, k) Kneser graph when
-    its pair space is a sphere (requires ``k - 1 = r(n - 2k)`` with integer
-    ``r >= 1``): NO-MAP when the target has odd girth above ``2r + 1`` and
-    either fewer vertices than the Kneser graph or a height upper bound below
-    the sphere dimension."""
+    its pair space at radius 2r + 1 is a sphere, with ``r`` from
+    :func:`_kneser_sphere_radius`, which must be at least 1: NO-MAP when the
+    target has odd girth above ``2r + 1`` and either fewer vertices than the
+    Kneser graph or a :func:`height_bounds` upper bound below the sphere
+    dimension."""
     if n <= 2 * k:
         raise ValueError("requires n > 2k")
-    if (k - 1) % (n - 2 * k) != 0 or (k - 1) // (n - 2 * k) < 1:
+    r = _kneser_sphere_radius(n, k)
+    if r is None or r < 1:
         raise ValueError("k - 1 must be a positive integer multiple of n - 2k")
-    r = (k - 1) // (n - 2 * k)
     g0 = odd_girth(G)
     sphere_dim = comb(n, k) - 2
     detail = {

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -39,6 +40,7 @@ from nbhd import (
     z2_height,
 )
 from nbhd import z2
+from nbhd.cli import main
 from nbhd.complexes import _face_levels, sorted_labels
 from nbhd.graphs import walk_ball
 from nbhd.z2 import (
@@ -738,6 +740,28 @@ class TestHeightBounds:
         fresh = make_cycle(9)
         assert g == fresh and hash(g) == hash(fresh)
 
+    def test_one_search_when_the_budget_runs_out(self, monkeypatch):
+        # untagged K(7,3) has odd girth 7: no rule is exact at r=3, and C7 is
+        # not reached within the budget; a longer odd cycle maps onto C7, so
+        # no second target is tried
+        targets = []
+
+        def counting_search(G, H, budget):
+            targets.append(H.n_vertices)
+            return hom_search(G, H, budget)
+
+        monkeypatch.setattr(z2, "hom_search", counting_search)
+        hb = height_bounds(untagged(make_kneser(7, 3)), 3, budget=1_000)
+        assert targets == [7]
+        assert hb.lower is None and hb.upper is None
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_complete_graph_is_a_kneser_sphere(self, n):
+        # K(n, 1) = K_n: k - 1 = 0 = 0 * (n - 2), so radius 1 gives S^(n - 2)
+        hb = height_bounds(make_kneser(n, 1), 1)
+        assert HeightBound("exact", n - 2, "kneser-sphere") in hb.rules
+        assert hb.lower == hb.upper == n - 2
+
     @given(st.integers(3, 9), st.sampled_from([0.25, 0.5]), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([1, 3]))
     @settings(max_examples=60, deadline=None)
@@ -826,6 +850,37 @@ class TestKneserCertificate:
         rep2 = kneser_certificate(5, 2, big)
         assert rep2.verdict == "NO-MAP" and rep2.rule == "height-upper"
         assert rep2.detail["height_upper"] == 1
+
+
+class TestKneserSphereCondition:
+    def test_rule_certificate_and_table_agree_on_the_grid(self, capsys):
+        # the pair space of K(n, k) at radius 2r + 1 is a sphere exactly when
+        # k - 1 = r(n - 2k) with r >= 0; the certificate needs r >= 1
+        assert main(["kneser-table", "1", "11", "1", "5", "--json"]) == 0
+        rows = {(row["n"], row["k"]): row
+                for row in json.loads(capsys.readouterr().out)["result"]["rows"]}
+        target = make_cycle(25)  # odd girth above every 2r + 1 on the grid
+        for n in range(1, 12):
+            for k in range(1, min(n, 5) + 1):
+                spheres = [r for r in range(k) if n > 2 * k and k - 1 == r * (n - 2 * k)]
+                G = make_kneser(n, k)
+                g0 = odd_girth(G)
+                for r in range(1, min(g0, 12), 2):
+                    rules = height_bounds(G, r, budget=1).rules
+                    assert ((r // 2 in spheres)
+                            == any(b.rule == "kneser-sphere" for b in rules)), (n, k, r)
+                row = rows[(n, k)]
+                assert row["r"] == (spheres[0] if spheres else None), (n, k)
+                assert row["certificate"] == (spheres not in ([], [0])), (n, k)
+                if n <= 2 * k:
+                    with pytest.raises(ValueError, match="requires n > 2k"):
+                        kneser_certificate(n, k, target)
+                elif spheres in ([], [0]):
+                    with pytest.raises(ValueError, match="positive integer multiple"):
+                        kneser_certificate(n, k, target)
+                else:
+                    rep = kneser_certificate(n, k, target)
+                    assert rep.verdict == "NO-MAP" and rep.detail["r"] == spheres[0]
 
 
 class TestSwapSanity:
