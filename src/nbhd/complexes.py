@@ -6,8 +6,12 @@ Complexes are stored by facets; full face enumeration is on demand, cached,
 and guarded by a face-count limit (default 5,000,000).  It grows each face
 once, in lexicographic order, from per-vertex facet bit masks, and counts it
 as it is made; an order complex lists its maximal chains, its facets, when
-they are first read.  The lattice of a complex's facet intersections and
-the chains of its order complex are built here too, for ``homology``.
+they are first read.  A linked-pair poset builds its elements and covers
+at the first read of either, and an order complex takes its vertices from
+its poset at their first read, so ``homology``, which reads only a pair
+space's ``(G, r, dim)``, builds neither.  The lattice of a complex's facet
+intersections and the chains of its order complex are built here too, for
+``homology``.
 Values are immutable apart from those caches, which a repeated fill leaves
 the same, and are safe to share between readers.
 """
@@ -64,7 +68,7 @@ class SimplicialComplex:
     tuples, pairwise non-nested, in lexicographic order.
     """
 
-    __slots__ = ("vertices", "_facets", "_index", "_faces", "_pairs")
+    __slots__ = ("vertices", "_labels", "_facets", "_index", "_faces", "_pairs")
 
     def __init__(self, vertices, facets):
         vertices = tuple(vertices)
@@ -86,10 +90,20 @@ class SimplicialComplex:
         self._setup(vertices, fs)
 
     def _setup(self, vertices, facets):
-        self.vertices = tuple(vertices)
+        self._labels = vertices
         self._facets = facets if callable(facets) else tuple(sorted(map(tuple, facets)))
-        self._index = {v: i for i, v in enumerate(self.vertices)}
         self._faces = self._pairs = None
+
+    def __getattr__(self, name):
+        # Python calls this only when a normal lookup fails: the first read
+        # of vertices or _index fills both slots, from _labels (called if it
+        # is a function), and every later read is a plain slot read
+        if name not in ("vertices", "_index"):
+            return object.__getattribute__(self, name)  # the usual error
+        labels = self._labels
+        self.vertices = tuple(labels() if callable(labels) else labels)
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        return getattr(self, name)
 
     @classmethod
     def from_faces(cls, faces):
@@ -107,7 +121,8 @@ class SimplicialComplex:
     @classmethod
     def _from_indexed(cls, vertices, facets):
         # trusted path for builders whose facets are known maximal and valid;
-        # a function given as the facets is called when they are first read
+        # a function given as the vertices or the facets is called when they
+        # are first read
         obj = cls.__new__(cls)
         obj._setup(vertices, facets)
         return obj
@@ -321,7 +336,7 @@ class Poset:
     reflexive-transitive closure (acyclicity is validated, which gives
     antisymmetry)."""
 
-    __slots__ = ("elements", "covers", "_pairs")
+    __slots__ = ("elements", "covers", "_pairs", "_build")
 
     def __init__(self, elements, covers):
         elements = tuple(elements)
@@ -350,6 +365,16 @@ class Poset:
         obj = cls.__new__(cls)
         obj.elements, obj.covers, obj._pairs = tuple(elements), tuple(covers), None
         return obj
+
+    def __getattr__(self, name):
+        # Python calls this only when a normal lookup fails: a poset made
+        # with _build, a function, in place of its elements and covers fills
+        # both slots at the first read of either, and every later read is a
+        # plain slot read
+        if name not in ("elements", "covers"):
+            return object.__getattribute__(self, name)  # the usual error
+        self.elements, self.covers = self._build()
+        return getattr(self, name)
 
     @property
     def n_elements(self):
@@ -417,8 +442,11 @@ def pair_poset(G, r, size_guard=200_000):
     ``_face_levels``; past ``size_guard`` faces, or then elements, a
     :class:`ResourceLimitError` names the count.  ``(G, r, dim)`` is kept for
     ``homology``, with dim = max(|A| + |B|) - 2 the order complex's
-    dimension.  Pairs are distinct and each cover adds a vertex, so
-    ``Poset``'s checks are skipped."""
+    dimension.  The elements, their index and the covers are built at the
+    first read of ``elements`` or ``covers``: by ``n_elements``,
+    ``maximal_chains``, ``to_json_obj``, ``repr`` or an order complex's
+    vertices or facets, never by ``homology``.  Pairs are distinct and each
+    cover adds a vertex, so ``Poset``'s checks are skipped."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     n = G.n_vertices
@@ -433,7 +461,15 @@ def pair_poset(G, r, size_guard=200_000):
     total = sum(2 ** len(c) - 1 for _, c in a_sets)
     if total > size_guard:
         raise ResourceLimitError("linked-pair poset", total, "elements", size_guard)
+    P = Poset.__new__(Poset)
+    P._build = lambda: _linked_pairs(G, a_sets)
+    P._pairs = (G, r, max((len(a) + len(c) for a, c in a_sets), default=1) - 2)
+    return P
 
+
+def _linked_pairs(G, a_sets):
+    # the elements of the linked-pair poset with these first components and
+    # common balls, as label payloads, and its covers, sorted
     elements, payloads = [], []
     for a, c in a_sets:
         cs = tuple(sorted(c))
@@ -449,21 +485,19 @@ def pair_poset(G, r, size_guard=200_000):
             covers.append((index[(a[:k] + a[k + 1:], b)], i))
         for k in range(len(b) if len(b) > 1 else 0):
             covers.append((index[(a, b[:k] + b[k + 1:])], i))
-
-    P = Poset._from_covers(payloads, sorted(covers))
-    P._pairs = (G, r, max((len(a) + len(c) for a, c in a_sets), default=1) - 2)
-    return P
+    return tuple(payloads), tuple(sorted(covers))
 
 
 def order_complex(P, limit=None):
     """Simplicial complex of the chains of ``P``: vertices are the elements,
-    facets the maximal chains, listed when the facets are first read; a read
-    past ``limit`` chains raises :class:`ResourceLimitError`.  A
-    ``pair_poset``'s ``(G, r, dim)`` is passed on, for ``homology``, which
-    reduces N_r(G) and reads no chain; a complex rebuilt from its facets
-    carries none."""
+    taken from ``P`` at their first read, and facets the maximal chains,
+    listed when the facets are first read; a read past ``limit`` chains
+    raises :class:`ResourceLimitError`.  A ``pair_poset``'s ``(G, r, dim)``
+    is passed on, for ``homology``, which reduces N_r(G) and reads neither
+    the vertices nor a chain, so the poset is never built; a complex rebuilt
+    from its facets carries none."""
     K = SimplicialComplex._from_indexed(
-        P.elements, lambda: map(sorted, P.maximal_chains(limit)))
+        lambda: P.elements, lambda: map(sorted, P.maximal_chains(limit)))
     K._pairs = P._pairs
     return K
 

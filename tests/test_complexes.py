@@ -23,6 +23,7 @@ from nbhd import (
     neighborhood_complex,
     order_complex,
     pair_poset,
+    pair_swap_involution,
 )
 from nbhd.complexes import _face_levels, sorted_labels
 
@@ -372,6 +373,38 @@ class TestPairPoset:
         assert Q.covers == P.covers
         assert Q.minimal_elements() == P.minimal_elements()
         assert Q.maximal_chains(5000) == chains
+
+    @given(looped_graphs, st.integers(min_value=1, max_value=5),
+           st.sampled_from(["elements", "covers", "vertices"]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_deferred_reads_equal_the_eager_build(self, g, r, first, homology_first):
+        # the elements and covers are built at the first read of either, or
+        # of the order complex's vertices, before or after the pair space's
+        # homology, and equal the oracle's eager build
+        try:
+            Q = pair_poset_oracle.pair_poset(g, r, size_guard=2000)
+        except ResourceLimitError:
+            assume(False)
+        P = pair_poset(g, r, size_guard=2000)
+        K, L = order_complex(P, 5000), order_complex(Q, 5000)
+        if homology_first:
+            assert homology(K).groups == homology(L).groups
+        assert getattr(K if first == "vertices" else P, first) == getattr(
+            L if first == "vertices" else Q, first)
+        assert (P.elements, P.covers, P._pairs) == (Q.elements, Q.covers, Q._pairs)
+        assert K.vertices == L.vertices == Q.elements
+        assert [K.index_of(v) for v in L.vertices] == list(range(len(L.vertices)))
+        if not homology_first:
+            assert homology(K).groups == homology(L).groups
+
+        def facets(K):
+            try:
+                return K.facets
+            except ResourceLimitError as err:
+                return err.count
+
+        assert facets(K) == facets(L)
+        assert pair_swap_involution(K) == pair_swap_involution(L)
 
     @given(small_graphs, st.integers(min_value=1, max_value=2))
     @settings(max_examples=25, deadline=None)

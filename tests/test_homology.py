@@ -30,7 +30,7 @@ from nbhd import (
     pair_poset,
     smith_normal_form,
 )
-from nbhd import HomologyResult, Presentation, gf2
+from nbhd import HomologyResult, Presentation, complexes, gf2
 from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
 from nbhd.homology import (_contracted, _forest_rank, _level_homology, _levels, _merge,
                            _snf_factors)
@@ -905,19 +905,32 @@ class TestPairCells:
         assert h.betti_vector == (1, 0, 0, 29, 0, 0, 0, 0, 0, 0)
         assert all(t == () for _, t in h.groups)
 
-    @pytest.mark.parametrize("m, r, betti", [(5, 3, (1, 0, 0, 1)), (7, 3, (1, 1, 0, 0)),
-                                             (7, 5, (1, 0, 0, 0, 0, 1))],
-                             ids=["C5 r=3", "C7 r=3", "C7 r=5"])
-    def test_no_chain_is_listed_and_no_poset_revalidated(self, monkeypatch, m, r, betti):
+    @pytest.mark.parametrize("m, r, guard, betti", [
+        (5, 3, 200_000, (1, 0, 0, 1)), (7, 3, 200_000, (1, 1, 0, 0)),
+        (7, 5, 200_000, (1, 0, 0, 0, 0, 1)), (11, 9, 10**6, (1,) + (0,) * 8 + (1,))],
+        ids=["C5 r=3", "C7 r=3", "C7 r=5", "C11 r=9"])
+    def test_no_chain_is_listed_and_no_poset_revalidated(self, monkeypatch, m, r, guard, betti):
+        # nor is a poset element or cover built
         def refuse(*args, **kwargs):
             raise AssertionError("the pair space's homology reached a spied call")
 
         monkeypatch.setattr(Poset, "maximal_chains", refuse)
         monkeypatch.setattr(Poset, "__init__", refuse)
-        K = order_complex(pair_poset(make_cycle(m), r))
+        monkeypatch.setattr(complexes, "_linked_pairs", refuse)
+        K = order_complex(pair_poset(make_cycle(m), r, size_guard=guard))
         assert homology(K).betti_vector == betti
         with pytest.raises(AssertionError, match="spied"):
             K.facets  # the spy would have caught a chain listing
+        with pytest.raises(AssertionError, match="spied"):
+            K.vertices  # and the poset's build
+
+    def test_c11_r9_reach(self):
+        # 173,052 poset elements and 1,254,044 covers that homology never
+        # builds; N_9(C11) is the boundary of a 10-simplex
+        start = time.process_time()
+        h = homology(order_complex(pair_poset(make_cycle(11), 9)))
+        assert time.process_time() - start < 0.5
+        assert h.betti_vector == (1,) + (0,) * 8 + (1,)
 
     def test_c7_r5_reach(self):
         # 1,932 poset elements and 1,468,824 faces of the order complex,
