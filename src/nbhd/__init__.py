@@ -59,12 +59,9 @@ from .z2 import (
     z2_height,
 )
 from .morse import (
-    MatchingReport,
     MorseMatching,
-    collapse,
     collapse_cycle_tower,
     cycle_matching,
-    verify_matching,
 )
 
 __version__ = "0.1.0"

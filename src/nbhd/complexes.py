@@ -1,6 +1,6 @@
-"""Abstract simplicial complexes and finite posets, plus the graph-derived
-builders: walk-neighborhood complexes, linked-pair posets and order
-complexes.
+"""Abstract simplicial complexes and finite posets built at their first
+read, plus the graph-derived builders: walk-neighborhood complexes,
+linked-pair posets and order complexes.
 
 Complexes are stored by facets; full face enumeration is on demand, cached,
 and guarded by a face-count limit (default 5,000,000).  It grows each face
@@ -18,7 +18,6 @@ the same, and are safe to share between readers.
 
 from __future__ import annotations
 
-import graphlib
 import itertools
 import operator
 from collections import defaultdict
@@ -165,13 +164,6 @@ class SimplicialComplex:
     def has_face_indices(self, face):
         s = set(face)
         return any(s.issubset(f) for f in self.facets)
-
-    def has_face(self, labels):
-        try:
-            idx = [self._index[v] for v in labels]
-        except KeyError:
-            return False
-        return self.has_face_indices(idx)
 
     def facet_label_sets(self):
         return frozenset(frozenset(self.face_labels(f)) for f in self.facets)
@@ -332,45 +324,19 @@ def _chains(above):
 
 
 class Poset:
-    """Finite poset stored by its covering relation; the order is the
-    reflexive-transitive closure (acyclicity is validated, which gives
-    antisymmetry)."""
+    """Finite poset stored by its covering relation: sorted index pairs
+    ``(a, b)`` with ``a`` below ``b``, whose reflexive-transitive closure is
+    the order.  Its builder sets ``_build``, a function returning the
+    elements and the covers, and ``_pairs``, a pair space's ``(G, r, dim)``
+    or None; nothing is checked, as the builder knows its elements distinct
+    and its covers in range and acyclic."""
 
     __slots__ = ("elements", "covers", "_pairs", "_build")
 
-    def __init__(self, elements, covers):
-        elements = tuple(elements)
-        n = len(elements)
-        if len(set(elements)) != n:
-            raise ValueError("poset elements must be pairwise distinct")
-        cov = set()
-        for pair in covers:
-            a, b = _integers(pair)
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ValueError(f"bad cover pair ({a}, {b})")
-            cov.add((a, b))
-        order = graphlib.TopologicalSorter()
-        for a, b in cov:
-            order.add(b, a)
-        try:
-            order.prepare()
-        except graphlib.CycleError:
-            raise ValueError("covering relation has a cycle") from None
-        self.elements, self.covers, self._pairs = elements, tuple(sorted(cov)), None
-
-    @classmethod
-    def _from_covers(cls, elements, covers):
-        # trusted path for builders whose elements are distinct and whose
-        # covers are known sorted, distinct, in range and acyclic
-        obj = cls.__new__(cls)
-        obj.elements, obj.covers, obj._pairs = tuple(elements), tuple(covers), None
-        return obj
-
     def __getattr__(self, name):
-        # Python calls this only when a normal lookup fails: a poset made
-        # with _build, a function, in place of its elements and covers fills
-        # both slots at the first read of either, and every later read is a
-        # plain slot read
+        # Python calls this only when a normal lookup fails: the first read
+        # of elements or covers fills both slots from _build, and every
+        # later read is a plain slot read
         if name not in ("elements", "covers"):
             return object.__getattribute__(self, name)  # the usual error
         self.elements, self.covers = self._build()
@@ -445,8 +411,7 @@ def pair_poset(G, r, size_guard=200_000):
     dimension.  The elements, their index and the covers are built at the
     first read of ``elements`` or ``covers``: by ``n_elements``,
     ``maximal_chains``, ``to_json_obj``, ``repr`` or an order complex's
-    vertices or facets, never by ``homology``.  Pairs are distinct and each
-    cover adds a vertex, so ``Poset``'s checks are skipped."""
+    vertices or facets, never by ``homology``."""
     if r < 1:
         raise ValueError("radius must be at least 1")
     n = G.n_vertices

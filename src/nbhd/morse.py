@@ -9,15 +9,12 @@ symmetric enough for the rotation to carry window 0's collapse onto every
 window, then collapses window 0 alone in ``_collapse``, which reads only the
 matched faces against per-vertex facet masks; its return proves the
 matching acyclic and present, and only facets pass between stages.
-``cycle_matching`` and ``collapse`` are the label views of the same masks
-and the same core.
+``cycle_matching`` is the label view of the same masks.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -28,10 +25,7 @@ from .graphs import make_cycle
 
 __all__ = [
     "MorseMatching",
-    "MatchingReport",
     "cycle_matching",
-    "verify_matching",
-    "collapse",
     "collapse_cycle_tower",
 ]
 
@@ -97,70 +91,6 @@ def cycle_matching(m, r):
     return _as_matching(m, *_window_pairs(m, r))
 
 
-@dataclass(frozen=True)
-class MatchingReport:
-    duplicates: tuple  # faces appearing in more than one pair
-    bad_pairs: tuple  # pairs that are not codimension-1 containments
-    missing: tuple  # matched faces absent from the ambient face set
-    critical: tuple  # domain faces in no pair
-
-    @property
-    def well_formed(self):
-        return not (self.duplicates or self.bad_pairs or self.missing)
-
-    @property
-    def perfect(self):
-        return self.well_formed and not self.critical
-
-    def to_json_obj(self):
-        return {
-            "duplicates": [list(f) for f in self.duplicates],
-            "bad_pairs": [[list(t), list(s)] for t, s in self.bad_pairs],
-            "missing": [list(f) for f in self.missing],
-            "critical": [list(f) for f in self.critical],
-            "well_formed": self.well_formed,
-            "perfect": self.perfect,
-        }
-
-
-def verify_matching(faces, matching):
-    """Diagnostic report: duplicates, non-cofacet pairs, faces outside the
-    ambient set, and the critical (unmatched) part of the domain."""
-    faces, named = set(faces), list(itertools.chain.from_iterable(matching.pairs))
-    count = Counter(named)
-    dup = sorted(f for f, c in count.items() if c > 1)
-    bad = [(t, s) for t, s in matching.pairs if len(s) != len(t) + 1 or not set(t) < set(s)]
-    missing = sorted(f for f in named if f not in faces)
-    critical = sorted(matching.domain - set(count))
-    return MatchingReport(tuple(dup), tuple(bad), tuple(missing), tuple(critical))
-
-
-def _matched(K, matching):
-    # the pairs as vertex masks; labels that are not K's, that are out of K's
-    # index order, or that are none at all name no face of K
-    def mask(labels):
-        idx = [K._index.get(v, -1) for v in labels]
-        if not idx or idx[0] < 0 or any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"matching mentions a face outside the complex: {labels}")
-        return sum(1 << i for i in idx)
-    return [(mask(a), mask(b)) for a, b in matching.pairs]
-
-
-def collapse(K, matching, limit=None):
-    """Remove matched pairs whose lower face is free, in any order (the
-    result is the same), until only unmatched faces remain; ``limit`` bounds
-    the matched faces.  Raises :class:`ValueError` for a face outside K or
-    named twice, and :class:`CollapseError` if the matching gets stuck.  The
-    faces become vertex masks for ``_collapse``, which orients pairs by size
-    (``verify_matching`` reports a reversed one)."""
-    pairs = _matched(K, matching)
-    named = [f for pair in pairs for f in pair]
-    if len(set(named)) < len(named):
-        twice = Counter(named).most_common(1)[0][0]
-        raise ValueError(f"matching names a face twice: {K.face_labels(_bits(twice))}")
-    return _relabelled(K, _collapse(K, pairs, limit))
-
-
 def _relabelled(K, facets):
     # the complex of vertex masks facets over K's indices, maximal and
     # distinct, on the labels they hold in sorted order
@@ -188,11 +118,15 @@ def _maximal(faces, n):
 
 
 def _collapse(K, pairs, limit):
-    """``collapse`` on pairs of vertex masks over K's indices, none named
-    twice, to the new facets as vertex masks.  A lower face's holding mask
-    is the AND of its vertices' facet masks, its partner's that AND with one
-    more; its link is the union of its holding facets' spans, less itself,
-    formed once per holding set.
+    """Remove matched pairs whose lower face is free, in any order (the
+    result is the same), until only unmatched faces remain; ``pairs`` are
+    vertex masks over K's indices, either way round and none named twice,
+    and ``limit`` bounds the matched faces.  Returns the new facets as
+    vertex masks.  Raises :class:`ValueError` for a face outside K and
+    :class:`CollapseError` if the matching gets stuck.  A lower face's
+    holding mask is the AND of its vertices' facet masks, its partner's that
+    AND with one more; its link is the union of its holding facets' spans,
+    less itself, formed once per holding set.
 
     A return proves the matching acyclic (Forman 1998, "Morse theory for cell
     complexes"): a pair (tau, sigma) goes only when sigma is tau's one live
@@ -322,7 +256,8 @@ def _tower(m, r, limit):
         tops = {_rotate(top, k, m) for k in range(m)}
         current = _relabelled(current, _maximal(
             [_rotate(x, k, m) for x in left for k in range(m)] + list(spans - tops), m))
-        report = MatchingReport((), (), (), ()).to_json_obj()  # what the checks proved
+        report = {"duplicates": [], "bad_pairs": [], "missing": [], "critical": [],
+                  "well_formed": True, "perfect": True}  # what the checks proved
         yield (pairs, domain), {"radius": rr, "pairs": m * len(pairs), "acyclic": True,
                                 "verification": report}, current
 

@@ -3,22 +3,26 @@
 ``collapse`` lists every face of the complex, counts the cofacets of each,
 and removes free matched pairs in lexicographic order of their index tuples;
 ``cycle_matching`` builds each window's faces as sorted label tuples from
-sets of chosen positions; ``verify_acyclic`` looks for a directed cycle in
-the modified Hasse digraph of a matching; ``tower`` runs the radius tower of
-an odd cycle on the three, checking presence of the matched faces against
-the face list.  The library reads only the matched faces, through
-per-vertex facet masks, builds its matchings from position masks, and lets
-a complete collapse certify acyclicity instead; the tests compare the two.
+sets of chosen positions; ``verify_matching`` reports a matching's
+duplicate, non-cofacet, missing and unmatched faces against a face list;
+``verify_acyclic`` looks for a directed cycle in the modified Hasse digraph
+of a matching; ``tower`` runs the radius tower of an odd cycle on these,
+checking presence of the matched faces against the face list.  The library
+reads only the matched faces, through per-vertex facet masks, builds its
+matchings from position masks, checks each tower stage's report in place of
+``verify_matching``, and lets a complete collapse certify acyclicity
+instead; the tests compare the two.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from nbhd import (CollapseError, MorseMatching, SimplicialComplex, make_cycle,
-                  neighborhood_complex, verify_matching)
+                  neighborhood_complex)
 from nbhd.complexes import sorted_labels
 
 
@@ -48,6 +52,44 @@ def cycle_matching(m, r):
                     tau = tuple(sorted(set(sigma) - {window[gap - 1]}))
                     pairs.append((tau, sigma))
     return MorseMatching(tuple(sorted(pairs)), frozenset(domain))
+
+
+@dataclass(frozen=True)
+class MatchingReport:
+    duplicates: tuple  # faces appearing in more than one pair
+    bad_pairs: tuple  # pairs that are not codimension-1 containments
+    missing: tuple  # matched faces absent from the ambient face set
+    critical: tuple  # domain faces in no pair
+
+    @property
+    def well_formed(self):
+        return not (self.duplicates or self.bad_pairs or self.missing)
+
+    @property
+    def perfect(self):
+        return self.well_formed and not self.critical
+
+    def to_json_obj(self):
+        return {
+            "duplicates": [list(f) for f in self.duplicates],
+            "bad_pairs": [[list(t), list(s)] for t, s in self.bad_pairs],
+            "missing": [list(f) for f in self.missing],
+            "critical": [list(f) for f in self.critical],
+            "well_formed": self.well_formed,
+            "perfect": self.perfect,
+        }
+
+
+def verify_matching(faces, matching):
+    """Diagnostic report: duplicates, non-cofacet pairs, faces outside the
+    ambient set, and the critical (unmatched) part of the domain."""
+    faces, named = set(faces), list(itertools.chain.from_iterable(matching.pairs))
+    count = Counter(named)
+    dup = sorted(f for f, c in count.items() if c > 1)
+    bad = [(t, s) for t, s in matching.pairs if len(s) != len(t) + 1 or not set(t) < set(s)]
+    missing = sorted(f for f in named if f not in faces)
+    critical = sorted(matching.domain - set(count))
+    return MatchingReport(tuple(dup), tuple(bad), tuple(missing), tuple(critical))
 
 
 @dataclass(frozen=True)

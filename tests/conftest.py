@@ -1,11 +1,13 @@
 """Shared builders for the test suite."""
 
+import graphlib
 import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
 
-from nbhd import Graph, SimplicialComplex, Involution, make_cycle, make_kneser
+from nbhd import Graph, SimplicialComplex, Involution, Poset, make_cycle, make_kneser
+from nbhd.complexes import _integers
 from nbhd.graphs import walk_ball
 from nbhd.homology import _boundary
 
@@ -107,6 +109,34 @@ def lemma_suite_random_graphs():
         n = rng.randint(4, 7)
         out.append(random_connected_graph(n, 0.35, rng))
     return out
+
+
+def checked_poset(elements, covers):
+    """The ``Poset`` on these elements with these covering index pairs,
+    which it checks first: a repeated element, a cover that is not two
+    distinct in-range integers, or a cycle of covers raises
+    :class:`ValueError` (acyclicity gives antisymmetry)."""
+    elements = tuple(elements)
+    n = len(elements)
+    if len(set(elements)) != n:
+        raise ValueError("poset elements must be pairwise distinct")
+    cov = set()
+    for pair in covers:
+        a, b = _integers(pair)
+        if not (0 <= a < n and 0 <= b < n) or a == b:
+            raise ValueError(f"bad cover pair ({a}, {b})")
+        cov.add((a, b))
+    order = graphlib.TopologicalSorter()
+    for a, b in cov:
+        order.add(b, a)
+    try:
+        order.prepare()
+    except graphlib.CycleError:
+        raise ValueError("covering relation has a cycle") from None
+    covers = tuple(sorted(cov))
+    P = Poset.__new__(Poset)
+    P._build, P._pairs = (lambda: (elements, covers)), None
+    return P
 
 
 def face_counts(K, limit=None):

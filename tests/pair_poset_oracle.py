@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from nbhd import Poset, ResourceLimitError
+from conftest import checked_poset
+from nbhd import ResourceLimitError
 from nbhd.graphs import walk_ball
 
 
@@ -61,6 +62,6 @@ def pair_poset(G, r, size_guard=200_000):
         for k in range(len(b) if len(b) > 1 else 0):
             covers.append((index[(a, b[:k] + b[k + 1:])], i))
 
-    P = Poset._from_covers(payloads, sorted(covers))
+    P = checked_poset(payloads, covers)
     P._pairs = (G, r, max((len(a) + len(c) for a, c in a_sets), default=1) - 2)
     return P

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from nbhd import (
     FreenessError,
     Involution,
-    Poset,
     SimplicialComplex,
     check_free_involution,
     order_complex,
 )
 from nbhd import gf2
 from nbhd.complexes import sorted_labels
+from conftest import checked_poset
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def face_poset(K, limit=None):
             fi = pos[f]
             for i in range(len(f)):
                 covers.append((pos[f[:i] + f[i + 1:]], fi))
-    return Poset(elems, covers)
+    return checked_poset(elems, covers)
 
 
 def barycentric_subdivision(K, limit=None):

@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import pytest
 
-from collapse_oracle import verify_acyclic
+from collapse_oracle import verify_acyclic, verify_matching
 from conftest import (
     all_faces_label_set,
     antipodal6,
@@ -43,7 +43,6 @@ from nbhd import (
     order_complex,
     pair_poset,
     pair_swap_involution,
-    verify_matching,
     z2_height,
 )
 

@@ -292,6 +292,20 @@ class TestMorse:
         assert res["verification"]["perfect"] is True
         assert all(len(pair) == 2 for pair in res["matching"])
 
+    @pytest.mark.parametrize("m,r", [(7, 2), (17, 7)])
+    def test_report_of_every_stage(self, capsys, m, r):
+        # each stage's checks prove its matching perfect; the report says so
+        # in full, with one stage per radius down to 2
+        code, report = run_json(capsys, ["morse", str(m), str(r)])
+        assert code == 0
+        perfect = {"duplicates": [], "bad_pairs": [], "missing": [], "critical": [],
+                   "well_formed": True, "perfect": True}
+        res = report["result"]
+        assert res["verification"] == perfect
+        assert res["stages"] == [
+            {"radius": rr, "pairs": m << (rr - 2), "acyclic": True, "verification": perfect}
+            for rr in range(r, 1, -1)]
+
     def test_even_m_rejected(self):
         assert main(["morse", "6", "2"]) == 2
 

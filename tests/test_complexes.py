@@ -6,13 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (euler_characteristic, face_counts, full_simplex, simplex_boundary,
-                      walk_neighborhood)
+from conftest import (checked_poset, euler_characteristic, face_counts, full_simplex,
+                      simplex_boundary, walk_neighborhood)
 import pair_poset_oracle
 from quotient_oracle import barycentric_subdivision, face_poset
 from nbhd import (
     Graph,
-    Poset,
     ResourceLimitError,
     SimplicialComplex,
     complex_from_json_obj,
@@ -158,7 +157,7 @@ class TestSimplicialComplex:
 
     def test_has_face(self):
         K = simplex_boundary(2)
-        assert K.has_face((0, 1)) and not K.has_face((0, 1, 2))
+        assert K.has_face_indices((0, 1)) and not K.has_face_indices((0, 1, 2))
 
     def test_equality_ignores_vertex_order(self):
         a = SimplicialComplex.from_faces([(1, 0), (1, 2)])
@@ -363,13 +362,13 @@ class TestPairPoset:
     @given(small_graphs, st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_trusted_poset_passes_the_public_checks(self, g, r):
-        # pair_poset skips Poset's checks; the public constructor keeps them
+        # pair_poset builds its poset unchecked; the checked build agrees
         try:
             P = pair_poset(g, r, size_guard=2000)
             chains = P.maximal_chains(5000)
         except ResourceLimitError:
             assume(False)
-        Q = Poset(P.elements, P.covers)
+        Q = checked_poset(P.elements, P.covers)
         assert Q.covers == P.covers
         assert Q.minimal_elements() == P.minimal_elements()
         assert Q.maximal_chains(5000) == chains
@@ -464,12 +463,12 @@ class TestDeferredChains:
 
 class TestPosetsAndOrderComplexes:
     def test_total_order_gives_single_simplex(self):
-        P = Poset(list("abcd"), [(0, 1), (1, 2), (2, 3)])
+        P = checked_poset(list("abcd"), [(0, 1), (1, 2), (2, 3)])
         K = order_complex(P)
         assert K.facet_label_sets() == frozenset({frozenset("abcd")})
 
     def test_antichain_gives_isolated_vertices(self):
-        P = Poset(list("abc"), [])
+        P = checked_poset(list("abc"), [])
         K = order_complex(P)
         assert face_counts(K) == (3,)
 
@@ -486,17 +485,17 @@ class TestPosetsAndOrderComplexes:
 
     def test_cycle_detection(self):
         with pytest.raises(ValueError):
-            Poset(list("ab"), [(0, 1), (1, 0)])
+            checked_poset(list("ab"), [(0, 1), (1, 0)])
 
     @pytest.mark.parametrize("covers", [[(0.9, 1.2)], [("0", 1)], [(0, 1.0)]])
     def test_rejects_non_integer_cover_indices(self, covers):
         # int() would truncate 0.9 and 1.2 to the valid pair (0, 1)
         with pytest.raises(ValueError):
-            Poset(["a", "b"], covers)
-        assert Poset(["a", "b"], [(False, True)]).covers == ((0, 1),)
+            checked_poset(["a", "b"], covers)
+        assert checked_poset(["a", "b"], [(False, True)]).covers == ((0, 1),)
 
     def test_poset_json_export(self):
-        P = Poset(list("ab"), [(0, 1)])
+        P = checked_poset(list("ab"), [(0, 1)])
         assert P.to_json_obj() == {"elements": ["a", "b"], "covers": [[0, 1]]}
 
     def test_chain_guard(self):

@@ -3,28 +3,47 @@ import itertools
 import operator
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapse_oracle
-from collapse_oracle import verify_acyclic
+from collapse_oracle import verify_acyclic, verify_matching
 from conftest import all_faces_label_set
 from nbhd import (
     CollapseError,
     MorseMatching,
     ResourceLimitError,
     SimplicialComplex,
-    collapse,
     collapse_cycle_tower,
     cycle_matching,
     homology,
     make_cycle,
     neighborhood_complex,
-    verify_matching,
 )
-from nbhd.morse import _tower
+from nbhd.complexes import _bits
+from nbhd.morse import _collapse, _relabelled, _tower
+
+
+def collapse(K, matching, limit=None):
+    """The tower's ``_collapse`` on a matching of label tuples: each face
+    becomes a vertex mask over K's indices, and the result gets K's labels
+    back.  Labels that are not K's, that are out of K's index order, or that
+    are none at all name no face of K (:class:`ValueError`), as does a face
+    named twice."""
+    def mask(labels):
+        idx = [K._index.get(v, -1) for v in labels]
+        if not idx or idx[0] < 0 or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"matching mentions a face outside the complex: {labels}")
+        return sum(1 << i for i in idx)
+    pairs = [(mask(a), mask(b)) for a, b in matching.pairs]
+    named = [f for pair in pairs for f in pair]
+    if len(set(named)) < len(named):
+        twice = Counter(named).most_common(1)[0][0]
+        raise ValueError(f"matching names a face twice: {K.face_labels(_bits(twice))}")
+    return _relabelled(K, _collapse(K, pairs, limit))
 
 
 def radius_difference_faces(m, r):
