@@ -30,7 +30,7 @@ from nbhd import (
     pair_swap_involution,
     z2_height,
 )
-from nbhd.complexes import _above, _bits, _closure, _sizes
+from nbhd.complexes import _above, _closure, _sizes
 from nbhd.graphs import walk_ball
 from nbhd.homology import _contracted
 from nbhd.z2 import _box_faces, _colour_cap, _height
@@ -39,12 +39,11 @@ from nbhd.z2 import _box_faces, _colour_cap, _height
 def lattice_sizes(K):
     """|L|, the chains of L's order complex and the faces of ``K``, where L is
     the lattice of ``K``'s facet intersections."""
-    spans = [sum(1 << v for v in f) for f in K.facets]
-    found = set(spans)
-    for _ in _closure(spans, found):
+    found = set()
+    for _ in _closure(K.facets, found):
         pass
     lattice = sorted(found, key=int.bit_count)
-    return (len(lattice),) + _sizes(lattice, [list(_bits(a)) for a in _above(lattice, K.n_vertices)])
+    return (len(lattice),) + _sizes(lattice, _above(lattice))
 
 
 def section(title):

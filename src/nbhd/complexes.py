@@ -82,9 +82,7 @@ class SimplicialComplex:
             if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
                 raise ValueError("facet indices must be strictly increasing")
             fs.append(f)
-        # a facet lies in another, or repeats, iff another one holds its vertices
-        held, every = _held(fs, n), (1 << len(fs)) - 1
-        if any(reduce(operator.and_, map(held.__getitem__, f), every).bit_count() > 1 for f in fs):
+        if _keep_maximal(fs, n) != fs:
             raise ValueError("facets must be pairwise non-nested and distinct")
         self._setup(vertices, fs)
 
@@ -109,13 +107,7 @@ class SimplicialComplex:
         """Build from arbitrary faces (iterables of labels), keeping only the
         maximal ones.  Vertices are the labels that occur, in sorted order."""
         faces = {frozenset(f) for f in faces} - {frozenset()}
-        vertices = sorted_labels(set().union(*faces))
-        slot = {v: i for i, v in enumerate(vertices)}
-        fs = [sorted(map(slot.__getitem__, f)) for f in faces]
-        # a face is maximal iff no other one holds its vertices
-        held, every = _held(fs, len(vertices)), (1 << len(fs)) - 1
-        holders = (reduce(operator.and_, map(held.__getitem__, f), every) for f in fs)
-        return cls._from_indexed(vertices, [f for f, h in zip(fs, holders) if h.bit_count() == 1])
+        return _maximal_on(sorted_labels(set().union(*faces)), lambda v: v, faces)
 
     @classmethod
     def _from_indexed(cls, vertices, facets):
@@ -193,6 +185,20 @@ def _held(facets, n):
     return held
 
 
+def _keep_maximal(faces, n):
+    # the faces, index sets below n, that no other one holds or repeats
+    held, every = _held(faces, n), (1 << len(faces)) - 1
+    return [f for f in faces
+            if reduce(operator.and_, map(held.__getitem__, f), every).bit_count() == 1]
+
+
+def _maximal_on(vertices, key, faces):
+    # the complex on vertices, in order, of the maximal faces (sets of key(v))
+    slot = {key(v): i for i, v in enumerate(vertices)}
+    return SimplicialComplex._from_indexed(vertices, _keep_maximal(
+        [sorted(map(slot.__getitem__, f)) for f in faces], len(vertices)))
+
+
 def _bits(x):
     # the positions of the set bits of mask x, in increasing order
     while x:
@@ -257,43 +263,43 @@ def _face_levels(facets, seeds, limit, stage):
 # facets as vertex masks ordered by inclusion, whose order complex
 # ``homology`` reduces when it has fewer faces than the complex
 
-def _closure(spans, found):
-    # closes found, the spans, under intersection with the spans, one
-    # element at a time, and after each yields a lower bound on the chains
-    # of the closure.  An element first made in round k is the least of a
-    # chain of k + 1 elements, so at least 2^k chains start at it
-    bound, weight, frontier = len(found), 1, spans
-    while frontier:
-        weight, made, frontier = weight * 2, frontier, []
-        for i, a in enumerate(made):
-            # the first round meets each pair of facets once
-            fresh = {a & s for s in (spans[i + 1:] if made is spans else spans)} - found
-            fresh.discard(0)
+def _closure(facets, found):
+    # adds the spans, the facets' vertex masks, to found, closes it under
+    # intersection and yields a lower bound on its chains, first and after
+    # each step (a round-k element starts >= 2^k chains); round 1 meets the pairs
+    # in each vertex's star, a later one each new element with its stars' spans
+    stars = defaultdict(list)  # the spans holding each vertex
+    for f in facets:
+        span = sum(1 << v for v in f)
+        found.add(span)
+        for v in f:
+            stars[v].append(span)
+    bound, rounds = len(found), [({a & b for a, b in itertools.combinations(fs, 2)}
+                                  for fs in stars.values())]
+    yield bound
+    for k, meets in enumerate(rounds, 1):  # a round with new elements appends the next
+        made = []
+        for fresh in meets:
+            fresh -= found
             if fresh:
                 found |= fresh
-                bound += weight * len(fresh)
+                bound += len(fresh) << k
                 # a vertex meets each facet in itself or nothing
-                frontier += (x for x in fresh if x & (x - 1))
+                made += (x for x in fresh if x & (x - 1))
                 yield bound
+        if made:
+            rounds.append({a & s for v in _bits(a) for s in stars[v]} for a in made)
 
 
-def _above(lattice, n):
+def _above(lattice):
     # for each element of the lattice, sorted by size, the elements after it
-    # that strictly hold it, as a bit mask over their indices: an AND of
-    # per-vertex masks, made one at a time (bits read inline, for speed)
-    holding = [0] * n
+    # that strictly hold it, read from those holding its highest vertex
+    holding = defaultdict(list)
     for i, x in enumerate(lattice):
-        while x:
-            low = x & -x
-            holding[low.bit_length() - 1] |= 1 << i
-            x ^= low
-    for i, x in enumerate(lattice):
-        a = -1
-        while x:
-            low = x & -x
-            a &= holding[low.bit_length() - 1]
-            x ^= low
-        yield a ^ 1 << i
+        for v in _bits(x):
+            holding[v].append(i)
+    return [[j for j in holding[x.bit_length() - 1] if j > i and lattice[j] & x == x]
+            for i, x in enumerate(lattice)]
 
 
 def _sizes(lattice, above):
@@ -302,15 +308,12 @@ def _sizes(lattice, above):
     # closure is each element, f(x), by Moebius inversion of
     # 2^|x| - 1 = the sum of f(y) over the elements y inside x
     tops, inside = [1] * len(lattice), [0] * len(lattice)
-    chains = faces = 0
     for y, x in enumerate(lattice):
-        t, f = tops[y], (1 << x.bit_count()) - 1 - inside[y]
-        chains += t
-        faces += f
+        inside[y] = (1 << x.bit_count()) - 1 - inside[y]
         for z in above[y]:
-            tops[z] += t
-            inside[z] += f
-    return chains, faces
+            tops[z] += tops[y]
+            inside[z] += inside[y]
+    return sum(tops), sum(inside)
 
 
 def _chains(above):
@@ -392,12 +395,9 @@ def neighborhood_complex(G, r):
     Vertices with an empty ball do not appear."""
     if r < 1:
         raise ValueError("radius must be at least 1")
-    faces = []
-    for i in range(G.n_vertices):
-        ball = walk_ball(G, i, r)
-        if ball:
-            faces.append(tuple(G.vertices[j] for j in sorted(ball)))
-    return SimplicialComplex.from_faces(faces)
+    balls = {walk_ball(G, i, r) for i in range(G.n_vertices)} - {frozenset()}
+    return _maximal_on(sorted_labels(G.vertices[j] for j in set().union(*balls)),
+                       G._index.__getitem__, balls)
 
 
 def pair_poset(G, r, size_guard=200_000):

@@ -25,19 +25,19 @@ matrix, ranked by a union-find with no arithmetic.
 The boundary of a simplex, the paper's Kneser and cycle spheres among them,
 is answered from its facets, and none of its faces is read (``homology``).
 In any other complex, every edge ab that meets the link condition
-lk(a) & lk(b) = lk(ab) is contracted first, which keeps the homotopy type (``_contracted``); it works
-on facet masks and per-vertex facet lists, and reads no face, so a
-cycle-like complex shrinks to a few facets: N_7(C17) from 17 to 7.  The
-complex left is reduced on its faces, or on the order complex of L, the
-nonempty intersections of its facets ordered by inclusion, when that has
-fewer faces: the two are homotopy equivalent by the nerve and crosscut
-theorems (Bjorner 1995), so the groups are the same, and the Betti vector
-is padded to the complex's dimension.  On Kneser complexes L is tiny:
-N_1(K(9,4)) has 3,402 faces and its L 252 elements and 882 chains.  The
-counts that choose come from one pass over L, and no face is read to make
-the choice (``_levels``).  The order complex of a linked-pair
-poset of G at radius r has the homotopy type of N_r(G) (see ``homology``),
-so that complex is reduced in its place and no chain is listed.
+lk(a) & lk(b) = lk(ab) is contracted first, which keeps the homotopy type
+(``_contracted``); it reads no face, so a cycle-like complex shrinks to a
+few facets: N_7(C17) from 17 to 7.  The complex left is reduced on its
+faces, or on the order complex of L, the nonempty intersections of its
+facets ordered by inclusion, when that has fewer faces: the two are
+homotopy equivalent by the nerve and crosscut theorems (Bjorner 1995), so
+the groups are the same, and the Betti vector is padded to the complex's
+dimension.  On Kneser complexes L is tiny: N_1(K(9,4)) has 3,402 faces and
+its L 252 elements and 882 chains.  L meets each element only with the
+facets sharing a vertex with it, and the counts that choose come from one
+pass over L, with no face read (``_levels``).  The order complex of a
+linked-pair poset of G at radius r has the homotopy type of N_r(G) (see
+``homology``), so that complex is reduced in its place and no chain is listed.
 """
 
 from __future__ import annotations
@@ -362,42 +362,46 @@ def _contracted(K):
     checking only when F misses b and F' misses a.  The union of those
     intersections is star(a) & star(b), the vertices of the facets holding
     a meeting those of the facets holding b, so star(a) & star(b) = the
-    vertices of the facets holding both is necessary and is tried first;
-    then the pairs (``_link_condition``), of which there are none when
-    every facet holding one end holds the other.  To contract b into a,
-    every facet holding b loses b and gains a, and a facet now inside
-    another, which only a facet holding a can be, is dropped (``_merge``);
-    an end that every facet of the other holds is the one that goes.  An
-    edge is tried again only once a facet holding either end has changed."""
-    facets = [sum(1 << v for v in f) for f in K.facets]  # 0 once dropped
-    star = [set() for _ in range(K.n_vertices)]  # the facets holding each vertex
-    unions = [0] * K.n_vertices  # the vertices of each star
+    vertices of the facets holding both is necessary and is tried first (if
+    one facet holding a holds b, it fails once the stars share more vertices
+    than the largest facet has); then the pairs that meet
+    (``_link_condition``), none when every facet holding one end holds the
+    other.  To contract b into a, every facet holding b loses b and gains a,
+    and a facet now inside another, which only a facet holding a can be, is
+    dropped (``_merge``); an end that every facet of the other holds is the
+    one that goes.  An edge is tried again only once a facet holding either
+    end has changed."""
+    n, facets = K.n_vertices, [sum(1 << v for v in f) for f in K.facets]  # 0 once dropped
+    star = [set() for _ in range(n)]  # the facets holding each vertex
+    unions = [0] * n  # the vertices of each star
     for j, f in enumerate(K.facets):
         for v in f:
             star[v].add(j)
             unions[v] |= facets[j]
+    big = K.dim + 1  # no merged facet is larger
     # done: the vertices whose edges were all tried since they last changed;
     # dirty: those changed since, whose edges are all tried again.  A pass
     # over a vertex's edges goes on after a merge that keeps it, on the
     # complex as it now is, and the vertex comes round again
-    queue, done, dirty = deque(range(K.n_vertices)), 0, 0
-    queued, merged = [True] * K.n_vertices, False
+    queue, done, dirty = deque(range(n)), 0, 0
+    queued, merged = [True] * n, False
     while queue:
         a = queue.popleft()
         queued[a] = False
         test = unions[a] & ~(1 << a) & (-1 if dirty >> a & 1 else ~done)
         done, dirty = done | 1 << a, dirty & ~(1 << a)
-        sa, ua = star[a], unions[a]
+        ua, once, twice = unions[a], 0, 0
+        for j in star[a]:  # twice: the vertices in two or more facets holding a
+            twice |= once & facets[j]
+            once |= facets[j]
         for b in _bits(test):
-            both = sa & star[b]  # empty once b is merged away
+            if not twice >> b & 1 and (ua & unions[b]).bit_count() > big:
+                continue  # b lies in one facet holding a, which is smaller
+            both = star[a] & star[b]  # empty once b is merged away
             if not both:
                 continue
-            if len(both) == 1:  # uab: the vertices of the facets holding both ends
-                (j,) = both
-                uab = facets[j]
-            else:
-                uab = reduce(operator.or_, map(facets.__getitem__, both))
-            if ua & unions[b] == uab and _link_condition(facets, star, a, b, both):
+            uab = reduce(operator.or_, map(facets.__getitem__, both))  # their vertices
+            if ua & unions[b] == uab and _link_condition(facets, star, a, b, both, uab):
                 keep, gone = (b, a) if star[a] <= star[b] else (a, b)  # a dominated end goes
                 touched = _merge(facets, star, keep, gone)
                 done, dirty, merged = done & ~touched, dirty | touched, True
@@ -412,43 +416,39 @@ def _contracted(K):
                 unions[gone] = 0
                 if gone == a:
                     break
-                ua = unions[a]
+                ua, twice = unions[a], -1  # the later ends are tried in full
     if not merged:
         return K
-    kept = [v for v in range(K.n_vertices) if star[v]]
+    kept = [v for v in range(n) if star[v]]
     new = {v: i for i, v in enumerate(kept)}
     return SimplicialComplex._from_indexed([K.vertices[v] for v in kept],
                                            [[new[v] for v in _bits(f)] for f in facets if f])
 
 
-def _link_condition(facets, star, a, b, both):
+def _link_condition(facets, star, a, b, both, uab):
     # whether the edge ab meets the link condition once star(a) & star(b) is
-    # the vertices of ``both``, the facets holding a and b, with facets[j]
-    # facet j's vertex mask and star[v] the facets holding v: (F & F') + a + b
-    # lies in a facet of ``both`` for each F holding a alone and F' holding b
-    # alone (see ``_contracted``)
-    ends = 1 << a | 1 << b
+    # uab, the vertices of ``both``, the facets holding a and b: F & F', which
+    # lies in uab, lies in a facet of ``both`` for F holding a alone, F' b alone
     return all(any(x & facets[k] == x for k in both)
-               for i in star[a] - both for j in star[b] - both
-               for x in [facets[i] & facets[j] | ends])
+               for i in star[a] - both for f in [facets[i] & uab ^ 1 << a] if f
+               for j in star[b] - both for x in [f & facets[j]] if x)
 
 
 def _merge(facets, star, a, b):
     # contracts b into a in place and returns the vertices of the facets
     # changed or dropped, as a mask.  A facet now inside another holds a: it
     # changed, or it lies in a changed facet and so holds a vertex of that
-    # facet other than a and b
+    # facet other than a and b (touched holds a, as a facet held both)
     touched = 0
     for j in star[b]:
         touched |= facets[j]
-        facets[j] = facets[j] & ~(1 << b) | 1 << a
+        facets[j] = facets[j] ^ 1 << b | 1 << a
     star[a] |= star[b]
-    near = star[b].union(*map(star.__getitem__, _bits(touched & ~(1 << a | 1 << b))))
+    near = star[b].union(*map(star.__getitem__, _bits(touched ^ 1 << a)))
     star[b] = set()
     for j in near & star[a]:
         f = facets[j]
-        fewest = min(map(star.__getitem__, _bits(f)), key=len)  # holds every facet holding f
-        if any(k != j and facets[k] & f == f for k in fewest):
+        if len(set.intersection(*map(star.__getitem__, _bits(f)))) > 1:  # another holds f
             touched |= f
             for v in _bits(f):
                 star[v].discard(j)
@@ -463,22 +463,22 @@ def _levels(K, limit):
     crosscut theorems (Bjorner 1995, Handbook of Combinatorics, section 10),
     and no higher in dimension.
 
-    The choice reads no face.  L is closed one element at a time
-    (``_closure``), which bounds its chains from below, and only while that
-    bound stays within ``limit`` and within two bounds on the faces from
-    above, 2^n - 1 for n vertices and the sum of 2^|f| - 1 over the facets
-    f.  A closed L counts its chains and the complex's faces exactly
+    The choice reads no face.  L is closed one element at a time, each met
+    with the facets sharing a vertex (``_closure``), which bounds its chains
+    from below, and only while that bound stays within ``limit`` and within
+    two bounds on the faces from above, 2^n - 1 for n vertices and the sum
+    of 2^|f| - 1 over the facets f.  A closed L, with the elements above
+    each (``_above``), counts its chains and the complex's faces exactly
     (``_sizes``), and the smaller model within ``limit`` is reduced; the
     faces otherwise, read once under the face guard, which trips past
     ``limit``.  When the chains are reduced, ``K``'s face cache stays
     empty."""
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
-    spans = [sum(1 << v for v in f) for f in K.facets]
     most = min(cap, (1 << K.n_vertices) - 1, sum((1 << len(f)) - 1 for f in K.facets))
-    found = set(spans)
-    if len(found) <= most and all(bound <= most for bound in _closure(spans, found)):
-        lattice = sorted(found, key=int.bit_count)
-        above = [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
+    found = set()
+    if all(bound <= most for bound in _closure(K.facets, found)):
+        lattice = sorted(sorted(found), key=int.bit_count)  # by size, then by mask
+        above = _above(lattice)
         chains, faces = _sizes(lattice, above)
         if chains < faces and chains <= cap:
             return _chains(above)

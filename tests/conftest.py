@@ -203,6 +203,28 @@ def make_schrijver(n, k):
                            if not set(a) & set(b)])
 
 
+def torus_grid(m):
+    """The 4-regular grid C_m x C_m on the cells ``(i, j)``, m >= 3: each
+    cell is joined to the next one in its row and in its column, cyclically."""
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    return Graph(cells, [((i, j), ((i + 1) % m, j)) for i, j in cells]
+                 + [((i, j), (i, (j + 1) % m)) for i, j in cells])
+
+
+def random_cubic_graph(n, seed):
+    """A cubic graph on the even number n of vertices from the configuration
+    model: three stubs per vertex, shuffled by ``random.Random(seed)`` and
+    paired in order, the whole draw repeated while it makes a loop or a
+    double edge."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {frozenset(e) for e in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(len(e) == 2 for e in edges):
+            return Graph(range(n), [tuple(e) for e in edges])
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
     """Matrix of one boundary operator: rows indexed by (d-1)-faces, columns

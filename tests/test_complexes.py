@@ -25,6 +25,7 @@ from nbhd import (
     pair_swap_involution,
 )
 from nbhd.complexes import _face_levels, sorted_labels
+from nbhd.graphs import walk_ball
 
 
 def naive_from_faces(faces):
@@ -61,6 +62,12 @@ def brute_pair_poset_elements(G, r):
 
 looped_graphs = st.integers(1, 7).flatmap(lambda n: st.builds(
     lambda edges: Graph(range(n), edges),
+    st.sets(st.sampled_from(list(itertools.combinations_with_replacement(range(n), 2))))))
+
+mixed_label_graphs = st.integers(1, 7).flatmap(lambda n: st.builds(
+    lambda labels, edges: Graph(labels, [(labels[i], labels[j]) for i, j in edges]),
+    st.lists(st.one_of(st.integers(-9, 9), st.text("xyz", max_size=2),
+                       st.tuples(st.integers(0, 2))), min_size=n, max_size=n, unique=True),
     st.sets(st.sampled_from(list(itertools.combinations_with_replacement(range(n), 2))))))
 
 small_graphs = st.builds(
@@ -273,6 +280,29 @@ class TestNeighborhoodComplex:
                 [h.vertices[j] for j in walk_neighborhood(h, v, r)] for v in h.vertices)
             assert (K.vertices, K.facets) == ref
 
+    @given(mixed_label_graphs, st.integers(min_value=1, max_value=5))
+    @settings(max_examples=150, deadline=None)
+    def test_index_build_matches_from_faces(self, g, r):
+        # the builder works on ball indices; ``from_faces`` over the balls'
+        # labels is the reference, loops, nested and empty balls and labels
+        # that do not compare included
+        ref = SimplicialComplex.from_faces(
+            [g.vertices[j] for j in walk_ball(g, i, r)] for i in range(g.n_vertices))
+        K = neighborhood_complex(g, r)
+        assert (K.vertices, K.facets) == (ref.vertices, ref.facets)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_nested_and_empty_balls(self, r):
+        # a path with a pendant loop, a triangle and an isolated vertex, on
+        # labels of three types: at r=1 the ball of "a" lies in that of "c"
+        g = Graph(["a", "b", "c", 7, (1, 2), 0, "z"],
+                  [("a", "b"), ("b", "c"), ("c", 7), (7, 7), ((1, 2), 0), (0, "z"), ("z", (1, 2))])
+        ref = SimplicialComplex.from_faces(
+            [g.vertices[j] for j in walk_ball(g, i, r)] for i in range(g.n_vertices))
+        K = neighborhood_complex(g, r)
+        assert (K.vertices, K.facets) == (ref.vertices, ref.facets)
+        assert len(K.facets) < sum(1 for i in range(g.n_vertices) if walk_ball(g, i, r))
+
     @given(small_graphs, st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
     def test_faces_pairwise_linked_at_double_radius(self, g, r):
@@ -284,14 +314,24 @@ class TestNeighborhoodComplex:
                     assert u in walk_neighborhood(g, v, 2 * r)
 
 
+_successors = {}  # the last poset searched, and its successor lists
+
+
 def leq(P, i, j):
     """Oracle: ``i <= j`` in the order the covers of ``P`` generate, by a
-    search up the covers from ``i``."""
-    above, seen = [i], {i}
+    search up the covers from ``i``.  The successor lists are built once per
+    poset, so a search reads each cover it reaches once."""
+    if P not in _successors:
+        _successors.clear()
+        _successors[P] = [[] for _ in P.elements]
+        for a, b in P.covers:
+            _successors[P][a].append(b)
+    succ, above, seen = _successors[P], [i], {i}
     for a in above:
-        for b in (b for x, b in P.covers if x == a and b not in seen):
-            seen.add(b)
-            above.append(b)
+        for b in succ[a]:
+            if b not in seen:
+                seen.add(b)
+                above.append(b)
     return j in seen
 
 

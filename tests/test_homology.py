@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_matrices, euler_characteristic, full_simplex, make_schrijver,
-                      mycielskian, rp2_complex, simplex_boundary)
+                      mycielskian, random_cubic_graph, rp2_complex, simplex_boundary, torus_grid)
 from nbhd import (
     Graph,
     Poset,
@@ -31,6 +31,7 @@ from nbhd import (
     smith_normal_form,
 )
 from nbhd import HomologyResult, Presentation, complexes, gf2
+import contraction_oracle as oracle
 from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
 from nbhd.homology import (_contracted, _forest_rank, _level_homology, _levels, _merge,
                            _snf_factors)
@@ -574,12 +575,11 @@ def small_graphs(draw):
 def lattice_levels(K):
     """The chains of the lattice of ``K``'s facet intersections by dimension,
     from the lattice model's own steps, with no choice of model made."""
-    spans = [sum(1 << v for v in f) for f in K.facets]
-    found = set(spans)
-    for _ in _closure(spans, found):
+    found = set()
+    for _ in _closure(K.facets, found):
         pass
     lattice = sorted(found, key=int.bit_count)
-    return lattice, [list(_bits(a)) for a in _above(lattice, K.n_vertices)]
+    return lattice, _above(lattice)
 
 
 class TestLattice:
@@ -824,6 +824,98 @@ class TestContraction:
         monkeypatch.setattr(sys.modules["nbhd.homology"], "_merge", merge_dropping_a)
         K = SimplicialComplex.from_faces([(k, (k + 1) % 6) for k in range(6)])
         assert homology(K) != uncleared_homology(K)
+
+
+@st.composite
+def split_complexes(draw):
+    """Complexes made of up to three blocks of faces on disjoint vertex
+    ranges, so empty, one-facet and disconnected complexes all occur."""
+    blocks = draw(st.lists(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
+                                    max_size=6), max_size=3))
+    return SimplicialComplex.from_faces(
+        [[(k, v) for v in f] for k, faces in enumerate(blocks) for f in faces])
+
+
+def contraction_matches_oracle(K):
+    """The contracted complex, checked against the oracle's contraction; then
+    the lattice of the contracted complex, closed on the stars of its
+    vertices, checked against the oracle's closure and holders."""
+    C, O = _contracted(K), oracle._contracted(K)
+    assert (C.vertices, C.facets) == (O.vertices, O.facets)
+    spans = [sum(1 << v for v in f) for f in C.facets]
+    found, old = set(), set(spans)
+    bounds = list(_closure(C.facets, found))
+    old_bounds = [len(old)] + list(oracle._closure(spans, old))  # the first, before a round
+    assert found == old and bounds == sorted(bounds) and bounds[-1] == old_bounds[-1]
+    lattice = sorted(found, key=int.bit_count)
+    assert _above(lattice) == [list(_bits(a)) for a in oracle._above(lattice, C.n_vertices)]
+    return C
+
+
+def oracle_counts(K):
+    """The chains of the order complex of ``K``'s facet-intersection lattice,
+    closed by the oracle, and ``K``'s faces, each listed and counted."""
+    spans = [sum(1 << v for v in f) for f in K.facets]
+    found = set(spans)
+    for _ in oracle._closure(spans, found):
+        pass
+    lattice = sorted(found, key=int.bit_count)
+    chains = _chains([list(_bits(a)) for a in oracle._above(lattice, K.n_vertices)])
+    faces = SimplicialComplex(K.vertices, K.facets).faces()
+    return sum(map(len, chains)), sum(map(len, faces.values()))
+
+
+class TestTouchingFacets:
+    """The link condition pairs only facets that meet, and the lattice meets
+    only facets that share a vertex; the all-pairs link condition, closure
+    and holder masks they replaced are the oracle."""
+
+    @given(split_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_complexes_match_the_oracle(self, K):
+        contraction_matches_oracle(K)
+
+    @given(split_complexes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_model_and_guard_match_the_oracle(self, K, data):
+        # the same model as the oracle's counts choose; past the limit in
+        # both, the face guard counts only the faces read, one past it
+        C = _contracted(K)
+        chains, n_faces = oracle_counts(oracle._contracted(K))
+        limit = data.draw(st.integers(0, max(chains, n_faces) + 1))
+        if min(chains, n_faces) > limit:
+            with pytest.raises(ResourceLimitError) as err:
+                _levels(C, limit)
+            assert (err.value.count, err.value.limit) == (limit + 1, limit)
+            return
+        levels = _levels(C, limit)
+        assert (C._faces is None) == (chains < n_faces and chains <= limit)
+        assert sum(map(len, levels)) == (chains if C._faces is None else n_faces)
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CASES))
+    def test_torsion_cases(self, name):
+        contraction_matches_oracle(TORSION_CASES[name][0]())
+
+    @pytest.mark.parametrize("m, r, facets", [(17, 7, 7), (31, 13, 7), (4001, 2, 3)])
+    def test_cycle_complexes(self, m, r, facets):
+        C = contraction_matches_oracle(neighborhood_complex(make_cycle(m), r))
+        assert len(C.facets) == facets
+
+    @pytest.mark.parametrize("G, r, facets", [
+        (random_cubic_graph(200, 1), 1, (199, 166)),
+        (torus_grid(7), 1, (49, 16)), (torus_grid(7), 2, (49, 9))],
+        ids=["cubic 200 r=1", "torus 7 r=1", "torus 7 r=2"])
+    def test_sparse_rungs(self, G, r, facets):
+        # the cubic graph is the case where 142 merges leave 166 of 199
+        # facets; the groups equal the uncleared reduction's and those of the
+        # oracle's contracted complex
+        K = neighborhood_complex(G, r)
+        C = contraction_matches_oracle(K)
+        assert (len(K.facets), len(C.facets)) == facets
+        h = homology(K)
+        assert h == uncleared_homology(K)
+        assert h.groups == _level_homology(
+            list(oracle._contracted(K).faces().values()), K.dim + 1).groups
 
 
 class TestReach:
