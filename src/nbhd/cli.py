@@ -9,6 +9,7 @@ precondition violated, 1 cross-oracle inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,6 +239,7 @@ def _count(text):
     return value
 
 
+@functools.cache
 def _build_parser(face_default):
     parser = argparse.ArgumentParser(
         prog="nbhd",
@@ -254,46 +256,41 @@ def _build_parser(face_default):
         "out": dict(default=None, help="write the artifact to this file"),
     }
 
-    def add(name, func, help_text, *options):
+    def add(name, help_text, *options):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
         sp.add_argument("--json", action="store_true", help="emit the run report as JSON")
         for opt in options:
             sp.add_argument("--" + opt, **shared[opt])
         return sp
 
-    sp = add("girth", _cmd_girth, "odd girth of a graph file")
+    sp = add("girth", "odd girth of a graph file")
     sp.add_argument("graph")
 
-    sp = add("complex", _cmd_complex, "walk-neighborhood complex of a graph",
-             "limit-faces", "out")
+    sp = add("complex", "walk-neighborhood complex of a graph", "limit-faces", "out")
     sp.add_argument("graph")
     sp.add_argument("r", type=int)
 
-    sp = add("homology", _cmd_homology, "integral homology of a complex or graph+radius",
-             "limit-faces")
+    sp = add("homology", "integral homology of a complex or graph+radius", "limit-faces")
     sp.add_argument("file")
     sp.add_argument("-r", type=int, default=None, help="radius when the input is a graph")
 
-    sp = add("bposet", _cmd_bposet, "linked-pair poset of a graph", "out")
+    sp = add("bposet", "linked-pair poset of a graph", "out")
     sp.add_argument("graph")
     sp.add_argument("r", type=int)
     sp.add_argument("--guard", type=_count, default=200_000, help="element-count guard")
 
-    sp = add("obstruct", _cmd_obstruct, "homomorphism obstruction verdict",
-             "limit-faces", "budget")
+    sp = add("obstruct", "homomorphism obstruction verdict", "limit-faces", "budget")
     sp.add_argument("source")
     sp.add_argument("target")
     sp.add_argument("r", type=int)
     sp.add_argument("--exact", action="store_true",
                     help="fall back to exact cup-power heights")
 
-    sp = add("morse", _cmd_morse, "matching + collapse tower for a cycle complex",
-             "limit-faces")
+    sp = add("morse", "matching + collapse tower for a cycle complex", "limit-faces")
     sp.add_argument("m", type=int)
     sp.add_argument("r", type=int)
 
-    sp = add("kneser-table", _cmd_kneser_table, "survey table over Kneser parameters")
+    sp = add("kneser-table", "survey table over Kneser parameters")
     sp.add_argument("n_min", type=int)
     sp.add_argument("n_max", type=int)
     sp.add_argument("k_min", type=int)
@@ -301,7 +298,7 @@ def _build_parser(face_default):
     sp.add_argument("--limit-cells", type=_count, default=20_000,
                     help="total vertex-count guard for the table")
 
-    sp = add("hom-search", _cmd_hom_search, "exhaustive homomorphism search", "budget")
+    sp = add("hom-search", "exhaustive homomorphism search", "budget")
     sp.add_argument("source")
     sp.add_argument("target")
 
@@ -312,11 +309,12 @@ def main(argv=None):
     # argparse runs a string default through the option's type, so a bad
     # NBHD_LIMIT_FACES is an input error of the commands that read it
     face_default = os.environ.get("NBHD_LIMIT_FACES", DEFAULT_FACE_LIMIT)
-    parser = _build_parser(face_default)
-    args = parser.parse_args(argv)
+    args = _build_parser(face_default).parse_args(argv)
+    # the handler is looked up when it runs, so the cached parser holds none
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     t0 = time.perf_counter()
     try:
-        params, result, lines = args.func(args)
+        params, result, lines = handler(args)
     except FreenessError as exc:
         print(f"freeness violation: {exc}", file=sys.stderr)
         return EXIT_FREENESS

@@ -24,7 +24,7 @@ from collections import defaultdict
 from functools import reduce
 
 from .errors import ResourceLimitError
-from .graphs import _decode_label, _encode_label, _json_list, walk_ball
+from .graphs import _bits, _decode_label, _encode_label, _json_list, walk_ball
 
 DEFAULT_FACE_LIMIT = 5_000_000
 
@@ -197,14 +197,6 @@ def _maximal_on(vertices, key, faces):
     slot = {key(v): i for i, v in enumerate(vertices)}
     return SimplicialComplex._from_indexed(vertices, _keep_maximal(
         [sorted(map(slot.__getitem__, f)) for f in faces], len(vertices)))
-
-
-def _bits(x):
-    # the positions of the set bits of mask x, in increasing order
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _face_levels(facets, seeds, limit, stage):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Graph",
@@ -168,38 +168,47 @@ def odd_girth(G):
     """Length of the shortest odd closed walk; ``math.inf`` iff the graph is
     bipartite.
 
-    A level-by-level breadth-first search runs from each source.  An edge
-    inside level d (a loop included) closes an odd walk of length 2d + 1
-    through the source, and the least such length over all sources is the
-    odd girth.  A source stops once 2d + 1 cannot beat the best so far.
-    The answer is kept in the graph's memo.
+    A level-by-level breadth-first search runs from each source over the
+    vertices not yet used as a source.  An edge inside level d (a loop
+    included) closes an odd walk of length 2d + 1 through the source, and
+    the least such length over all sources is the odd girth: a shortest odd
+    cycle lies among the vertices left when its first vertex is the source,
+    and its distances there are the graph's.  A source stops once 2d + 1
+    cannot beat the best so far.  The answer is kept in the graph's memo.
     """
     memo = G._memo
     if "odd_girth" not in memo:
+        nbrs = [sum(1 << w for w in a) for a in G.adj]
         best = math.inf
         for s in range(G.n_vertices):
-            best = _odd_walk_length(G.adj, s, best)
+            best = _odd_walk_length(nbrs, s, best)
         memo["odd_girth"] = best
     return memo["odd_girth"]
 
 
-def _odd_walk_length(adj, s, bound):
+def _odd_walk_length(nbrs, s, bound):
     """2d + 1 for the first breadth-first level d from ``s`` that holds an
-    edge, or ``bound`` if that length would not be below it."""
-    depth = [-1] * len(adj)
-    depth[s] = 0
-    level, d = [s], 0
+    edge, or ``bound`` if that length would not be below it; the search
+    runs on the vertices from ``s`` on, with ``nbrs`` the neighbour masks."""
+    level, seen, d = 1 << s, (2 << s) - 1, 0
     while level and 2 * d + 1 < bound:
-        below = []
-        for u in level:
-            for w in adj[u]:
-                if depth[w] < 0:
-                    depth[w] = d + 1
-                    below.append(w)
-                elif depth[w] == d:
-                    return 2 * d + 1
-        level, d = below, d + 1
+        below = 0
+        for u in _bits(level):
+            if nbrs[u] & level:
+                return 2 * d + 1
+            below |= nbrs[u]
+        level = below & ~seen
+        seen |= level
+        d += 1
     return bound
+
+
+def _bits(x):
+    # the positions of the set bits of mask x, in increasing order
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def kneser_walk_test(n, k, a, b, s):
@@ -228,13 +237,12 @@ def validate_hom(f, G, H):
     return all(H.has_edge(f[i], f[j]) for i, j in G.edges())
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of an exhaustive homomorphism search."""
+class SearchOutcome(namedtuple("SearchOutcome", "status mapping expansions")):
+    """Result of an exhaustive homomorphism search: ``status`` is "found",
+    "none" or "budget-exceeded", ``mapping`` a tuple of target indices or
+    None."""
 
-    status: str  # "found" | "none" | "budget-exceeded"
-    mapping: tuple | None
-    expansions: int
+    __slots__ = ()
 
     @property
     def found(self):

@@ -45,14 +45,13 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import defaultdict, deque, namedtuple
 from functools import reduce
 from itertools import combinations, islice
 
-from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _above, _bits, _chains, _closure,
+from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _above, _chains, _closure,
                         _face_levels, _integers, _sizes, neighborhood_complex)
-from .graphs import odd_girth
+from .graphs import _bits, odd_girth
 
 __all__ = [
     "HomologyResult",
@@ -241,12 +240,12 @@ def _non_unit_pass(rows, cols):
 # ---------------------------------------------------------------------------
 # homology
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(namedtuple("HomologyResult", "groups")):
     """Per-dimension Betti numbers and torsion coefficients (invariant
-    factors > 1, successively dividing)."""
+    factors > 1, successively dividing): ``groups`` holds ``(betti, torsion
+    tuple)`` for dims 0..dim."""
 
-    groups: tuple  # ((betti, torsion tuple), ...) for dims 0..dim
+    __slots__ = ()
 
     def betti(self, d):
         return self.groups[d][0] if 0 <= d < len(self.groups) else 0
@@ -505,13 +504,13 @@ def homology_connectivity(K, limit=None):
 # ---------------------------------------------------------------------------
 # edge-path presentations
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generators relators")):
     """Group presentation read off a complex: one generator per non-tree edge
-    of the 1-skeleton, one relator per triangle (tree edges drop out)."""
+    of the 1-skeleton, one relator per triangle (tree edges drop out).
+    ``generators`` are names, ``relators`` words: tuples of (generator
+    index, exponent)."""
 
-    generators: tuple  # names
-    relators: tuple  # words: tuples of (generator index, exponent)
+    __slots__ = ()
 
     def relator_strings(self):
         return tuple("*".join(self.generators[g] + ("" if e == 1 else f"^{e}") for g, e in word)

@@ -15,13 +15,13 @@ matching acyclic and present, and only facets pass between stages.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
-from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _bits, _held,
+from .complexes import (DEFAULT_FACE_LIMIT, SimplicialComplex, _held,
                         neighborhood_complex, sorted_labels)
 from .errors import CollapseError, ResourceLimitError
-from .graphs import make_cycle
+from .graphs import _bits, make_cycle
 
 __all__ = [
     "MorseMatching",
@@ -30,13 +30,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MorseMatching:
+class MorseMatching(namedtuple("MorseMatching", "pairs domain")):
     """Pairs ``(tau, sigma)`` with ``tau`` a codimension-1 face of ``sigma``;
-    ``domain`` is the face set the matching is supposed to cover."""
+    ``domain`` is the frozenset of faces the matching is supposed to cover."""
 
-    pairs: tuple
-    domain: frozenset
+    __slots__ = ()
 
     def to_json_obj(self):
         return [[list(tau), list(sigma)] for tau, sigma in self.pairs]

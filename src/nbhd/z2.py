@@ -18,8 +18,7 @@ for the chromatic number"; Lovasz 1978).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import asdict, dataclass
+from collections import defaultdict, namedtuple
 from itertools import combinations
 from math import comb
 
@@ -44,20 +43,19 @@ __all__ = [
     "kneser_certificate",
 ]
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(namedtuple("Involution", "perm")):
     """Vertex permutation of a complex with order dividing two."""
 
-    perm: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        perm = _integers(self.perm)
-        object.__setattr__(self, "perm", perm)
+    def __new__(cls, perm):
+        perm = _integers(perm)
         n = len(perm)
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of the vertex indices")
         if any(perm[perm[i]] != i for i in range(n)):
             raise ValueError("permutation must square to the identity")
+        return super().__new__(cls, perm)
 
     @classmethod
     def from_label_map(cls, K, mapping):
@@ -70,11 +68,9 @@ class Involution:
         return tuple(sorted(self.perm[i] for i in face))
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    free: bool
-    reason: str | None = None
-    witness: tuple | None = None
+class FreenessReport(namedtuple("FreenessReport", "free reason witness",
+                                 defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.free
@@ -288,18 +284,14 @@ def _require_free(G, r):
     return g0
 
 
-@dataclass(frozen=True)
-class HeightBound:
-    kind: str  # "lower" | "upper" | "exact"
-    value: int
-    rule: str
+class HeightBound(namedtuple("HeightBound", "kind value rule")):
+    """``kind`` is "lower", "upper" or "exact"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HeightBounds:
-    lower: int | None
-    upper: int | None
-    rules: tuple
+class HeightBounds(namedtuple("HeightBounds", "lower upper rules")):
+    __slots__ = ()
 
     def to_json_obj(self):
         return {
@@ -368,16 +360,16 @@ def _best_bound(rules, kind):
     return min(vals)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    verdict: str  # "NO-MAP" | "INCONCLUSIVE"
-    r: int
-    lhs: dict  # {"bound": int | None, "rule": str | None}
-    rhs: dict
-    convention: str = "sup-height"
+class ObstructionReport(namedtuple("ObstructionReport", "verdict r lhs rhs convention",
+                                    defaults=("sup-height",))):
+    """``verdict`` is "NO-MAP" or "INCONCLUSIVE"; ``lhs`` and ``rhs`` are
+    ``{"bound": int | None, "rule": str | None}``."""
+
+    __slots__ = ()
 
     def to_json_obj(self):
-        return asdict(self)
+        # fresh copies of the nested dicts, so the report stays as it was
+        return {**self._asdict(), "lhs": dict(self.lhs), "rhs": dict(self.rhs)}
 
 
 def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
@@ -421,14 +413,13 @@ def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
     )
 
 
-@dataclass(frozen=True)
-class KneserReport:
-    verdict: str  # "NO-MAP" | "INCONCLUSIVE"
-    rule: str | None
-    detail: dict
+class KneserReport(namedtuple("KneserReport", "verdict rule detail")):
+    """``verdict`` is "NO-MAP" or "INCONCLUSIVE"."""
+
+    __slots__ = ()
 
     def to_json_obj(self):
-        return asdict(self)
+        return {**self._asdict(), "detail": dict(self.detail)}
 
 
 def kneser_certificate(n, k, G, *, budget=10_000_000):

@@ -449,6 +449,27 @@ def test_memory_error_exits_resource(monkeypatch, capsys, c5_file):
     assert "girth" in err and "memory" in err
 
 
+def test_parser_is_built_once_per_face_default(monkeypatch, capsys, c5_file):
+    monkeypatch.delenv("NBHD_LIMIT_FACES", raising=False)
+    cli._build_parser.cache_clear()
+    assert main(["girth", c5_file]) == 0
+    assert main(["homology", c5_file, "-r", "1"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    # a handler patched after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "_cmd_girth", lambda args: ({}, {}, ["patched"]))
+    assert main(["girth", c5_file]) == 0
+    assert capsys.readouterr().out.startswith("patched")
+    # N(C5) is reduced on its 10 faces, so a limit of 0 from the
+    # environment stops it; the default's parser is reused afterwards
+    monkeypatch.setenv("NBHD_LIMIT_FACES", "0")
+    assert main(["homology", c5_file, "-r", "1"]) == 3
+    assert cli._build_parser.cache_info().misses == 2
+    monkeypatch.delenv("NBHD_LIMIT_FACES")
+    assert main(["homology", c5_file, "-r", "1"]) == 0
+    assert cli._build_parser.cache_info().misses == 2
+
+
 def test_cli_import_does_not_load_numpy():
     src = str(Path(nbhd.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); import nbhd.cli; "

@@ -20,8 +20,10 @@ from nbhd import (
 )
 from nbhd import graphs
 from nbhd.graphs import _automorphism, walk_ball
-from conftest import format_edge_list, is_connected, mycielskian, walk_neighborhood
+from conftest import (format_edge_list, is_connected, mycielskian, random_cubic_graph,
+                      torus_grid, walk_neighborhood)
 from hom_search_oracle import hom_search as reference_search
+from odd_girth_oracle import odd_girth as reference_odd_girth
 
 
 def brute_walk_endpoints(G, start, r):
@@ -50,6 +52,30 @@ def loopless_graphs(draw, max_n):
     pairs = list(itertools.combinations(range(n), 2))
     bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(range(n), [e for e, b in zip(pairs, bits) if b])
+
+
+@st.composite
+def graph_unions(draw, max_blocks=3, max_n=7):
+    """Disjoint unions of blocks, each a random graph with loops, a random
+    bipartite graph or an odd cycle, on vertex indices in a random order, so
+    a block may hold the first, the last or scattered indices."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=max_blocks))):
+        kind = draw(st.sampled_from(["loops", "bipartite", "cycle"]))
+        if kind == "cycle":
+            size = draw(st.sampled_from([3, 5, 7]))
+            block = [(i, (i + 1) % size) for i in range(size)]
+        else:
+            size = draw(st.integers(min_value=1, max_value=max_n))
+            side = draw(st.integers(min_value=0, max_value=size))
+            pairs = [(i, j) for i, j in itertools.combinations_with_replacement(range(size), 2)
+                     if kind == "loops" or (i < side) != (j < side)]
+            block = [e for e, b in zip(pairs, draw(st.lists(
+                st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if b]
+        edges += [(n + i, n + j) for i, j in block]
+        n += size
+    order = draw(st.permutations(range(n)))
+    return Graph(range(n), [(order[i], order[j]) for i, j in edges])
 
 
 small_graphs = st.builds(
@@ -207,6 +233,21 @@ class TestOddGirth:
         walks = [m for m in range(1, 2 * n + 2, 2)
                  if any(i in walk_ball(g, i, m) for i in range(n))]
         assert odd_girth(g) == (walks[0] if walks else math.inf)
+
+    @given(graph_unions())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_whole_graph_search(self, g):
+        # the search from each source on the vertices left is the full
+        # search's answer: loops, bipartite blocks (inf), several components
+        # and the empty graph (no block)
+        assert odd_girth(g) == reference_odd_girth(g)
+
+    @pytest.mark.parametrize("g", [
+        Graph([]), make_kneser(7, 3), make_kneser(9, 4), mycielskian(mycielskian(make_cycle(5))),
+        torus_grid(5), torus_grid(6), random_cubic_graph(200, 1), make_cycle(31),
+    ], ids=["empty", "K(7,3)", "K(9,4)", "M(M(C5))", "C5xC5", "C6xC6", "cubic200", "C31"])
+    def test_equals_the_whole_graph_search_on_named_graphs(self, g):
+        assert odd_girth(g) == reference_odd_girth(g)
 
     def test_kneser_girths(self):
         for n, k in [(7, 3), (8, 3), (9, 4)]:
