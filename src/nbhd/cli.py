@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand produces a run report that echoes its parameters; ``--json``
-prints it as JSON (stable key order), otherwise a short human summary is
-shown.  Exit codes: 0 success, 2 input error, 3 resource limit, 4 freeness
-precondition violated, 1 cross-oracle inconsistency.
+Every subcommand produces a run report that echoes the arguments it parsed
+(``--limit-faces`` under ``limits``); ``--json`` prints it as JSON (stable key
+order), otherwise a short human summary is shown.  Exit codes: 0 success, 2
+input error, 3 resource limit, 4 freeness precondition violated, 1
+cross-oracle inconsistency.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import comb
 
 from .complexes import (
     DEFAULT_FACE_LIMIT,
+    DEFAULT_POSET_GUARD,
     complex_from_json_obj,
     complex_to_json_obj,
     neighborhood_complex,
@@ -26,6 +28,7 @@ from .complexes import (
 )
 from .errors import ConsistencyError, FreenessError, ResourceLimitError
 from .graphs import (
+    DEFAULT_BUDGET,
     graph_from_json_obj,
     hom_search,
     load_graph,
@@ -35,7 +38,7 @@ from .graphs import (
     validate_hom,
 )
 from .homology import homology
-from .morse import _as_matching, _tower
+from .morse import collapse_cycle_tower, cycle_matching
 from .z2 import _kneser_sphere_radius, obstruction_check
 
 EXIT_OK = 0
@@ -52,20 +55,17 @@ def _girth_str(value):
 def _cmd_girth(args):
     g = load_graph(args.graph)
     val = _girth_str(odd_girth(g))
-    params = {"graph": args.graph}
-    result = {"odd_girth": val}
-    return params, result, [f"odd girth: {val}"]
+    return {"odd_girth": val}, [f"odd girth: {val}"]
 
 
 def _cmd_complex(args):
     g = load_graph(args.graph)
     K = neighborhood_complex(g, args.r)
     K.faces(args.limit_faces)  # enforce the guard before reporting
-    params = {"graph": args.graph, "r": args.r, "out": args.out}
     result = {"facet_count": len(K.facets), "dim": K.dim}
     lines = [f"facets: {len(K.facets)}", f"dimension: {K.dim}"]
     _write_or_embed(complex_to_json_obj(K), args.out, result, "complex", lines)
-    return params, result, lines
+    return result, lines
 
 
 def _write_or_embed(obj, out, result, key, lines):
@@ -95,23 +95,21 @@ def _load_complex_or_graph(path, r):
 def _cmd_homology(args):
     K = _load_complex_or_graph(args.file, args.r)
     h = homology(K, args.limit_faces)
-    params = {"file": args.file, "r": args.r}
     result = {"homology": h.to_json_obj()}
     lines = []
     for row in h.to_json_obj():
         tors = "".join(f" + Z/{t}" for t in row["torsion"])
         lines.append(f"H_{row['dim']}: Z^{row['betti']}{tors}")
-    return params, result, lines
+    return result, lines
 
 
 def _cmd_bposet(args):
     g = load_graph(args.graph)
     P = pair_poset(g, args.r, size_guard=args.guard)
-    params = {"graph": args.graph, "r": args.r, "guard": args.guard, "out": args.out}
     result = {"element_count": P.n_elements, "cover_count": len(P.covers)}
     lines = [f"elements: {P.n_elements}", f"covers: {len(P.covers)}"]
     _write_or_embed(P.to_json_obj(), args.out, result, "poset", lines)
-    return params, result, lines
+    return result, lines
 
 
 def _cmd_obstruct(args):
@@ -124,13 +122,6 @@ def _cmd_obstruct(args):
         raise ConsistencyError(
             "obstruction says NO-MAP but the exhaustive search found a map"
         )
-    params = {
-        "source": args.source,
-        "target": args.target,
-        "r": args.r,
-        "exact": args.exact,
-        "budget": args.budget,
-    }
     result = {
         "obstruction": rep.to_json_obj(),
         "search": {"status": search.status, "expansions": search.expansions},
@@ -140,18 +131,15 @@ def _cmd_obstruct(args):
         f"rhs {rep.rhs['bound']} via {rep.rhs['rule']})",
         f"exhaustive search: {search.status}",
     ]
-    return params, result, lines
+    return result, lines
 
 
 def _cmd_morse(args):
-    run = _tower(args.m, args.r, args.limit_faces)  # checks m, r and limits before building
-    masks, stage, final = next(run)  # the top matching, kept for the report
-    matching, stages = _as_matching(args.m, *masks), [stage]
-    for _, stage, final in run:
-        stages.append(stage)
+    # the tower checks m, r and each stage's limit before it builds a matching
+    final, stages = collapse_cycle_tower(args.m, args.r, args.limit_faces)
+    matching = cycle_matching(args.m, args.r)
     report = stages[0]["verification"]
     h = homology(final, args.limit_faces)
-    params = {"m": args.m, "r": args.r}
     result = {
         "matching": matching.to_json_obj(),
         "verification": report,
@@ -162,16 +150,14 @@ def _cmd_morse(args):
     lines = [f"top matching: {len(matching.pairs)} pairs, perfect={report['perfect']}"]
     lines += [f"stage r={s['radius']}: {s['pairs']} pairs, acyclic" for s in stages]
     lines.append(f"final complex: {len(final.facets)} facets, betti {h.betti_vector}")
-    return params, result, lines
+    return result, lines
 
 
 def _cmd_kneser_table(args):
     rows = []
     cells = 0
     for n in range(args.n_min, args.n_max + 1):
-        for k in range(args.k_min, args.k_max + 1):
-            if k > n:
-                continue
+        for k in range(args.k_min, min(args.k_max, n) + 1):
             cells += comb(n, k)
             if cells > args.limit_cells:
                 raise ResourceLimitError("kneser-table", cells, "vertices",
@@ -195,11 +181,6 @@ def _cmd_kneser_table(args):
                     "certificate": bool(r),  # kneser_certificate takes r >= 1
                 }
             )
-    params = {
-        "n_min": args.n_min, "n_max": args.n_max,
-        "k_min": args.k_min, "k_max": args.k_max,
-        "limit_cells": args.limit_cells,
-    }
     lines = ["   n  k  |V|  girth  r  certificate"]
     for row in rows:
         lines.append(
@@ -207,7 +188,7 @@ def _cmd_kneser_table(args):
             f"{str(row['odd_girth']):>5}  {str(row['r'] if row['r'] is not None else '-'):>1}  "
             f"{'active' if row['certificate'] else '-'}"
         )
-    return params, {"rows": rows}, lines
+    return {"rows": rows}, lines
 
 
 def _cmd_hom_search(args):
@@ -223,12 +204,11 @@ def _cmd_hom_search(args):
         mapping = [
             [g.vertices[i], h.vertices[t]] for i, t in enumerate(out.mapping)
         ]
-    params = {"source": args.source, "target": args.target, "budget": args.budget}
     result = {"status": out.status, "expansions": out.expansions, "map": mapping}
     lines = [f"search: {out.status} ({out.expansions} expansions)"]
     if mapping:
         lines.extend(f"  {u} -> {v}" for u, v in mapping)
-    return params, result, lines
+    return result, lines
 
 
 def _count(text):
@@ -251,7 +231,7 @@ def _build_parser(face_default):
     shared = {
         "limit-faces": dict(type=_count, default=face_default,
                             help="face-count guard for enumeration"),
-        "budget": dict(type=_count, default=10_000_000,
+        "budget": dict(type=_count, default=DEFAULT_BUDGET,
                        help="node-expansion limit for exhaustive searches"),
         "out": dict(default=None, help="write the artifact to this file"),
     }
@@ -277,7 +257,7 @@ def _build_parser(face_default):
     sp = add("bposet", "linked-pair poset of a graph", "out")
     sp.add_argument("graph")
     sp.add_argument("r", type=int)
-    sp.add_argument("--guard", type=_count, default=200_000, help="element-count guard")
+    sp.add_argument("--guard", type=_count, default=DEFAULT_POSET_GUARD, help="element-count guard")
 
     sp = add("obstruct", "homomorphism obstruction verdict", "limit-faces", "budget")
     sp.add_argument("source")
@@ -314,7 +294,7 @@ def main(argv=None):
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     t0 = time.perf_counter()
     try:
-        params, result, lines = handler(args)
+        result, lines = handler(args)
     except FreenessError as exc:
         print(f"freeness violation: {exc}", file=sys.stderr)
         return EXIT_FREENESS
@@ -331,13 +311,14 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"fatal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     wall = time.perf_counter() - t0
     report = {
         "command": args.command,
-        "parameters": params,
+        "parameters": {key: value for key, value in vars(args).items()
+                       if key not in ("command", "json", "limit_faces")},
         "result": result,
         "limits": {key: getattr(args, attr) for key, attr in
                    (("face_limit", "limit_faces"), ("budget", "budget"))

@@ -27,6 +27,7 @@ from .errors import ResourceLimitError
 from .graphs import _bits, _decode_label, _encode_label, _json_list, walk_ball
 
 DEFAULT_FACE_LIMIT = 5_000_000
+DEFAULT_POSET_GUARD = 200_000
 
 __all__ = [
     "DEFAULT_FACE_LIMIT",
@@ -392,7 +393,7 @@ def neighborhood_complex(G, r):
                        G._index.__getitem__, balls)
 
 
-def pair_poset(G, r, size_guard=200_000):
+def pair_poset(G, r, size_guard=DEFAULT_POSET_GUARD):
     """Poset of pairs ``(A, B)`` of nonempty vertex sets with every member of
     ``B`` an exact-r walk from every member of ``A``, ordered by componentwise
     inclusion.  Elements carry label tuples; Hasse edges are the one-vertex

@@ -17,6 +17,8 @@ import json
 import math
 from collections import namedtuple
 
+DEFAULT_BUDGET = 10_000_000
+
 __all__ = [
     "Graph",
     "SearchOutcome",
@@ -270,7 +272,7 @@ class _Reach(dict):
         return out
 
 
-def hom_search(G, H, budget=10_000_000):
+def hom_search(G, H, budget=DEFAULT_BUDGET):
     """Exhaustive backtracking search for a graph homomorphism ``G -> H``.
 
     Source vertices are assigned in descending-degree order (ties by index),
@@ -423,7 +425,6 @@ def hom_search(G, H, budget=10_000_000):
                     if size is not None:
                         expansions += size
                         if expansions > budget:
-                            expansions = budget + 1
                             raise _BudgetExhausted
                         continue
             start = expansions
@@ -453,18 +454,17 @@ def hom_search(G, H, budget=10_000_000):
         if dead:
             expansions += dead.bit_count()
             if expansions > budget:
-                expansions = budget + 1
                 raise _BudgetExhausted
         return False
 
     try:
-        if backtrack(0, 0, True):
-            if expansions > budget:
-                return SearchOutcome("budget-exceeded", None, budget + 1)
+        if not backtrack(0, 0, True):
+            return SearchOutcome("none", None, expansions)
+        if expansions <= budget:
             return SearchOutcome("found", tuple(assignment), expansions)
-        return SearchOutcome("none", None, expansions)
     except _BudgetExhausted:
-        return SearchOutcome("budget-exceeded", None, expansions)
+        pass
+    return SearchOutcome("budget-exceeded", None, budget + 1)
 
 
 def _automorphism(H, a, b, allowance, fixed=()):

@@ -74,19 +74,16 @@ def _rotate(x, k, m):
     return (x << k | x >> m - k) & (1 << m) - 1
 
 
-def _as_matching(m, pairs, domain):
-    # window 0's masks, rotated onto every window, as sorted label tuples
-    def labels(x, k):
-        return tuple(_bits(_rotate(x, k, m)))
-    pairs = sorted((labels(t, k), labels(s, k)) for t, s in pairs for k in range(m))
-    return MorseMatching(tuple(pairs), frozenset(labels(x, k) for x in domain for k in range(m)))
-
-
 def cycle_matching(m, r):
     """Matching on the faces of the radius-r complex of the m-cycle that span
     a full diameter window (the faces lost when the radius shrinks by one),
     as sorted label tuples with the pairs sorted; see ``_window_pairs``."""
-    return _as_matching(m, *_window_pairs(m, r))
+    # window 0's masks, rotated onto every window
+    def labels(x, k):
+        return tuple(_bits(_rotate(x, k, m)))
+    pairs, domain = _window_pairs(m, r)
+    pairs = sorted((labels(t, k), labels(s, k)) for t, s in pairs for k in range(m))
+    return MorseMatching(tuple(pairs), frozenset(labels(x, k) for x in domain for k in range(m)))
 
 
 def _relabelled(K, facets):

@@ -25,7 +25,8 @@ from math import comb
 from . import gf2
 from .complexes import DEFAULT_FACE_LIMIT, _face_levels, _integers
 from .errors import FreenessError, ResourceLimitError
-from .graphs import Graph, hom_search, make_cycle, odd_girth, validate_hom, walk_ball
+from .graphs import (DEFAULT_BUDGET, Graph, hom_search, make_cycle, odd_girth, validate_hom,
+                     walk_ball)
 
 __all__ = [
     "Involution",
@@ -56,6 +57,10 @@ class Involution(namedtuple("Involution", "perm")):
         if any(perm[perm[i]] != i for i in range(n)):
             raise ValueError("permutation must square to the identity")
         return super().__new__(cls, perm)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through it: validate there too
+        return cls(*iterable)
 
     @classmethod
     def from_label_map(cls, K, mapping):
@@ -303,7 +308,7 @@ class HeightBounds(namedtuple("HeightBounds", "lower upper rules")):
         }
 
 
-def height_bounds(G, r, *, budget=10_000_000):
+def height_bounds(G, r, *, budget=DEFAULT_BUDGET):
     """Cheap bounds on the swap height of the linked-pair space at odd radius
     ``r``, without building its order complex.
 
@@ -372,7 +377,7 @@ class ObstructionReport(namedtuple("ObstructionReport", "verdict r lhs rhs conve
         return {**self._asdict(), "lhs": dict(self.lhs), "rhs": dict(self.rhs)}
 
 
-def obstruction_check(G, H, r, exact=False, *, budget=10_000_000, limit=None):
+def obstruction_check(G, H, r, exact=False, *, budget=DEFAULT_BUDGET, limit=None):
     """Compare a height lower bound for the source against an upper bound for
     the target: NO-MAP when the source height provably exceeds the target's.
 
@@ -422,7 +427,7 @@ class KneserReport(namedtuple("KneserReport", "verdict rule detail")):
         return {**self._asdict(), "detail": dict(self.detail)}
 
 
-def kneser_certificate(n, k, G, *, budget=10_000_000):
+def kneser_certificate(n, k, G, *, budget=DEFAULT_BUDGET):
     """Nonexistence certificate for maps out of the (n, k) Kneser graph when
     its pair space at radius 2r + 1 is a sphere, with ``r`` from
     :func:`_kneser_sphere_radius`, which must be at least 1: NO-MAP when the

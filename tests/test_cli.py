@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nbhd
-from nbhd import make_cycle, make_kneser, save_graph
+from nbhd import cycle_matching, make_cycle, make_kneser, save_graph
 from nbhd import cli
 from nbhd.cli import main
 
@@ -309,6 +309,11 @@ class TestMorse:
     def test_even_m_rejected(self):
         assert main(["morse", "6", "2"]) == 2
 
+    def test_matching_is_the_library_matching(self, capsys):
+        code, report = run_json(capsys, ["morse", "9", "3"])
+        assert code == 0
+        assert report["result"]["matching"] == cycle_matching(9, 3).to_json_obj()
+
     @pytest.mark.parametrize("argv", [["6", "2"], ["7", "1"], ["9", "5"]])
     def test_bad_parameters_exit_2_before_the_limit(self, argv):
         assert main(["morse", *argv, "--limit-faces", "0"]) == 2
@@ -439,6 +444,37 @@ class TestOptionsWhereRead:
         assert set(report["limits"]) == {"face_limit", "budget"}
 
 
+def _parameters_cases(c5, pet, tmp):
+    """(argv, parameters) for every subcommand: each argument it parsed,
+    defaults included, apart from --json and --limit-faces."""
+    out = str(tmp / "out.json")
+    return [
+        (["girth", pet], {"graph": pet}),
+        (["complex", c5, "3", "--limit-faces", "99"], {"graph": c5, "r": 3, "out": None}),
+        (["complex", c5, "3", "--out", out], {"graph": c5, "r": 3, "out": out}),
+        (["homology", pet, "-r", "3"], {"file": pet, "r": 3}),
+        (["homology", out], {"file": out, "r": None}),
+        (["bposet", c5, "1", "--guard", "999"], {"graph": c5, "r": 1, "guard": 999, "out": None}),
+        (["bposet", c5, "1"], {"graph": c5, "r": 1, "guard": 200_000, "out": None}),
+        (["obstruct", pet, c5, "3"],
+         {"source": pet, "target": c5, "r": 3, "exact": False, "budget": 10_000_000}),
+        (["obstruct", pet, c5, "1", "--exact", "--budget", "5000"],
+         {"source": pet, "target": c5, "r": 1, "exact": True, "budget": 5000}),
+        (["morse", "9", "3"], {"m": 9, "r": 3}),
+        (["kneser-table", "5", "6", "1", "2"],
+         {"n_min": 5, "n_max": 6, "k_min": 1, "k_max": 2, "limit_cells": 20_000}),
+        (["hom-search", c5, pet, "--budget", "77"], {"source": c5, "target": pet, "budget": 77}),
+    ]
+
+
+def test_parameters_echo_the_parsed_arguments(capsys, c5_file, petersen_file, tmp_path):
+    for argv, parameters in _parameters_cases(c5_file, petersen_file, tmp_path):
+        code, report = run_json(capsys, argv)
+        assert code == 0, argv
+        assert report["parameters"] == parameters, argv
+        assert report["command"] == argv[0]
+
+
 def test_memory_error_exits_resource(monkeypatch, capsys, c5_file):
     def out_of_memory(args):
         raise MemoryError
@@ -457,7 +493,7 @@ def test_parser_is_built_once_per_face_default(monkeypatch, capsys, c5_file):
     assert cli._build_parser.cache_info().misses == 1
     capsys.readouterr()
     # a handler patched after the parser was built is the one that runs
-    monkeypatch.setattr(cli, "_cmd_girth", lambda args: ({}, {}, ["patched"]))
+    monkeypatch.setattr(cli, "_cmd_girth", lambda args: ({}, ["patched"]))
     assert main(["girth", c5_file]) == 0
     assert capsys.readouterr().out.startswith("patched")
     # N(C5) is reduced on its 10 faces, so a limit of 0 from the

@@ -93,6 +93,13 @@ class TestInvolution:
         perm = Involution((True, False)).perm
         assert perm == (1, 0) and all(type(i) is int for i in perm)
 
+    def test_make_and_replace_validate(self):
+        with pytest.raises(ValueError):
+            Involution((1, 0))._replace(perm=(0, 0))
+        with pytest.raises(ValueError):
+            Involution._make([(2, 2)])
+        assert Involution((1, 0))._replace(perm=(0, 1)) == Involution((0, 1))
+
     def test_identity_is_an_involution_but_not_free(self):
         K = hexagon_complex()
         t = Involution(tuple(range(6)))
