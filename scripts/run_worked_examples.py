@@ -179,6 +179,13 @@ def main():
             f"(lhs {rep.lhs['bound']}, rhs {rep.rhs['bound']}); search: {search.status}"
         )
         assert not (rep.verdict == "NO-MAP" and search.found)
+    # in generator order the search meets the same failed subtrees again and
+    # again below different assignments, and adds their kept counts
+    t = time.perf_counter()
+    search = hom_search(make_kneser(7, 3), make_cycle(7))
+    print(f"  K(7,3) -> C7 in generator order: search {search.status} after "
+          f"{search.expansions:,} expansions in {time.perf_counter() - t:.3f}s")
+    assert (search.status, search.expansions) == ("none", 2_108_603)
 
     section("sphere certificates for Kneser sources")
     for target in (make_cycle(5), make_cycle(9), petersen):

@@ -6,8 +6,8 @@ Vertex labels are opaque hashable values; computation runs on vertex indices
 vertex counts as reachable at radius ``r`` only through a walk of length
 exactly ``r``, so parities matter on bipartite graphs.  All values here are
 immutable after construction, apart from a graph's memo of answers derived
-from it (its odd girth, its height bounds), and safe to share between
-threads.
+from it (neighbour masks, odd girth, height bounds), and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import itertools
 import json
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 DEFAULT_BUDGET = 10_000_000
+_MEMO_CAP = 2048  # failed subtrees kept per search before its memo starts again
 
 __all__ = [
     "Graph",
@@ -180,12 +182,19 @@ def odd_girth(G):
     """
     memo = G._memo
     if "odd_girth" not in memo:
-        nbrs = [sum(1 << w for w in a) for a in G.adj]
+        nbrs = _masks(G)
         best = math.inf
         for s in range(G.n_vertices):
             best = _odd_walk_length(nbrs, s, best)
         memo["odd_girth"] = best
     return memo["odd_girth"]
+
+
+def _masks(G):
+    """The neighbour mask of each vertex, kept in the graph's memo."""
+    if "masks" not in G._memo:
+        G._memo["masks"] = tuple(sum(1 << w for w in a) for a in G.adj)
+    return G._memo["masks"]
 
 
 def _odd_walk_length(nbrs, s, bound):
@@ -263,11 +272,9 @@ class _Reach(dict):
         self.allowed = allowed
 
     def __missing__(self, d):
-        out, rest = 0, d
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            out |= self.allowed[low.bit_length() - 1]
+        out = 0
+        for h in _bits(d):
+            out |= self.allowed[h]
         self[d] = out
         return out
 
@@ -317,9 +324,24 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
     each member of D, so where each target has at most one (a complete
     graph) a later neighbour rules out at most one candidate, and the screen
     costs more than it saves.  A screened-out candidate's subtree has size
-    1, so it is never the image of a kept ``h0``.  The outcome and the
-    expansion count are those of the same search on Python sets without the
-    skip or the screen.
+    1, so it is never the image of a kept ``h0``.
+
+    Failed subtrees are kept with the state they read.  A node reads its
+    vertex's set and its later neighbours', which also fix its dead
+    candidates, so a subtree's course and count depend only on the entry
+    sets of the vertices read anywhere in it, its read set.  A skipped
+    candidate reads what ``h0`` read, the automorphism carrying one subtree
+    onto the other, and a memo hit what its entry read; both pass that up.
+    A failed subtree of more than ``nH`` expansions reading at most a third
+    of G's vertices is kept under its depth, read set and entry sets, and
+    its count is added where they recur.  K(7,3)->C7 hits at depth 13 or 14
+    on 6 or 10 of 35 vertices and enters 14,366 nodes, not 35,855; bounds
+    of a half or a quarter, or ``2 * nH``, were slower.  A full memo
+    (``_MEMO_CAP`` subtrees) starts again; kept whole, M(M(Grötzsch))->K5 at
+    budget 10^9 peaks 23 MB higher.  M(Grötzsch)->K4 probes 494 times for 6
+    hits, 1.4 ms against 1.1.  The outcome and the expansion count are
+    those of the same search on Python sets without the skip, the screen
+    or the memo.
     """
     nG, nH = G.n_vertices, H.n_vertices
     if nG == 0:
@@ -327,11 +349,12 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
     if nH == 0:
         return SearchOutcome("none", None, 0)
     order = sorted(range(nG), key=lambda i: -len(G.adj[i]))  # stable: ties by index
-    later, seen = [], set()  # the neighbours of each vertex later in the order
+    later, scope, seen = [], [], set()  # per depth: later neighbours; the vertices read
     for u in order:
         seen.add(u)
         later.append(list(G.adj[u] - seen))
-    allowed = [sum(1 << j for j in nbrs) for nbrs in H.adj]
+        scope.append(sum(1 << w for w in later[-1]) | 1 << u)
+    allowed = _masks(H)
     loop_targets = sum(1 << h for h, nbrs in enumerate(H.adj) if h in nbrs)
     domains = [loop_targets if i in G.adj[i] else (1 << nH) - 1 for i in range(nG)]
     assignment = [-1] * nG
@@ -342,6 +365,8 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
     distances = {}  # target -> breadth-first distances from it
     screen = nH - min(map(len, H.adj)) >= 2  # some target has two non-neighbours
     reach = _Reach(allowed) if screen else None
+    memo = [{} for _ in range(nG)]  # per depth: read set -> (its sets' getter, sizes)
+    kept = 0  # failed subtrees in the memo
 
     def classes(keys):
         """Class ids, equal where the keys are; None when all differ."""
@@ -373,12 +398,12 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
         partitions[fixed] = cls
         return cls
 
-    def image_size(fixed, cls, failed, h):
-        """The subtree size of a candidate in ``failed`` that an automorphism
-        fixing T = ``fixed`` maps to ``h``, or None; ``cls`` is the
-        partition at T."""
+    def image(fixed, cls, failed, h):
+        """The subtree size and read set of a candidate in ``failed`` that
+        an automorphism fixing T = ``fixed`` maps to ``h``, or None; ``cls``
+        is the partition at T."""
         nonlocal steps
-        for h0, size in failed:
+        for h0, size, reads in failed:
             if cls[h0] != cls[h]:
                 continue
             key = (fixed, h0, h)
@@ -394,13 +419,23 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
                 if maps or spent < allowance:  # not cut off by the allowance
                     maps_onto[key] = maps
             if maps:
-                return size
+                return size, reads
         return None
 
     def backtrack(k, fixed, live):
-        nonlocal expansions
+        """None once a map is found, else the failed subtree's read set."""
+        nonlocal expansions, kept
         if k == nG:
-            return True
+            return None
+        if memo[k]:
+            for reads, (get, sizes) in memo[k].items():
+                size = sizes.get(get(domains))
+                if size is not None:
+                    expansions += size
+                    if expansions > budget:
+                        raise _BudgetExhausted
+                    return reads
+        entry, reads = expansions, scope[k]
         u = order[k]
         ahead = later[k]
         candidates = domains[u]
@@ -411,7 +446,7 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
                 if d:
                     candidates &= reach[d]
             dead = domains[u] ^ candidates
-        failed = []  # (candidate, subtree size) of the large failed subtrees
+        failed = []  # (candidate, size, read set) of the large failed subtrees
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -421,9 +456,10 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
                 if cls is None:  # all targets differ, here and below
                     live, failed = False, []
                 else:
-                    size = image_size(fixed, cls, failed, h)
-                    if size is not None:
-                        expansions += size
+                    skip = image(fixed, cls, failed, h)
+                    if skip is not None:
+                        expansions += skip[0]
+                        reads |= skip[1]
                         if expansions > budget:
                             raise _BudgetExhausted
                         continue
@@ -443,22 +479,32 @@ def hom_search(G, H, budget=DEFAULT_BUDGET):
                         break
             else:
                 assignment[u] = h
-                if backtrack(k + 1, fixed | low, live):
+                sub = backtrack(k + 1, fixed | low, live)
+                if sub is None:
                     if dead:
                         expansions += (dead & (low - 1)).bit_count()
-                    return True
+                    return None
+                reads |= sub
             for w, old in saved:
                 domains[w] = old
-            if live and expansions - start > 8 * nH:
-                failed.append((h, expansions - start))
+            if live and expansions - start > 8 * nH:  # so not wiped out: sub is h's
+                failed.append((h, expansions - start, sub))
         if dead:
             expansions += dead.bit_count()
             if expansions > budget:
                 raise _BudgetExhausted
-        return False
+        if expansions - entry > nH and 3 * reads.bit_count() <= nG:
+            if kept == _MEMO_CAP:  # full: start again
+                kept, memo[:] = 0, [{} for _ in range(nG)]
+            if reads not in memo[k]:
+                memo[k][reads] = itemgetter(*_bits(reads)), {}
+            get, sizes = memo[k][reads]
+            sizes[get(domains)] = expansions - entry
+            kept += 1
+        return reads
 
     try:
-        if not backtrack(0, 0, True):
+        if backtrack(0, 0, True) is not None:
             return SearchOutcome("none", None, expansions)
         if expansions <= budget:
             return SearchOutcome("found", tuple(assignment), expansions)
@@ -477,12 +523,13 @@ def _automorphism(H, a, b, allowance, fixed=()):
     vertices are assigned in breadth-first order from the pinned ones, then
     from each unreached vertex by index.  A candidate must be unused, have
     the same degree and loop status, and be adjacent to exactly the images
-    of the assigned neighbours.  The result is checked edge by edge before
-    it is returned.  Setting up the order costs one step per vertex, and
-    each candidate tried one more.  Nothing is spent with fewer than one
-    step per vertex allowed, with ``a`` and ``b`` of different degree or
-    loop status, or with pins no bijection keeps: ``a`` or ``b`` fixed
-    while ``a != b``, or a fixed vertex adjacent to only one of them.
+    of the assigned neighbours, read from masks kept in ``H``'s memo.  The
+    result is checked edge by edge before it is returned.  Setting up the
+    order costs one step per vertex, and each candidate tried one more.
+    Nothing is spent with fewer than one step per vertex allowed, with
+    ``a`` and ``b`` of different degree or loop status, or with pins no
+    bijection keeps: ``a`` or ``b`` fixed while ``a != b``, or a fixed
+    vertex adjacent to only one of them.
     """
     n, adj = H.n_vertices, H.adj
     fixed = set(fixed)
@@ -495,11 +542,13 @@ def _automorphism(H, a, b, allowance, fixed=()):
     ):
         return None, 0
     fixed = sorted(fixed - {a})
-    nbr = [sum(1 << j for j in nbrs) for nbrs in adj]
-    kind = [(len(nbrs), v in nbrs) for v, nbrs in enumerate(adj)]
-    same = {}
-    for v, key in enumerate(kind):
-        same[key] = same.get(key, 0) | 1 << v
+    nbr, like = _masks(H), H._memo.get("alike")  # like[v]: the vertices of v's kind
+    if like is None:
+        kind = [(len(nbrs), v in nbrs) for v, nbrs in enumerate(adj)]
+        same = {}
+        for v, key in enumerate(kind):
+            same[key] = same.get(key, 0) | 1 << v
+        like = H._memo["alike"] = tuple(same[key] for key in kind)
     order = [a, *fixed]
     pinned = len(order)
     reached = sum(1 << v for v in order)
@@ -524,7 +573,7 @@ def _automorphism(H, a, b, allowance, fixed=()):
 
     def candidates(k):
         v = order[k]
-        mask = same[kind[v]] & ~used
+        mask = like[v] & ~used
         for w in order[:k]:
             mask &= nbr[sigma[w]] if nbr[v] >> w & 1 else ~nbr[sigma[w]]
         return mask

@@ -190,8 +190,8 @@ def _check_cycle(m, r):
 
 
 def _tower(m, r, limit):
-    """``collapse_cycle_tower`` one stage at a time: window 0's (pairs,
-    domain) as vertex masks, the stage's report, and the complex after.
+    """``collapse_cycle_tower`` one stage at a time: the stage's report and
+    the complex after it.
 
     A stage at radius r' collapses window 0 alone and rotates what is left.
     It checks that window 0's pairs are perfect on its domain, every face of
@@ -253,8 +253,8 @@ def _tower(m, r, limit):
             [_rotate(x, k, m) for x in left for k in range(m)] + list(spans - tops), m))
         report = {"duplicates": [], "bad_pairs": [], "missing": [], "critical": [],
                   "well_formed": True, "perfect": True}  # what the checks proved
-        yield (pairs, domain), {"radius": rr, "pairs": m * len(pairs), "acyclic": True,
-                                "verification": report}, current
+        yield {"radius": rr, "pairs": m * len(pairs), "acyclic": True,
+               "verification": report}, current
 
 
 def collapse_cycle_tower(m, r, limit=None):
@@ -262,12 +262,10 @@ def collapse_cycle_tower(m, r, limit=None):
     radius 1.  Each stage's window-0 masks must name every face of window
     0's domain once, in codimension-1 pairs, and window 0's complete
     collapse proves the matching acyclic and present; the rotations carry
-    it onto the other windows, which are never built (``_tower``), and only
-    facets pass between stages.  ``limit`` bounds each stage's matched faces
-    on all windows, checked before window 0's are built.  Returns the final
-    complex and one report dict per stage, each carrying its matching's
-    (perfect) verification report."""
-    stages = []
-    for _, stage, final in _tower(m, r, limit):
-        stages.append(stage)
-    return final, stages
+    it onto the other windows, which are never built, and ``_tower`` yields
+    each stage's report and complex.  ``limit`` bounds each stage's matched
+    faces on all windows, checked before window 0's are built.  Returns the
+    final complex and one report dict per stage, each carrying its
+    matching's (perfect) verification report."""
+    stages = list(_tower(m, r, limit))
+    return stages[-1][1], [stage for stage, _ in stages]

@@ -1,9 +1,11 @@
 import itertools
 import json
 import math
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbhd import (
@@ -617,6 +619,113 @@ class TestCandidateScreen:
         assert (out.status, out.mapping, out.expansions) == ("budget-exceeded", None, 756_383)
         assert hom_search(g, h, budget=756_383) == full
         assert (full.status, full.expansions) == ("found", 756_383)
+
+
+@st.composite
+def sparse_unions(draw):
+    """Disjoint unions of 12 to 18 vertices in a random order, made of
+    blocks of 2 to 7 vertices: sparse random graphs, where a vertex may
+    carry a loop, random bipartite graphs and odd cycles.  The search meets
+    the same states below many assignments of the other blocks, so its
+    memo keeps and reuses failed subtrees."""
+    edges, n, goal = [], 0, draw(st.integers(min_value=12, max_value=18))
+    while n < goal:
+        kind = draw(st.sampled_from(["sparse", "bipartite", "cycle"]))
+        if kind == "cycle":
+            size = draw(st.sampled_from([3, 5, 7]))
+            block = [(i, (i + 1) % size) for i in range(size)]
+        else:
+            size = draw(st.integers(min_value=2, max_value=7))
+            side = draw(st.integers(min_value=1, max_value=size - 1))
+            pairs = [(i, j) for i in range(size) for j in range(i, size)
+                     if (kind == "sparse" and i != j) or (i < side <= j)]
+            # about one pair in three is an edge
+            bits = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+            block = [e for e, b in zip(pairs, bits) if not b]
+            if kind == "sparse" and draw(st.integers(0, 7)) == 0:
+                v = draw(st.integers(0, size - 1))
+                block.append((v, v))
+        edges += [(n + i, n + j) for i, j in block]
+        n += size
+    order = draw(st.permutations(range(n)))
+    return Graph(range(n), [(order[i], order[j]) for i, j in edges])
+
+
+@st.composite
+def sparse_cubic(draw):
+    """A random cubic graph on 12 to 18 vertices less up to three edges,
+    now and then with a loop: sparse sources whose searches into small
+    targets fail deep and often keep and reuse failed subtrees."""
+    n = draw(st.sampled_from([12, 14, 16, 18]))
+    edges = random_cubic_graph(n, draw(st.integers(0, 2**32))).edges()
+    for _ in range(draw(st.integers(0, 3))):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    if draw(st.integers(0, 9)) == 0:
+        v = draw(st.integers(0, n - 1))
+        edges.append((v, v))
+    return Graph(range(n), edges)
+
+
+MEMO_TARGETS = [make_cycle(5), make_cycle(7), _complete(4), make_kneser(5, 2)]
+
+
+class TestSubtreeMemo:
+    """Adding a kept count in place of a failed subtree whose depth and read
+    sets match leaves every outcome equal to the plain search, at every
+    budget."""
+
+    @given(st.one_of(sparse_unions(), sparse_cubic()), st.sampled_from(MEMO_TARGETS),
+           st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_reference(self, g, h, data):
+        full = reference_search(g, h, budget=5_000)  # larger searches are left out
+        assume(full.status != "budget-exceeded")
+        assert hom_search(g, h) == full
+        budget = data.draw(st.integers(min_value=0, max_value=full.expansions + 2))
+        assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
+    @given(st.one_of(sparse_unions(), sparse_cubic()), st.sampled_from(MEMO_TARGETS))
+    @settings(max_examples=150, deadline=None)
+    def test_every_budget_equals_reference(self, g, h):
+        full = reference_search(g, h, budget=300)
+        assume(full.status != "budget-exceeded")
+        assert hom_search(g, h) == full
+        for budget in range(full.expansions + 3):
+            assert hom_search(g, h, budget) == reference_search(g, h, budget)
+
+    def test_repeated_subtrees_are_not_searched_again(self):
+        # K(7,3) -> C7 in generator order enters 35,855 nodes without the
+        # memo, 17,451 of them at depth 14
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "backtrack":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            out = hom_search(make_kneser(7, 3), make_cycle(7))
+        finally:
+            sys.setprofile(None)
+        assert (out.status, out.expansions) == ("none", 2_108_603)
+        assert calls < 16_000  # 14,366 with the memo
+
+    def test_memo_starts_again_when_full(self, monkeypatch):
+        # K(7,3) -> C7 keeps 2,645 failed subtrees; a cap of 64 holds the
+        # memo's memory to a small fraction of keeping them all
+        g, c7 = make_kneser(7, 3), make_cycle(7)
+        peaks = {}
+        for cap in (64, 10**9):
+            monkeypatch.setattr(graphs, "_MEMO_CAP", cap)
+            tracemalloc.start()
+            try:
+                out = hom_search(g, c7)
+                peaks[cap] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (out.status, out.expansions) == ("none", 2_108_603)
+        assert peaks[64] < 64 * 1024 and 3 * peaks[64] < peaks[10**9]
 
 
 class TestAutomorphism:

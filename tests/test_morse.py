@@ -302,8 +302,8 @@ class TestTower:
     @pytest.mark.parametrize("m,r", [(9, 3), (11, 4), (17, 7)])
     def test_each_stage_leaves_the_next_radius_complex(self, m, r):
         stages = list(_tower(m, r, None))
-        assert [stage["radius"] for _, stage, _ in stages] == list(range(r, 1, -1))
-        for _, stage, K in stages:
+        assert [stage["radius"] for stage, _ in stages] == list(range(r, 1, -1))
+        for stage, K in stages:
             assert K == neighborhood_complex(make_cycle(m), stage["radius"] - 1)
 
     def test_cycle_31_radius_13_reaches_the_rim(self):
