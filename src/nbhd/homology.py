@@ -10,17 +10,32 @@ are queued again, and a column with no unit waits until one does.  A
 non-unit pass reduces what is left in the same rows and columns, with the
 same row operation.  No modular shortcuts: torsion coefficients are exact.
 
-``homology`` reduces the boundary matrices from the top dimension down and
-clears as it goes (Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).  A
-unit pivot at (row s, column t) of the boundary of dimension d + 1 is an
-elementary reduction over Z: s plus a combination of the d-faces not yet
-paired is a boundary, so the boundary of s lies in the span of those faces'
-boundaries.  Column s of the boundary of dimension d is therefore never
-built: that matrix is assembled once, into the reduction's rows and columns,
-after the one above is reduced, and its image, and with it its rank and
-invariant factors, stay the same.  Pivots of the non-unit pass are not units
-and clear nothing.  The boundary of dimension 1 is a graph's incidence
-matrix, ranked by a union-find with no arithmetic.
+``homology`` reduces the boundary matrices with clearing, in the direction
+its model sets (``_level_homology``).  Faces go from the top dimension down
+(Kaczynski, Mrozek & Slusarek 1998; Chen & Kerber 2011).  A unit pivot at
+(row s, column t) of the boundary of dimension d + 1 is an elementary
+reduction over Z: s plus a combination of the d-faces not yet paired is a
+boundary, so the boundary of s lies in the span of those faces' boundaries.
+Column s of the boundary of dimension d is therefore never built: that
+matrix is assembled once, into the reduction's rows and columns, after the
+one above is reduced, and its image, and with it its rank and invariant
+factors, stay the same.  Pivots of the non-unit pass are not units and clear
+nothing.  The boundary of dimension 1 is a graph's incidence matrix, ranked
+last by a union-find with no arithmetic.
+
+The chains of a facet-intersection lattice, whose top boundary has no free
+row and fills in, go from dimension 1 up on the transposes, the coboundaries
+(de Silva, Morozov & Vejdemo-Johansson 2011; Bauer 2021, "Ripser").  A
+transpose has the same invariant factors, so ranks and torsion are read as
+on the way down.  A unit pivot at (row s, column t) of the transpose of the
+boundary of dimension d is an elementary reduction of the cochain complex,
+so s's column of the next transpose lies in the integer span of the columns
+left and is never built: the same clearing, dualized.  The union-find goes
+first: for a merging edge e and one side S of e in the spanning tree,
+e* = +-delta(1_S) -+ the non-tree edges crossing S, so the coboundary of e*
+is a +-1 combination of non-tree columns, and the tree edges' columns are
+dropped with the column lattice kept.  Faces stay top down, where a face in
+one facet is a free row: bottom up was slower on most face complexes tried.
 
 The boundary of a simplex, the paper's Kneser and cycle spheres among them,
 is answered from its facets, and none of its faces is read (``homology``).
@@ -65,21 +80,25 @@ __all__ = [
 ]
 
 
-def _boundary(faces, d, cleared=()):
-    # the boundary of dimension d without the cleared columns, as the
-    # reduction's rows {row: {col: +-1}} and columns {col: {rows}}
+def _boundary(faces, d, cleared=(), up=False):
+    # the boundary of dimension d, or its transpose when up, without the
+    # cleared columns, as the reduction's rows {row: {col: +-1}} and columns
+    # {col: {rows}}: the rows are the (d-1)-faces and the columns the d-faces,
+    # the other way round when up
     index = {f: i for i, f in enumerate(faces[d - 1])}
     # combinations drop the last vertex first: the k-th drops vertex d - k
     signs = [-1 if (d - k) % 2 else 1 for k in range(d + 1)]
-    rows = [{} for _ in faces[d - 1]]
-    cols = {}
+    rows, cols = defaultdict(dict), defaultdict(set)
     for c, f in enumerate(faces[d]):
-        if c not in cleared:
-            rs = list(map(index.__getitem__, combinations(f, d)))
-            cols[c] = set(rs)
-            for s, r in zip(signs, rs):
-                rows[r][c] = s
-    return {i: r for i, r in enumerate(rows) if r}, cols
+        if up or c not in cleared:
+            for s, r in zip(signs, map(index.__getitem__, combinations(f, d))):
+                if not up:
+                    rows[r][c] = s
+                    cols[c].add(r)
+                elif r not in cleared:
+                    rows[c][r] = s
+                    cols[r].add(c)
+    return rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +285,11 @@ class HomologyResult(namedtuple("HomologyResult", "groups")):
 
 def homology(K, limit=None):
     """Unreduced integral homology of ``K`` in every dimension 0..dim, with
-    the boundary matrices reduced from the top down and the columns that a
-    unit pivot one dimension up already paired cleared; the boundary of
-    dimension 1 is ranked by a union-find.  A complex with n facets of n - 1
+    the columns that a unit pivot of the matrix reduced before paired
+    cleared: faces from the top dimension down, a union-find last, and the
+    chains of a facet-intersection lattice on the transposed boundaries from
+    dimension 1 up, a union-find first (the module docstring says why each
+    clearing is exact).  A complex with n facets of n - 1
     vertices each on n vertices is the boundary of a simplex, S^(n-2), and is
     answered with no face read and no matrix reduced, whatever ``limit``:
     N_3(Petersen), N_5(K(7,3)) = S^33, N_7(K(9,4)) = S^124 and N_(m-2)(C_m)
@@ -300,42 +321,44 @@ def homology(K, limit=None):
     # n distinct facets of n - 1 of the n vertices: the boundary of a simplex
     if n > 1 and all(len(f) == n - 1 for f in K.facets) and len(set().union(*K.facets)) == n:
         return HomologyResult(tuple(((i == 0) + (i == n - 2), ()) for i in range(dim + 1)))
-    return _level_homology(_levels(_contracted(K), limit), dim + 1)
+    return _level_homology(*_levels(_contracted(K), limit), dim + 1)
 
 
-def _level_homology(levels, width):
+def _level_homology(levels, up, width):
     # the homology of the complex whose faces by dimension are levels, with
-    # zero groups up to width dimensions
+    # zero groups up to width dimensions: the boundaries are reduced from the
+    # top down, or their transposes from dimension 1 up when up, and the rows
+    # of one matrix's unit pivots clear the next one's columns
     top = len(levels) - 1
     rank = [0] * (top + 2)
     torsion = [()] * (top + 2)
-    paired = set()  # rows of the unit pivots of the matrix one dimension up
-    for d in range(top, 1, -1):
-        rows, cols = _boundary(levels, d, paired)
-        paired = set()
-        factors = _snf_factors(rows, cols, paired)
+    paired = set()  # the rows of the unit pivots of the matrix reduced before
+    for d in range(1, top + 1) if up else range(top, 0, -1):
+        cleared, paired = paired, set()
+        factors = (_snf_factors(*_boundary(levels, d, cleared, up), paired) if d > 1 else
+                   _forest_factors(levels[1], cleared, paired))
         rank[d], torsion[d] = len(factors), tuple(f for f in factors if f > 1)
-    if top > 0:
-        rank[1] = _forest_rank(e for c, e in enumerate(levels[1]) if c not in paired)
     groups = tuple((len(levels[d]) - rank[d] - rank[d + 1], torsion[d + 1])
                    for d in range(top + 1))
     return HomologyResult(groups + ((0, ()),) * (width - len(groups)))
 
 
-def _forest_rank(edges):
+def _forest_factors(edges, cleared, pivot_rows):
     # every column of a boundary of dimension 1 is an edge, a pair of
-    # vertices; the rank of such a matrix is the merges a union-find makes
-    # over its edges, and its invariant factors are all 1
-    parent, merges = {}, 0
-    for a, b in edges:
-        while a in parent:  # path halving
-            parent[a] = a = parent.get(parent[a], parent[a])
-        while b in parent:
-            parent[b] = b = parent.get(parent[b], parent[b])
-        if a != b:
-            parent[a] = b
-            merges += 1
-    return merges
+    # vertices; a union-find over the edges not cleared pivots on those that
+    # merge, which go into pivot_rows, empty on the call, as the rows of the
+    # transpose, and the invariant factors are a 1 for each
+    parent = {}
+    for c, (a, b) in enumerate(edges):
+        if c not in cleared:
+            while a in parent:  # path halving
+                parent[a] = a = parent.get(parent[a], parent[a])
+            while b in parent:
+                parent[b] = b = parent.get(parent[b], parent[b])
+            if a != b:
+                parent[a] = b
+                pivot_rows.add(c)
+    return [1] * len(pivot_rows)
 
 
 def _contracted(K):
@@ -480,8 +503,8 @@ def _levels(K, limit):
         above = _above(lattice)
         chains, faces = _sizes(lattice, above)
         if chains < faces and chains <= cap:
-            return _chains(above)
-    return list(K.faces(limit).values())
+            return _chains(above), True
+    return list(K.faces(limit).values()), False
 
 
 def homology_connectivity(K, limit=None):

@@ -33,8 +33,8 @@ from nbhd import (
 from nbhd import HomologyResult, Presentation, complexes, gf2
 import contraction_oracle as oracle
 from nbhd.complexes import _above, _bits, _chains, _closure, _sizes
-from nbhd.homology import (_contracted, _forest_rank, _level_homology, _levels, _merge,
-                           _snf_factors)
+from nbhd.homology import (_boundary, _contracted, _forest_factors, _level_homology, _levels,
+                           _merge, _snf_factors)
 from snf_oracle import textbook_snf
 
 
@@ -450,7 +450,7 @@ def face_path(K, limit=None):
     """``homology`` of a complex with no linked-pair poset, the simplex
     boundary check left out: the contraction, then its faces or its
     lattice's chains."""
-    return _level_homology(_levels(_contracted(K), limit), K.dim + 1)
+    return _level_homology(*_levels(_contracted(K), limit), K.dim + 1)
 
 
 def uncleared_homology(K):
@@ -592,8 +592,11 @@ class TestLattice:
         chains = _chains(above)
         faces = list(K.faces().values())
         assert _sizes(lattice, above) == (sum(map(len, chains)), sum(map(len, faces)))
-        h = _level_homology(faces, K.dim + 1)
-        assert _level_homology(chains, K.dim + 1) == h == homology(K)
+        h = _level_homology(faces, False, K.dim + 1)
+        # each model reduced in both directions, top down and bottom up
+        assert {_level_homology(levels, up, K.dim + 1)
+                for levels in (faces, chains) for up in (False, True)} == {h}
+        assert homology(K) == h
         return h
 
     @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=6),
@@ -606,7 +609,8 @@ class TestLattice:
     @given(small_graphs(), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
     def test_random_neighborhood_complexes(self, G, r):
-        self.check_models(neighborhood_complex(G, r))
+        K = neighborhood_complex(G, r)
+        assert self.check_models(K) == uncleared_homology(K)
 
     @pytest.mark.parametrize("name", sorted(TORSION_CASES))
     def test_torsion_cases(self, name):
@@ -742,15 +746,82 @@ class TestLattice:
                 rows.setdefault(a, {})[c] = -1
                 rows.setdefault(b, {})[c] = 1
                 cols[c] = {a, b}
-        factors = _snf_factors(rows, cols, set())
-        kept = (e for c, e in enumerate(edges) if c not in cleared)
-        assert _forest_rank(kept) == len(factors) and set(factors) <= {1}
+        factors, merged = _snf_factors(rows, cols, set()), set()
+        assert _forest_factors(edges, cleared, merged) == factors
+        # the merging edges are a spanning forest of the kept ones: they
+        # have the same rank, and every one of them merges again
+        assert not merged & cleared
+        tree = set()
+        assert _forest_factors(edges, set(range(len(edges))) - merged, tree) == factors
+        assert tree == merged
+
+
+class TestDirection:
+    """The model ``_levels`` chooses sets the direction: the lattice's chains
+    are reduced from dimension 1 up, the union-find first, and the faces from
+    the top down, the union-find last; the rows of each reduction's unit
+    pivots, the merging edges for the union-find, clear the next one's
+    columns."""
+
+    @staticmethod
+    def reductions(monkeypatch, K):
+        module = sys.modules["nbhd.homology"]
+        boundary, forest, seen = module._boundary, module._forest_factors, []
+
+        def spy_boundary(levels, d, cleared, up):
+            seen.append((d, up, set(cleared)))
+            return boundary(levels, d, cleared, up)
+
+        def spy_forest(edges, cleared, pivot_rows):
+            factors = forest(edges, cleared, pivot_rows)
+            seen.append((1, None, set(pivot_rows)))
+            return factors
+
+        monkeypatch.setattr(module, "_boundary", spy_boundary)
+        monkeypatch.setattr(module, "_forest_factors", spy_forest)
+        return homology(K), seen
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 3)])
+    def test_the_lattice_runs_bottom_up(self, monkeypatch, n, k):
+        K = neighborhood_complex(make_kneser(n, k), 1)
+        h, seen = self.reductions(monkeypatch, K)
+        assert K._faces is None and h.betti(0) == 1
+        assert [d for d, _, _ in seen] == list(range(1, len(seen) + 1))
+        assert all(up for _, up, _ in seen[1:])
+        # Delta(L) is connected: the merging edges span its |L| vertices,
+        # and they are the columns the next matrix drops
+        assert len(seen[0][2]) == len(lattice_levels(K)[0]) - 1
+        assert seen[1][2] == seen[0][2]
+
+    @given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
+                    min_size=1, max_size=8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_transpose_drops_the_cleared_rows(self, faces, data):
+        # up, the boundary comes transposed and the cleared set names
+        # (d-1)-faces, its columns now
+        levels = list(SimplicialComplex.from_faces(faces).faces().values())
+        for d in range(1, len(levels)):
+            cleared = data.draw(st.sets(st.integers(0, len(levels[d - 1]) - 1)))
+            rows, _ = _boundary(levels, d)
+            up_rows, up_cols = _boundary(levels, d, cleared, True)
+            assert {(j, i): v for i, r in up_rows.items() for j, v in r.items()} == {
+                (i, j): v for i, r in rows.items() if i not in cleared for j, v in r.items()}
+            assert up_cols == {i: set(r) for i, r in rows.items() if i not in cleared}
+
+    @pytest.mark.parametrize("build", [rp2_complex, klein_bottle])
+    def test_the_faces_run_top_down(self, monkeypatch, build):
+        K = build()
+        _, seen = self.reductions(monkeypatch, K)
+        assert K._faces is not None
+        assert [d for d, _, _ in seen] == list(range(len(seen), 0, -1))
+        assert not any(up for _, up, _ in seen[:-1])
+        assert seen[0][2] == set()
 
 
 def contracted_homology(K):
     """The groups of ``K`` read from the faces of ``_contracted(K)``, with no
     model chosen, padded to ``K``'s dimension."""
-    return _level_homology(list(_contracted(K).faces().values()), K.dim + 1)
+    return _level_homology(list(_contracted(K).faces().values()), False, K.dim + 1)
 
 
 def merge_dropping_a(facets, star, a, b):
@@ -888,8 +959,8 @@ class TestTouchingFacets:
                 _levels(C, limit)
             assert (err.value.count, err.value.limit) == (limit + 1, limit)
             return
-        levels = _levels(C, limit)
-        assert (C._faces is None) == (chains < n_faces and chains <= limit)
+        levels, up = _levels(C, limit)
+        assert (C._faces is None) == up == (chains < n_faces and chains <= limit)
         assert sum(map(len, levels)) == (chains if C._faces is None else n_faces)
 
     @pytest.mark.parametrize("name", sorted(TORSION_CASES))
@@ -915,7 +986,7 @@ class TestTouchingFacets:
         h = homology(K)
         assert h == uncleared_homology(K)
         assert h.groups == _level_homology(
-            list(oracle._contracted(K).faces().values()), K.dim + 1).groups
+            list(oracle._contracted(K).faces().values()), False, K.dim + 1).groups
 
 
 class TestReach:
