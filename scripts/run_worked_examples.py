@@ -114,11 +114,15 @@ def main():
         print(f"  {g!r} r={r}: height {z2_height(K, pair_swap_involution(K))}")
 
     section("swap heights on the box complex")
-    for name, g, r in (("K(7,2)", make_kneser(7, 2), 1), ("K(8,3)", make_kneser(8, 3), 1),
-                       ("Petersen", petersen, 3)):
+    # K(n,k) at r=1 has height n - 2k; Petersen's pair space at r=3 is S^8,
+    # and C9's at r=7 is S^7
+    for name, g, r, height in (("K(7,2)", make_kneser(7, 2), 1, 3),
+                               ("K(8,3)", make_kneser(8, 3), 1, 2),
+                               ("Petersen", petersen, 3, 8), ("C9", make_cycle(9), 7, 7)):
         t = time.perf_counter()
         h = pair_space_height(g, r)
         elapsed = time.perf_counter() - t
+        assert h == height, (name, r, h)
         balls = [walk_ball(g, x, r) for x in range(g.n_vertices)]
         cap = _colour_cap(balls)
         read = []  # orbit faces per level, as far as the capped height reads

@@ -6,9 +6,10 @@ cover's class nonzero (0 when the class itself is trivial).  It is computed on
 the orbit Delta-complex K/t, with no subdivision for any free simplicial
 involution (Hatcher, *Algebraic Topology*, sections 2.1 and 3.2), and for
 pair spaces on the Z2-homotopy equivalent box complex (Csorba 2007), whose
-orbit faces come straight from walk-ball bit masks.  The orbit faces are
-read one dimension at a time, only as far as the cup powers are tested, and
-each coboundary is reduced from the two dimensions it joins alone.
+orbit faces grow from walk-ball bit masks.  An orbit face is a mask, vertex
+2o + s of orbit o on sheet s its bit 2o + s; faces are read one dimension at
+a time, only as far as the cup powers are tested, and each coboundary is
+reduced from the two dimensions it joins alone, in generation order.
 A box complex's height stops at m - 2 for a proper m-colouring of G_r:
 height is monotone under Z2-maps, and B(K_m) is Z2-homotopy equivalent to
 the antipodal S^(m-2) (Matousek & Ziegler 2004, "Topological lower bounds
@@ -114,22 +115,22 @@ def _box_faces(balls, limit=None):
     lexicographic list per dimension (Matousek & Ziegler 2004): A x {0} +
     B x {1} with B in ``balls[a]``, the exact-r walk ball, for each a in A and
     both common balls CN(A), CN(B) nonempty (CN of no vertex is every vertex).
-    Vertex 2i + s is the i-th vertex with a nonempty ball, on sheet s; each
-    orbit is its face starting on an even vertex, made and counted once."""
+    Vertex 2i + s, the i-th vertex with a nonempty ball on sheet s, is bit
+    2i + s of a face's mask; each orbit is its face on an even first vertex,
+    made and counted once."""
     cap = DEFAULT_FACE_LIMIT if limit is None else limit
     slot = {x: i for i, x in enumerate(x for x in range(len(balls)) if balls[x])}
     masks = [sum(1 << slot[y] for y in balls[x]) for x in slot]
-    # a level holds (face, CN of sheet 0, CN of sheet 1) as bit masks
-    level = [((2 * i,), m, (1 << len(masks)) - 1) for i, m in enumerate(masks)]
+    # a level holds (face, its top vertex, CN of sheet 0, CN of sheet 1)
+    level = [(1 << 2 * i, 2 * i, m, (1 << len(masks)) - 1) for i, m in enumerate(masks)]
     if len(level) > cap:
         raise ResourceLimitError("orbit-face enumeration", cap + 1, "faces", cap)
     room = cap
     while level:
-        yield [face for face, _, _ in level]
+        yield [face for face, _, _, _ in level]
         room -= len(level)
         nxt = []
-        for face, c0, c1 in level:
-            v = face[-1]
+        for face, v, c0, c1 in level:
             # a new vertex lies in the other sheet's common ball and keeps
             # its own sheet's nonempty; candidates go lowest slot first
             cand = (c0 | c1) >> (v >> 1) << (v >> 1)
@@ -139,9 +140,9 @@ def _box_faces(balls, limit=None):
                 i = low.bit_length() - 1
                 m = masks[i]
                 if 2 * i > v and c1 & low and c0 & m:
-                    nxt.append((face + (2 * i,), c0 & m, c1))
+                    nxt.append((face | 1 << 2 * i, 2 * i, c0 & m, c1))
                 if 2 * i + 1 > v and c0 & low and c1 & m:
-                    nxt.append((face + (2 * i + 1,), c0, c1 & m))
+                    nxt.append((face | 2 << 2 * i, 2 * i + 1, c0, c1 & m))
                 if len(nxt) > room:
                     raise ResourceLimitError("orbit-face enumeration", cap + 1, "faces", cap)
         level = nxt
@@ -151,10 +152,10 @@ def z2_height(K, t, limit=None):
     """Largest n with the n-th cup power of the cover's Stiefel-Whitney class
     nonzero in cohomology (closed-form cup powers plus coboundary
     membership), computed on the orbit Delta-complex: the faces of ``K`` on
-    an even first vertex once t is v ^ 1.  ``limit`` guards the faces read,
-    half as many as those of ``K`` up to the dimension the height needs."""
-    return _height(_face_levels(_orbit_labelled(K, t), range(0, K.n_vertices, 2), limit,
-                                "orbit-face enumeration"))
+    an even first vertex once t is v ^ 1, as masks.  ``limit`` guards the
+    faces read, half as many as those of ``K`` up to the height's dimension."""
+    return _height([sum(1 << v for v in f) for f in level] for level in _face_levels(
+        _orbit_labelled(K, t), range(0, K.n_vertices, 2), limit, "orbit-face enumeration"))
 
 
 def _orbit_labelled(K, t):
@@ -172,43 +173,52 @@ def _orbit_labelled(K, t):
 
 def _height(levels, cap=math.inf):
     """min(height, cap) from ``levels``, the orbit faces one dimension at a
-    time, each orbit {f, t(f)} given as its face f that starts on an even
-    vertex; t keeps the order in a face, so the i-th, front and back faces
-    of the orbit are those of f.  w^k is tested on the k-skeleton, read only
+    time, each orbit {f, t(f)} given as the mask of its face f on an even
+    first vertex, t(v) = v ^ 1.  w^k is tested on the k-skeleton, read only
     when the loop reaches it, as H^k of the whole injects into H^k of the
     skeleton, and only the (k-1)- and k-faces are held.  The pivot rows of
     each reduction are cleared columns one dimension up: such a row tops a
     reduced cocycle, so its coboundary lies in the span of the lower rows'
     (de Silva, Morozov & Vejdemo-Johansson 2011).
 
-    w^k is read in closed form.  An orbit edge (a, b) lifts from sheet a & 1
-    of a's orbit to sheet b & 1 of b's, so w(a, b) = (a ^ b) & 1, which t
-    keeps: either member of an orbit gives the same value.  The front/back
-    cup power of w on a k-face f is the product of w over its consecutive
-    vertices, so w^k(f) = 1 exactly when f alternates sheets at every step."""
+    The facets of f are f ^ low for each set bit low; only the front one can
+    start on an odd vertex, and then its orbit is given by its image: a face
+    holds at most one of 2o, 2o + 1, so t moves its bits on ``even``, the
+    first level's, up one and the rest down one.  w^k is read in the same
+    loop.  An orbit edge (a, b) lifts from sheet a & 1 of a's orbit to sheet
+    b & 1 of b's, so w(a, b) = (a ^ b) & 1, which t keeps: either member of
+    an orbit gives the same value.  The front/back cup power of w on a k-face
+    f is the product of w over its consecutive vertices, so w^k(f) = 1
+    exactly when f alternates sheets at every step."""
     height, cleared, lower = 0, set(), next(levels, None)
+    even = sum(lower or ())
     while height < cap and (upper := next(levels, None)):
-        k = height + 1
         # the coboundary of the (k-1)-faces less the cleared ones, a row set
-        # per (k-1)-face; only f's front facet can start on an odd vertex, and
-        # then its orbit is given by its image
-        cols = defaultdict(set)
+        # per (k-1)-face, and w^k's rows
+        cols, power = defaultdict(set), set()
         for r, f in enumerate(upper):
-            for i in range(k + 1):
-                g = f[:i] + f[i + 1:]
-                if g[0] & 1:
-                    g = tuple(v ^ 1 for v in g)
+            g = rest = f ^ (f & -f)
+            if not g & -g & even:
+                g = (g & even) << 1 | (g >> 1) & even
+            if g not in cleared:
+                cols[g].add(r)
+            side = ~even  # the sheet the next vertex must be on
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                g = f ^ low
                 if g not in cleared:
                     cols[g].add(r)
-        power = {r for r, f in enumerate(upper)
-                 if all((f[i] ^ f[i + 1]) & 1 for i in range(k))}
+                side = ~side if low & side else 0
+            if side:
+                power.add(r)
         pivots = set()
-        # columns in the (k-1)-faces' order: any order gives the same answer,
-        # but the order the facets are first met in reduced K(9,3) r=1 half
-        # as fast
+        # rows numbered in the k-faces' order, columns in the (k-1)-faces':
+        # any order gives the same answer, but the order the facets are first
+        # met in reduced K(9,3) r=1 half as fast
         if gf2.in_column_space((cols[g] for g in lower if g in cols), power, pivots):
             break
-        height, cleared, lower = k, {upper[p] for p in pivots}, upper
+        height, cleared, lower = height + 1, {upper[p] for p in pivots}, upper
     return height
 
 

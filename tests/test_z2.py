@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -39,17 +40,17 @@ from nbhd import (
     pair_swap_involution,
     z2_height,
 )
-from nbhd import z2
+from nbhd import gf2, z2
 from nbhd.cli import main
-from nbhd.complexes import _face_levels, sorted_labels
+from nbhd.complexes import sorted_labels
 from nbhd.graphs import walk_ball
 from nbhd.z2 import (
     HeightBound,
     _box_faces,
     _height,
-    _orbit_labelled,
 )
 import colour_cap_oracle
+import height_oracle
 from quotient_oracle import (
     CochainZ2,
     QuotientStructureError,
@@ -69,6 +70,21 @@ from quotient_oracle import (
 def balls(G, r):
     """The exact-r walk ball of each vertex, as the box-complex helpers take them."""
     return [walk_ball(G, x, r) for x in range(G.n_vertices)]
+
+
+def mask(face):
+    """A face's vertex bits, as the mask path keeps it."""
+    return sum(1 << v for v in face)
+
+
+def vertices(f):
+    """The vertex tuple of the face mask ``f``."""
+    return tuple(v for v in range(f.bit_length()) if f >> v & 1)
+
+
+def orbit_masks(K, t):
+    """The orbit levels ``z2_height`` reads, as masks."""
+    return ([mask(f) for f in level] for level in height_oracle.orbit_levels(K, t))
 
 
 def swap_complex(G, r):
@@ -489,9 +505,7 @@ class TestOrbitHeightAgainstQuotient:
     @settings(max_examples=200, deadline=None)
     def test_truncated_height_is_capped_height(self, case, k):
         K, t = case
-        truncated = _height(_face_levels(_orbit_labelled(K, t), range(0, K.n_vertices, 2),
-                                         None, "orbit-face enumeration"), k)
-        assert truncated == min(z2_height(K, t), k)
+        assert _height(orbit_masks(K, t), k) == min(z2_height(K, t), k)
 
 
 def box_orbit_faces_oracle(G, r):
@@ -532,7 +546,7 @@ class TestBoxFaces:
         n, edges, r = case
         G = Graph(range(n), edges)
         by_dim = [list(level) for _, level in itertools.groupby(box_orbit_faces_oracle(G, r), len)]
-        assert list(_box_faces(balls(G, r))) == by_dim
+        assert [list(map(vertices, level)) for level in _box_faces(balls(G, r))] == by_dim
 
 
 class TestBoxHeightAgainstPairSpace:
@@ -646,6 +660,86 @@ class TestColourCap:
             assert z2._colour_cap(balls(make_kneser(m, 1), 1)) == m - 2
             assert pair_space_height(make_kneser(m, 1), 1) == m - 2
         assert z2._colour_cap(balls(make_kneser(8, 3), 1)) == 3
+
+
+def reductions(height, levels, cap, face):
+    """``height``'s answer on ``levels`` up to ``cap``, and each GF(2)
+    reduction it hands to ``gf2.in_column_space``: the columns and the
+    right-hand side as sorted rows, in order, the pivot rows' faces as
+    vertex tuples (``face`` converts a level's entry) and the answer."""
+    read, calls = [], []
+    real = gf2.in_column_space
+
+    def spy(columns, rhs, pivot_rows):
+        columns = list(columns)
+        handed = [sorted(c) for c in columns], sorted(rhs)
+        found = real(columns, rhs, pivot_rows)
+        upper = read[len(calls) + 1]
+        calls.append((*handed, sorted(face(upper[p]) for p in pivot_rows), found))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "in_column_space", spy)
+        got = height((read.append(level) or level for level in levels), cap)
+    return got, calls
+
+
+def same_reductions(new_levels, old_levels):
+    """The mask path and the tuple oracle give the same height, capped at
+    each k and uncapped, through the same reductions."""
+    for cap in (*range(6), math.inf):
+        new = reductions(_height, new_levels(), cap, vertices)
+        assert new == reductions(height_oracle.height, old_levels(), cap, tuple), cap
+    return new
+
+
+class TestMasksAgainstTuples:
+    """The sheet-mask faces against the tuple faces they replaced
+    (``tests/height_oracle.py``): the same levels, heights and reductions."""
+
+    @given(st.one_of(graphs_and_radii(), graphs_and_odd_radii()))
+    @settings(max_examples=150, deadline=None)
+    def test_box_complexes(self, case):
+        G, r = case
+        bs = balls(G, r)
+        assert ([list(map(vertices, level)) for level in _box_faces(bs)]
+                == list(height_oracle.box_faces(bs)))
+        same_reductions(lambda: _box_faces(bs), lambda: height_oracle.box_faces(bs))
+
+    @given(free_double_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_free_double_covers(self, case):
+        K, t = case
+        same_reductions(lambda: orbit_masks(K, t), lambda: height_oracle.orbit_levels(K, t))
+
+    @pytest.mark.parametrize("K,t", [
+        (octahedron(), antipodal6(octahedron())),
+        cross_polytope_sphere(4),
+    ])
+    def test_spheres_that_need_a_subdivision(self, K, t):
+        height, calls = same_reductions(lambda: orbit_masks(K, t),
+                                        lambda: height_oracle.orbit_levels(K, t))
+        assert height == K.dim == len(calls)
+
+    @pytest.mark.parametrize("G,r,expected", [
+        (make_cycle(5), 3, 3),
+        (make_cycle(9), 7, 7),
+        (mycielskian(make_cycle(5)), 1, 2),
+        (make_kneser(5, 2), 3, 8),
+    ])
+    def test_the_spy_sees_each_reduction_in_order(self, G, r, expected):
+        # one reduction per level read past the vertices, each finding w^k
+        # no coboundary until the cap or the first one that is; the columns
+        # reach gf2 as the oracle hands them over, row set for row set
+        bs = balls(G, r)
+        cap = z2._colour_cap(bs)
+        height, calls = reductions(_height, _box_faces(bs), cap, vertices)
+        assert height == expected == pair_space_height(G, r)
+        assert len(calls) == min(expected + 1, cap)
+        assert all(columns for columns, *_ in calls)
+        assert [found for *_, found in calls] == [False] * expected + [True] * (cap > expected)
+        assert (height, calls) == reductions(height_oracle.height, height_oracle.box_faces(bs),
+                                             cap, tuple)
 
 
 def untagged(G):
