@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Drive the library end to end on the worked desk-scale examples and print a
 compact report: sphere complexes from tight odd cycles, the Kneser sphere,
-Kneser and cycle spheres answered from their facets,
+Kneser and cycle spheres answered from their facets, the odd graphs' linear
+complexes answered from their facets too,
 matching/collapse towers (one window per stage), edge contraction before
 homology, swap heights (box-complex heights read up to a
 colouring's cap), pair-space homology (reduced as the r-neighborhood complex)
@@ -81,6 +82,20 @@ def main():
         print(f"  N_{r}({name}): {len(K.facets)} facets, betti 1 in dimensions {dims}, "
               f"S^{d} in {elapsed:.4f}s")
         assert h.groups == ((1, ()),) + ((0, ()),) * (d - 1) + ((1, ()),)
+        assert K._faces is None
+
+    section("odd graphs: linear complexes answered from their facets")
+    # two neighbourhoods of K(2k+1, k) share at most one vertex, so N_1 has
+    # the homotopy type of its vertex-facet incidence graph and homology
+    # reads none of its faces: b1 = (k - 1) C(2k+1, k) + 1
+    for k, b1 in ((2, 11), (3, 71), (4, 379), (5, 1849), (6, 8581)):
+        K = neighborhood_complex(make_kneser(2 * k + 1, k), 1)
+        t = time.perf_counter()
+        h = homology(K)
+        elapsed = time.perf_counter() - t
+        print(f"  N_1(K({2 * k + 1},{k})): {len(K.facets)} facets, betti {h.betti_vector[:2]} "
+              f"in {elapsed:.4f}s")
+        assert h.groups == ((1, ()), (b1, ())) + ((0, ()),) * (k - 1)
         assert K._faces is None
 
     section("matching and collapse towers")

@@ -38,7 +38,8 @@ dropped with the column lattice kept.  Faces stay top down, where a face in
 one facet is a free row: bottom up was slower on most face complexes tried.
 
 The boundary of a simplex, the paper's Kneser and cycle spheres among them,
-is answered from its facets, and none of its faces is read (``homology``).
+and a linear complex, whose facets pairwise share at most one vertex, are
+answered from their facets, and none of their faces is read (``homology``).
 In any other complex, every edge ab that meets the link condition
 lk(a) & lk(b) = lk(ab) is contracted first, which keeps the homotopy type
 (``_contracted``); it reads no face, so a cycle-like complex shrinks to a
@@ -47,8 +48,8 @@ faces, or on the order complex of L, the nonempty intersections of its
 facets ordered by inclusion, when that has fewer faces: the two are
 homotopy equivalent by the nerve and crosscut theorems (Bjorner 1995), so
 the groups are the same, and the Betti vector is padded to the complex's
-dimension.  On Kneser complexes L is tiny: N_1(K(9,4)) has 3,402 faces and
-its L 252 elements and 882 chains.  L meets each element only with the
+dimension.  On Kneser complexes L is tiny: N_1(K(8,3)) has 54,474 faces and
+its L 182 elements and 2,422 chains.  L meets each element only with the
 facets sharing a vertex with it, and the counts that choose come from one
 pass over L, with no face read (``_levels``).  The order complex of a
 linked-pair poset of G at radius r has the homotopy type of N_r(G) (see
@@ -289,15 +290,21 @@ def homology(K, limit=None):
     cleared: faces from the top dimension down, a union-find last, and the
     chains of a facet-intersection lattice on the transposed boundaries from
     dimension 1 up, a union-find first (the module docstring says why each
-    clearing is exact).  A complex with n facets of n - 1
-    vertices each on n vertices is the boundary of a simplex, S^(n-2), and is
-    answered with no face read and no matrix reduced, whatever ``limit``:
-    N_3(Petersen), N_5(K(7,3)) = S^33, N_7(K(9,4)) = S^124 and N_(m-2)(C_m)
-    for odd m.  Any other ``K`` is first contracted along every edge that
-    meets the link condition (``_contracted``), then the complex left is
-    reduced on its faces, or on the chains of its facet-intersection lattice
-    when those are fewer (``_levels``); ``limit`` bounds the faces or chains
-    of the complex actually reduced.
+    clearing is exact).  Two kinds of complex are answered from their
+    facets, with no face read and no matrix reduced, whatever ``limit``
+    (``_facet_homology``).  The boundary of a simplex, n facets of n - 1 of n
+    vertices, is S^(n-2): N_3(Petersen), N_7(K(9,4)) = S^124, N_(m-2)(C_m)
+    for odd m.  A linear complex, whose facets pairwise share at most one
+    vertex (N_1(K(2k+1, k)), any 1-dimensional complex), is a graph: L, its
+    facet intersections, is the facets and the vertices in two or more, so
+    the order complex of L (``_levels``) is the graph of the pairs vertex in
+    facet, and contracting one edge of each vertex's star leaves the edges
+    from its first facet to its later ones: H_0 = Z^(facets - merges), H_1 =
+    Z^(edges - merges), merges counted by a union-find, no higher group.
+    Any other ``K`` is first contracted along every edge that meets the link
+    condition (``_contracted``), then reduced on its faces, or on the chains
+    of its facet-intersection lattice when those are fewer (``_levels``);
+    ``limit`` bounds the faces or chains of the complex actually reduced.
 
     The order complex of ``pair_poset(G, r)`` is reduced as
     N_r(G) = ``neighborhood_complex(G, r)``, through the same check,
@@ -317,11 +324,29 @@ def homology(K, limit=None):
     space's dimension, max(|A| + |B|) - 2."""
     G, r, dim = K._pairs or (None, None, K.dim)
     K = neighborhood_complex(G, r) if K._pairs else K
-    n = len(K.facets)
-    # n distinct facets of n - 1 of the n vertices: the boundary of a simplex
-    if n > 1 and all(len(f) == n - 1 for f in K.facets) and len(set().union(*K.facets)) == n:
-        return HomologyResult(tuple(((i == 0) + (i == n - 2), ()) for i in range(dim + 1)))
-    return _level_homology(*_levels(_contracted(K), limit), dim + 1)
+    return _facet_homology(K.facets, dim + 1) or _level_homology(
+        *_levels(_contracted(K), limit), dim + 1)
+
+
+def _facet_homology(facets, width):
+    # the groups of a simplex boundary or linear complex, padded or cut to
+    # width, else None: at each vertex, later facets meet earlier ones there only
+    n = len(facets)
+    if n > 1 and all(len(f) == n - 1 for f in facets) and len(set().union(*facets)) == n:
+        betti = [(i == 0) + (i == n - 2) for i in range(width)]
+    else:
+        first, union, edges = {}, {}, []
+        for j, f in enumerate(facets):
+            m = sum(1 << v for v in f)
+            for v in f:
+                if (i := first.setdefault(v, j)) != j:
+                    if union[v] & m != 1 << v:
+                        return None
+                    edges.append((i, j))
+                union[v] = union.get(v, 0) | m
+        merges = len(_forest_factors(edges, (), set()))
+        betti = [n - merges, len(edges) - merges] + [0] * width
+    return HomologyResult(tuple((b, ()) for b in betti[:width]))
 
 
 def _level_homology(levels, up, width):

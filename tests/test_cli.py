@@ -29,6 +29,13 @@ def c5_file(tmp_path):
 
 
 @pytest.fixture
+def c7_file(tmp_path):
+    path = tmp_path / "c7.json"
+    save_graph(make_cycle(7), path)
+    return str(path)
+
+
+@pytest.fixture
 def c6_file(tmp_path):
     path = tmp_path / "c6.json"
     save_graph(make_cycle(6), path)
@@ -413,14 +420,16 @@ class TestOptionsWhereRead:
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
-    def test_zero_counts_accepted(self, capsys, c5_file):
+    def test_zero_counts_accepted(self, capsys, c5_file, c7_file):
         code, report = run_json(capsys, ["hom-search", c5_file, c5_file, "--budget", "0"])
         assert code == 0 and report["result"] == {
             "status": "budget-exceeded", "expansions": 1, "map": None}
-        # N(C5) is a pentagon, reduced on its faces; N_3(C5), the boundary of
-        # a 4-simplex, is answered from its facets, so a limit of 0 passes
-        # there
-        assert main(["homology", c5_file, "-r", "1", "--limit-faces", "0"]) == 3
+        # N_3(C7), whose facets share pairs, is reduced on its faces or
+        # chains, so a limit of 0 stops it; N(C5), a pentagon (a linear
+        # complex), and N_3(C5), the boundary of a 4-simplex, are answered
+        # from their facets, so a limit of 0 passes there
+        assert main(["homology", c7_file, "-r", "3", "--limit-faces", "0"]) == 3
+        assert main(["homology", c5_file, "-r", "1", "--limit-faces", "0"]) == 0
         assert main(["homology", c5_file, "-r", "3", "--limit-faces", "0"]) == 0
 
     @pytest.mark.parametrize("value", ["-1", "many"])
@@ -485,23 +494,26 @@ def test_memory_error_exits_resource(monkeypatch, capsys, c5_file):
     assert "girth" in err and "memory" in err
 
 
-def test_parser_is_built_once_per_face_default(monkeypatch, capsys, c5_file):
+def test_parser_is_built_once_per_face_default(monkeypatch, capsys, c5_file, c7_file):
     monkeypatch.delenv("NBHD_LIMIT_FACES", raising=False)
     cli._build_parser.cache_clear()
     assert main(["girth", c5_file]) == 0
-    assert main(["homology", c5_file, "-r", "1"]) == 0
+    assert main(["homology", c7_file, "-r", "3"]) == 0
     assert cli._build_parser.cache_info().misses == 1
     capsys.readouterr()
     # a handler patched after the parser was built is the one that runs
     monkeypatch.setattr(cli, "_cmd_girth", lambda args: ({}, ["patched"]))
     assert main(["girth", c5_file]) == 0
     assert capsys.readouterr().out.startswith("patched")
-    # N(C5) is reduced on its 10 faces, so a limit of 0 from the
-    # environment stops it; the default's parser is reused afterwards
+    # N_3(C7) is reduced on its faces or chains, so a limit of 0 from the
+    # environment stops it, while N(C5), a linear complex, passes it; the
+    # default's parser is reused afterwards
     monkeypatch.setenv("NBHD_LIMIT_FACES", "0")
-    assert main(["homology", c5_file, "-r", "1"]) == 3
+    assert main(["homology", c7_file, "-r", "3"]) == 3
+    assert main(["homology", c5_file, "-r", "1"]) == 0
     assert cli._build_parser.cache_info().misses == 2
     monkeypatch.delenv("NBHD_LIMIT_FACES")
+    assert main(["homology", c7_file, "-r", "3"]) == 0
     assert main(["homology", c5_file, "-r", "1"]) == 0
     assert cli._build_parser.cache_info().misses == 2
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_matrices, euler_characteristic, full_simplex, make_schrijver,
@@ -657,17 +657,25 @@ class TestLattice:
         assert K._faces is None
 
     def test_limit_between_the_models(self):
-        # K(9,4) at r=1: 882 chains on 252 lattice elements, 3,402 faces
+        # K(6,2) at r=1: 440 chains, 710 faces; N_1(K(9,4)), with 882 chains
+        # and 3,402 faces, is linear and answered from its facets
+        K = neighborhood_complex(make_kneser(6, 2), 1)
+        assert homology(K, 440).betti_vector == (1, 0, 19, 0, 0, 0)
+        assert K._faces is None
         K = neighborhood_complex(make_kneser(9, 4), 1)
         assert homology(K, 882).betti_vector == (1, 379, 0, 0, 0)
         assert K._faces is None
 
     def test_limit_below_both_models(self):
-        K = neighborhood_complex(make_kneser(9, 4), 1)
+        K = neighborhood_complex(make_kneser(6, 2), 1)
         with pytest.raises(ResourceLimitError) as err:
-            homology(K, 881)
-        assert (err.value.count, err.value.limit) == (882, 881)
+            homology(K, 439)
+        assert (err.value.count, err.value.limit) == (440, 439)
         assert "face enumeration" in str(err.value)
+        assert K._faces is None
+        # a linear complex passes any limit
+        K = neighborhood_complex(make_kneser(9, 4), 1)
+        assert homology(K, 881).betti_vector == (1, 379, 0, 0, 0)
         assert K._faces is None
 
     def test_faces_are_read_once(self, monkeypatch):
@@ -707,15 +715,15 @@ class TestLattice:
                     min_size=1, max_size=10), st.data())
     @settings(max_examples=150, deadline=None)
     def test_counts_alone_choose_the_model(self, faces, data):
-        # the boundary of a simplex is answered at any limit with nothing
-        # contracted or read; otherwise, on the contracted complex, the one
-        # reduced, the chains are reduced exactly when they are fewer than
-        # the faces and within the limit; past it in both, the face guard
-        # trips
+        # the boundary of a simplex and a linear complex are answered at any
+        # limit with nothing contracted or read; otherwise, on the contracted
+        # complex, the one reduced, the chains are reduced exactly when they
+        # are fewer than the faces and within the limit; past it in both,
+        # the face guard trips
         K = SimplicialComplex.from_faces(faces)
         C = _contracted(K)
         chains, n_faces = _sizes(*lattice_levels(C))
-        boundary = is_simplex_boundary(K)
+        boundary = is_simplex_boundary(K) or is_linear(K)
         limit = data.draw(st.integers(0, max(chains, n_faces) + 1))
         fresh, reduced = SimplicialComplex(K.vertices, K.facets), []
 
@@ -897,10 +905,11 @@ class TestContraction:
 
     def test_a_merged_facet_dropping_a_fails(self, monkeypatch):
         # the hexagon's edges all contract; the cycle breaks once a merged
-        # edge keeps only its far end
+        # edge keeps only its far end (``homology`` answers this linear
+        # complex from its facets)
         monkeypatch.setattr(sys.modules["nbhd.homology"], "_merge", merge_dropping_a)
         K = SimplicialComplex.from_faces([(k, (k + 1) % 6) for k in range(6)])
-        assert homology(K) != uncleared_homology(K)
+        assert contracted_homology(K) != uncleared_homology(K)
 
 
 @st.composite
@@ -1138,14 +1147,26 @@ def is_simplex_boundary(K):
     return len(V) > 1 and faces == proper
 
 
+def is_linear(K):
+    """Oracle: whether every two facets of ``K`` share at most one vertex,
+    checked on every pair of facets."""
+    return all(len(set(f) & set(g)) <= 1 for f, g in itertools.combinations(K.facets, 2))
+
+
 class TestSimplexBoundary:
     """The boundary of a simplex is answered from its facets, with no face
     read and nothing contracted; the uncleared reduction of its faces and
-    ``is_simplex_boundary`` are the references."""
+    ``is_simplex_boundary`` are the references.  A linear complex is too
+    (``TestLinear``)."""
 
-    @given(near_simplex_complexes())
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_simplex_complexes(), st.lists(
+        st.sets(st.integers(0, 9), min_size=2, max_size=4), min_size=2, max_size=8).map(
+        SimplicialComplex.from_faces)))
+    @settings(max_examples=400, deadline=None)
     def test_near_simplices_match_uncleared(self, K):
+        # near simplices, and random facet sets some of which share one
+        # vertex at most: only a simplex boundary or a linear complex skips
+        # the contraction
         contracted = []
 
         def recording(C):
@@ -1154,7 +1175,7 @@ class TestSimplexBoundary:
 
         with mock.patch.object(sys.modules["nbhd.homology"], "_contracted", recording):
             h = homology(K)
-        assert (contracted == []) == is_simplex_boundary(K)
+        assert (contracted == []) == (is_simplex_boundary(K) or is_linear(K))
         assert K._faces is None or contracted
         assert h == uncleared_homology(K)
 
@@ -1205,6 +1226,126 @@ class TestSimplexBoundary:
         h = homology(neighborhood_complex(make_kneser(7, 3), 5))
         assert time.process_time() - start < 0.1
         assert h.groups == sphere_groups(33)
+
+
+@st.composite
+def linear_complexes(draw):
+    """Complexes whose facets pairwise share at most one vertex: up to three
+    blocks on disjoint vertex ranges, each of random facet sets on 14
+    vertices kept while they meet every set kept before in at most one
+    vertex, so single points, edges, empty and disconnected complexes all
+    occur."""
+    blocks = draw(st.lists(st.lists(st.sets(st.integers(0, 13), min_size=1, max_size=5),
+                                    max_size=12), max_size=3))
+    faces = []
+    for k, block in enumerate(blocks):
+        kept = []
+        for f in block:
+            if all(len(f & g) <= 1 for g in kept):
+                kept.append(f)
+        faces += [[(k, v) for v in f] for f in kept]
+    return SimplicialComplex.from_faces(faces)
+
+
+def circle_groups(pieces):
+    return ((pieces, ()), (pieces, ()))
+
+
+class TestLinear:
+    """A linear complex, in which every two facets share at most one vertex,
+    is answered from its facets: it has the homotopy type of its
+    vertex-facet incidence graph.  Nothing is contracted and no face or
+    chain is read; the face and chain models, the uncleared reduction and
+    ``is_linear`` are the references."""
+
+    @given(linear_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_linear_complexes_match_both_models(self, K):
+        assert is_linear(K)
+        assert TestLattice.check_models(K) == uncleared_homology(K)
+
+    @given(small_graphs(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_linear_neighborhood_complexes(self, G, r):
+        K = neighborhood_complex(G, r)
+        assume(is_linear(K))
+        assert TestLattice.check_models(K) == uncleared_homology(K)
+
+    @pytest.mark.parametrize("G, r, groups", [
+        (make_cycle(5), 1, circle_groups(1)), (make_cycle(9), 1, circle_groups(1)),
+        (make_cycle(6), 1, circle_groups(2)), (make_cycle(4), 1, ((2, ()), (0, ()))),
+        (make_kneser(5, 2), 1, ((1, ()), (11, ()), (0, ()))),
+        (Graph(range(3), [(0, 1)]), 1, ((2, ()),)),  # two points: 0-dimensional
+    ], ids=["C5 r=1", "C9 r=1", "C6 r=1", "C4 r=1", "Petersen r=1", "edge and lone vertex"])
+    def test_linear_pair_spaces(self, G, r, groups):
+        # reduced as N_r(G), whose closed form is padded to the pair space's
+        # dimension, or cut to it
+        assert is_linear(neighborhood_complex(G, r))
+        P = order_complex(pair_poset(G, r))
+        h = homology(P)
+        assert h == uncleared_homology(chain_model(P))
+        assert h.groups == groups + ((0, ()),) * (P.dim + 1 - len(groups))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_odd_graphs(self, k):
+        # N_1(K(2k + 1, k)): b1 = (k - 1) C(2k + 1, k) + 1
+        K = neighborhood_complex(make_kneser(2 * k + 1, k), 1)
+        b1 = (k - 1) * math.comb(2 * k + 1, k) + 1
+        assert homology(K).groups == ((1, ()), (b1, ())) + ((0, ()),) * (k - 1)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 21, 4001])
+    def test_odd_cycles_are_circles(self, m):
+        assert homology(neighborhood_complex(make_cycle(m), 1)).groups == circle_groups(1)
+
+    @given(linear_complexes(), linear_complexes())
+    @settings(max_examples=100, deadline=None)
+    def test_disjoint_pieces_add(self, K, L):
+        # the groups of a disjoint union are the sums of the pieces' groups
+        U = SimplicialComplex.from_faces([[(0, v) for v in f] for f in K.facet_label_sets()]
+                                         + [[(1, v) for v in f] for f in L.facet_label_sets()])
+        width = max(K.dim, L.dim) + 1
+        assert homology(U).betti_vector == tuple(
+            homology(K).betti(d) + homology(L).betti(d) for d in range(width))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_points(self, n):
+        K = SimplicialComplex(range(n), [(v,) for v in range(n)])
+        assert homology(K, 0).groups == ((n, ()),)
+
+    @pytest.mark.parametrize("K", [
+        SimplicialComplex(range(4), [(0, 1), (1, 2), (2, 3)]),
+        SimplicialComplex.from_faces([(0, 1, 2), (2, 3, 4), (4, 5, 0), (6,)]),
+        neighborhood_complex(make_kneser(9, 4), 1),
+        neighborhood_complex(make_cycle(17), 1),
+    ], ids=["path", "triangle of triangles and a point", "K(9,4) r=1", "C17 r=1"])
+    def test_linear_complexes_read_nothing(self, monkeypatch, K):
+        def refuse(*args):
+            raise AssertionError("a linear complex reached a spied call")
+
+        expected = uncleared_homology(chain_model(K))
+        for name in ("_contracted", "_levels"):
+            monkeypatch.setattr(sys.modules["nbhd.homology"], name, refuse)
+        monkeypatch.setattr(sys.modules["nbhd.complexes"], "_face_levels", refuse)
+        assert homology(K, 0) == expected
+        assert K._faces is None
+
+    @pytest.mark.parametrize("K, betti", [
+        (neighborhood_complex(make_kneser(6, 2), 1), (1, 0, 19, 0, 0, 0)),
+        (SimplicialComplex.from_faces([(0, 1, 2), (1, 2, 3)]), (1, 0, 0)),
+        (SimplicialComplex.from_faces([(0, 1, 2), (2, 3, 4), (3, 4, 0)]), (1, 1, 0)),
+    ], ids=["K(6,2) r=1", "two triangles on an edge", "a triangle pair closing a cycle"])
+    def test_a_shared_pair_takes_the_reduction(self, monkeypatch, K, betti):
+        # facets sharing two vertices: the complex is contracted and its
+        # model chosen as before
+        module, seen = sys.modules["nbhd.homology"], []
+        for name in ("_contracted", "_levels"):
+            def spy(*args, _call=getattr(module, name), _name=name):
+                seen.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(module, name, spy)
+        assert not is_linear(K)
+        assert homology(K).betti_vector == betti
+        assert seen == ["_contracted", "_levels"]
 
 
 # the complexes of the homology benchmark workload, unshuffled, with K(7,2);
